@@ -1,7 +1,9 @@
 """Semicircle and Marchenko-Pastur limit laws.
 
-Densities and cumulative distributions are evaluated in float64; moments
-are exact rationals (Catalan numbers for the semicircle, a Narayana-number
+Densities and cumulative distributions are evaluated in float64, both
+CDFs in closed form (the Marchenko-Pastur one in a half-angle atan2 form
+that keeps full precision at the support edges; see mp_cdf); moments are
+exact rationals (Catalan numbers for the semicircle, a Narayana-number
 expansion for Marchenko-Pastur) computed with big-integer arithmetic, since
 the Catalan numbers involved overflow 64 bits well before s = 60.
 
@@ -18,14 +20,12 @@ satisfies.  The quadrature cross-check in the test suite arbitrates.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError
 
 
 # ---------------------------------------------------------------------------
@@ -97,47 +97,38 @@ def mp_pdf(x, gamma: float):
 
 
 def mp_cdf(x, gamma: float):
-    """CDF by adaptive quadrature of the density from the lower edge.
+    """Closed-form CDF: the antiderivative of the density from the lower edge.
 
-    Vector inputs are integrated piecewise between consecutive sorted
-    points and accumulated, which both reuses work and makes the output
-    monotone by construction; everything is clamped to [0, 1].
+    With t = x clamped to [a, b] and u = sqrt(t - a), v = sqrt(b - t),
+
+        F(t) = [u v + (a + b) atan2(u, v)
+                - 2 sqrt(ab) atan2(sqrt(b) u, sqrt(a) v)] / (2 pi gamma).
+
+    The textbook form writes these angles as arcsin of a ratio; the
+    half-angle atan2 form is used because arcsin loses about the square
+    root of the rounding error where its argument nears +-1, which here is
+    every point near either edge.  At gamma = 1 the lower edge a = 0 is a
+    hard edge and the sqrt(ab) term vanishes without a special case.
+
+    The output is exactly 0 for x <= a and exactly 1 for x >= b.  Vector
+    inputs, in any order, are evaluated over the sorted points with a
+    running maximum, so the output is monotone in x even where rounding
+    would put a value a few ulps below its left neighbour.
     """
     gamma = _check_gamma(gamma)
     a, b = mp_support(gamma)
     x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     order = np.argsort(x_arr, kind="stable")
-    pts = np.clip(x_arr[order], a, b)
-
-    def segment(lo: float, hi: float) -> float:
-        if hi <= lo:
-            return 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", integrate.IntegrationWarning)
-            try:
-                val, err = integrate.quad(
-                    lambda t: mp_pdf(t, gamma), lo, hi,
-                    epsabs=1e-12, epsrel=1e-12, limit=200,
-                )
-            except integrate.IntegrationWarning as exc:
-                raise NumericalFailureError(
-                    f"MP cdf quadrature failed on [{lo}, {hi}]: {exc}"
-                ) from exc
-        if err > 1e-10:
-            raise NumericalFailureError(
-                f"MP cdf quadrature error {err:.2e} above tolerance"
-            )
-        return val
-
-    vals = np.empty_like(pts)
-    acc = 0.0
-    prev = a
-    for i, p in enumerate(pts):
-        acc += segment(prev, p)
-        vals[i] = acc
-        prev = p
+    t = np.clip(x_arr[order], a, b)
+    u, v = np.sqrt(t - a), np.sqrt(b - t)
+    vals = (
+        u * v
+        + (a + b) * np.arctan2(u, v)
+        - 2.0 * math.sqrt(a * b) * np.arctan2(math.sqrt(b) * u, math.sqrt(a) * v)
+    ) / (2.0 * np.pi * gamma)
+    vals[t == b] = 1.0
     out = np.empty_like(vals)
-    out[order] = np.clip(vals, 0.0, 1.0)
+    out[order] = np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out[0])
     return out

@@ -2,10 +2,11 @@
 
 The direct eigensolver is LAPACK's symmetric driver via numpy (Householder
 tridiagonalization plus implicit-shift iterations under the hood), exposed
-behind a validated interface: inputs must be symmetric to 1e-12 relative,
-outputs are ascending.  A second, independent route to the spectral norm
-runs Lanczos iteration (ARPACK) with a fixed start vector; the two must
-agree to 1e-8 relative, which the test suite enforces on random inputs.
+behind a validated interface: inputs must be finite and symmetric to 1e-12
+relative, outputs are ascending.  A second, independent route to the
+spectral norm runs Lanczos iteration (ARPACK) with a fixed start vector; the
+two must agree to 1e-8 relative, which the test suite enforces on random
+inputs.
 
 High-order trace moments are always formed from eigenvalues, never by
 repeated matrix multiplication: powers up to s ~ N^(2/3) are needed and
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .errors import InvalidInputError, NumericalFailureError
 
@@ -49,6 +49,8 @@ def _check_symmetric(M: np.ndarray) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {M.shape}")
     scale = np.abs(M).max() if M.size else 0.0
+    if not np.isfinite(scale):
+        raise InvalidInputError("matrix has non-finite entries")
     if np.abs(M - M.T).max() > SYMMETRY_RTOL * max(scale, 1e-300):
         raise InvalidInputError("matrix is not symmetric within 1e-12 relative")
     return M
@@ -96,6 +98,8 @@ def spectral_norm(M, method: str = "direct") -> float:
         half_gap = math.hypot((a - c) / 2.0, b)
         mid = (a + c) / 2.0
         return float(max(abs(mid + half_gap), abs(mid - half_gap)))
+    import scipy.sparse.linalg  # only this oracle route needs ARPACK
+
     v0 = np.full(n, 1.0 / math.sqrt(n))
     try:
         vals = scipy.sparse.linalg.eigsh(

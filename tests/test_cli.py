@@ -1,15 +1,32 @@
 """End-to-end CLI behavior: outputs, exit codes, replayability."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pseudospec
 from pseudospec import cli, codes
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def test_cli_import_skips_quadrature_and_arpack():
+    # a fresh interpreter, so modules this test process loaded cannot mask it
+    src = os.path.dirname(os.path.dirname(pseudospec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, pseudospec.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.sparse.linalg') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # --- genpoly / dual ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Limit-law evaluators against quadrature and closed-form oracles."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -97,14 +98,16 @@ def test_mp_pdf_integrates_to_one():
 
 
 def test_mp_cdf_endpoints_and_monotone():
-    for gamma in GAMMAS:
+    for gamma in GAMMAS + (1 / 40,):
         a, b = laws.mp_support(gamma)
-        assert abs(laws.mp_cdf(a, gamma) - 0.0) <= 1e-10
-        assert abs(laws.mp_cdf(b, gamma) - 1.0) <= 1e-10
-        xs = np.linspace(a - 0.2, b + 0.2, 400)
+        assert laws.mp_cdf(a, gamma) == 0.0
+        assert laws.mp_cdf(b, gamma) == 1.0
+        near_b = b - np.logspace(-14, -2, 25)
+        xs = np.sort(np.concatenate([np.linspace(a - 0.2, b + 0.2, 400), near_b]))
         vals = laws.mp_cdf(xs, gamma)
         assert np.all(np.diff(vals) >= 0.0)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
+        assert np.all(vals[xs <= a] == 0.0) and np.all(vals[xs >= b] == 1.0)
 
 
 def test_mp_cdf_monotone_dense_grid():
@@ -116,10 +119,43 @@ def test_mp_cdf_monotone_dense_grid():
 
 
 def test_mp_cdf_vector_matches_scalar():
-    xs = np.array([0.3, 1.0, 2.5, 0.1])
-    vec = laws.mp_cdf(xs, 0.625)
-    for x, v in zip(xs, vec):
-        assert laws.mp_cdf(float(x), 0.625) == pytest.approx(v, abs=1e-10)
+    edge = np.array([0.0, 1e-12, 1e-6, 1e-3])
+    for gamma in GAMMAS:
+        a, b = laws.mp_support(gamma)
+        xs = np.concatenate(
+            [[0.3, 1.0, 2.5, 0.1, 0.509], a + edge, b - edge, [a - 0.1, b + 0.1]]
+        )
+        xs = np.random.default_rng(7).permutation(xs)
+        vec = laws.mp_cdf(xs, gamma)
+        for x, v in zip(xs, vec):
+            assert laws.mp_cdf(float(x), gamma) == pytest.approx(v, abs=1e-10), (gamma, x)
+
+
+def _quad_mp_cdf(x, gamma):
+    # split at the midpoint so each quad call has one square-root edge
+    a, b = laws.mp_support(gamma)
+    mid = 0.5 * (a + b)
+    total = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        for lo, hi in ((a, min(x, mid)), (mid, x)):
+            if hi > lo:
+                val, _ = integrate.quad(
+                    lambda t: laws.mp_pdf(t, gamma), lo, hi,
+                    epsabs=1e-14, epsrel=1e-13, limit=200,
+                )
+                total += val
+    return total
+
+
+def test_mp_cdf_matches_quadrature():
+    offsets = np.logspace(-14, -2, 7)
+    for gamma in GAMMAS + (1 / 40,):
+        a, b = laws.mp_support(gamma)
+        xs = np.concatenate([np.linspace(a, b, 9)[1:-1], a + offsets, b - offsets])
+        vals = laws.mp_cdf(xs, gamma)
+        for x, v in zip(xs, vals):
+            assert abs(v - _quad_mp_cdf(x, gamma)) <= 1e-12, (gamma, x)
 
 
 def test_mp_moments_exact_values():

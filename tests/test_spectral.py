@@ -87,6 +87,16 @@ def test_asymmetric_rejected():
         spectral.symmetric_eigen(np.ones((2, 3)))
 
 
+def test_non_finite_rejected():
+    for i, j, bad in ((0, 2, np.nan), (2, 0, np.nan), (1, 2, np.inf)):
+        M = np.eye(3)
+        M[i, j] = bad
+        with pytest.raises(InvalidInputError):
+            spectral.symmetric_eigen(M)
+        with pytest.raises(InvalidInputError):
+            spectral.spectral_norm(M, method="iterative")
+
+
 def test_agrees_with_charpoly_oracle():
     rng = np.random.default_rng(24)
     for n in (2, 3, 4):
