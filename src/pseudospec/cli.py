@@ -4,23 +4,19 @@ Subcommands: genpoly, dual, sample, norms, esd, moments, verify-indep.
 Every artifact-writing command drops exactly one ``config.json`` sidecar in
 the output directory holding the full parameter set and library version,
 so any run can be replayed; replays produce byte-identical CSV output
-regardless of the thread count (results are ordered by sample index, and
-sample i depends only on (seed, i)).
+(samples are processed serially in index order, and sample i depends only
+on (seed, i), so any prefix of a batch reproduces).
 
 Exit codes: 0 success / verification pass, 1 verification fail, 2 invalid
-input, 3 numerical failure.  ``PSEUDOSPEC_THREADS`` caps worker threads
-for the eigendecomposition stage (default 1).
+input, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -41,35 +37,10 @@ CHECKPOINT_EVERY = 1000
 # batch engine (also used directly by the verification suite)
 # ---------------------------------------------------------------------------
 
-def thread_count() -> int:
-    raw = os.environ.get("PSEUDOSPEC_THREADS", "1")
-    try:
-        v = int(raw)
-    except ValueError:
-        raise InvalidInputError(f"PSEUDOSPEC_THREADS={raw!r} is not an integer")
-    return max(1, v)
-
-
-def iter_summaries(spec: ensembles.EnsembleSpec, count: int, threads: int | None = None):
-    """Spectral summaries of a matrix batch, in sample-index order.
-
-    Matrix generation stays in the caller's thread (it is cheap and keeps
-    codeword order deterministic); eigendecompositions fan out to a pool
-    when threads > 1.  Chunked submission bounds memory for long runs.
-    """
-    threads = thread_count() if threads is None else threads
-    stream = ensembles.matrix_stream(spec, count)
-    decompose = lambda M: spectral.symmetric_eigen(M, source=spec)  # noqa: E731
-    if threads <= 1:
-        yield from map(decompose, stream)
-        return
-    chunk_size = 16 * threads
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        while True:
-            chunk = list(itertools.islice(stream, chunk_size))
-            if not chunk:
-                return
-            yield from pool.map(decompose, chunk)
+def iter_summaries(spec: ensembles.EnsembleSpec, count: int):
+    """Spectral summaries of a matrix batch, in sample-index order."""
+    for M in ensembles.matrix_stream(spec, count):
+        yield spectral.symmetric_eigen(M)
 
 
 def scaled_norm(spec: ensembles.EnsembleSpec, summary: spectral.SpectralSummary) -> float:
@@ -132,17 +103,20 @@ def _params_dict(args, names) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_genpoly(args) -> int:
+def _dual_from_args(args) -> codes.DualCode:
+    """Dual of the BCH code named by exactly one of --delta and --k."""
     delta = args.delta
     if args.k is not None:
         if delta is not None:
             raise InvalidInputError("give either --delta or --k, not both")
         delta = codes.delta_for_dimension(args.m, args.k)
     elif delta is None:
-        raise InvalidInputError("genpoly needs --delta or --k")
-    code = codes.bch_generator(args.m, delta)
-    dual = codes.dual_code(code)
-    payload = dual.to_json_dict()
+        raise InvalidInputError(f"{args.command} needs --delta or --k")
+    return codes.dual_code(codes.bch_generator(args.m, delta))
+
+
+def cmd_genpoly(args) -> int:
+    payload = _dual_from_args(args).to_json_dict()
     payload["requested_delta"] = args.delta
     payload["requested_k"] = args.k
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -150,12 +124,7 @@ def cmd_genpoly(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    delta = args.delta
-    if args.k is not None:
-        delta = codes.delta_for_dimension(args.m, args.k)
-    elif delta is None:
-        raise InvalidInputError("dual needs --delta or --k")
-    dual = codes.dual_code(codes.bch_generator(args.m, delta))
+    dual = _dual_from_args(args)
     payload = {
         "n": dual.n,
         "k_dual": dual.k_dual,

@@ -8,17 +8,19 @@ multiplying by that generator induces the uniform measure on dual
 codewords, which is what the matrix ensembles downstream consume.
 
 Codewords are GF(2) polynomials in the integer representation of
-:mod:`.gf2m` (bit i = coefficient of x^i).  ``words_to_bits`` converts a
-batch to a dense 0/1 array for packing into matrices.
+:mod:`.gf2m` (bit i = coefficient of x^i).  ``word_to_bits`` converts one
+to a dense 0/1 array for packing into a matrix.
 
 Batch file format (``save_codewords``): an 8-byte header of two uint32
 little-endian fields (n, count), then ``count`` records of ceil(n/8) bytes
 each, coefficient of x^0 first (bit j of byte i is the coefficient of
-x^(8i+j)).
+x^(8i+j)).  ``load_codewords`` rejects a file whose length does not match
+its header.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -102,9 +104,7 @@ class DualCode:
         return d
 
 
-def bch_generator(
-    m: int, delta: int, params: gf2m.FieldParams | None = None
-) -> CyclicCode:
+def bch_generator(m: int, delta: int) -> CyclicCode:
     """Construct the BCH code of length 2^m - 1 and designed distance delta.
 
     An even delta is promoted to delta + 1 (with a warning): the conjugacy
@@ -112,10 +112,7 @@ def bch_generator(
     generate the same code.  If the requested roots exhaust x^n + 1 the
     code collapses and a DegenerateCodeError is raised.
     """
-    if params is None:
-        params = gf2m.FieldParams.default(m)
-    elif params.m != m:
-        raise InvalidInputError(f"params are for m={params.m}, not m={m}")
+    params = gf2m.FieldParams.default(m)
     if delta < 3:
         raise InvalidInputError(f"designed distance must be >= 3, got {delta}")
     if delta % 2 == 0:
@@ -183,11 +180,7 @@ def delta_for_dimension(m: int, k: int) -> int:
 
 def dual_code(code: CyclicCode) -> DualCode:
     """Dual of a cyclic code: generator = reciprocal of (x^n + 1) / g(x)."""
-    h = getattr(code, "_cofactor", None)
-    if h is None:
-        h, r = gf2m.poly_divmod((1 << code.n) | 1, code.generator)
-        if r != 0:
-            raise ArithmeticCorruptionError("x^n + 1 not divisible by generator")
+    h = code._cofactor
     if gf2m.poly_mul(h, code.generator) != (1 << code.n) | 1:
         raise ArithmeticCorruptionError("cofactor does not multiply back to x^n + 1")
     k_dual = code.n - code.k
@@ -260,20 +253,6 @@ def min_distance_exact(code: Union[CyclicCode, DualCode]) -> int:
     return best
 
 
-def enumerate_codewords(code: Union[CyclicCode, DualCode]) -> list[int]:
-    """All 2^k codewords (message order), for small-dimension oracles."""
-    k = code.dimension
-    if k > ENUMERATION_BUDGET_BITS:
-        raise ResourceLimitError(f"2^{k} codewords exceed the enumeration budget")
-    return [
-        _encode_any(code, msg) for msg in range(1 << k)
-    ]
-
-
-def _encode_any(code: Union[CyclicCode, DualCode], message: int) -> int:
-    return gf2m.poly_mul(message, code.generator)
-
-
 def generator_matrix(code: Union[CyclicCode, DualCode]) -> np.ndarray:
     """k x n basis matrix over GF(2); row j is x^j * g(x)."""
     k, n = code.dimension, code.n
@@ -292,14 +271,6 @@ def word_to_bits(word: int, n: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little")[:n]
 
 
-def words_to_bits(words: list[int], n: int) -> np.ndarray:
-    """(len(words), n) 0/1 array, coefficient of x^0 first in each row."""
-    nbytes = (n + 7) // 8
-    buf = b"".join(w.to_bytes(nbytes, "little") for w in words)
-    raw = np.frombuffer(buf, dtype=np.uint8).reshape(len(words), nbytes)
-    return np.unpackbits(raw, axis=1, bitorder="little")[:, :n]
-
-
 def save_codewords(path, words: list[int], n: int) -> None:
     """Write a codeword batch in the packed binary format (see module doc)."""
     nbytes = (n + 7) // 8
@@ -310,10 +281,25 @@ def save_codewords(path, words: list[int], n: int) -> None:
 
 
 def load_codewords(path) -> tuple[int, list[int]]:
-    """Read a codeword batch; returns (n, words)."""
+    """Read a codeword batch; returns (n, words).
+
+    Raises InvalidInputError when the header is short or the body is not
+    exactly count records long.
+    """
     with open(path, "rb") as fh:
-        n, count = struct.unpack("<II", fh.read(8))
+        header = fh.read(8)
+        if len(header) < 8:
+            raise InvalidInputError(
+                f"codeword file has {len(header)} bytes, header needs 8"
+            )
+        n, count = struct.unpack("<II", header)
         nbytes = (n + 7) // 8
+        body = os.fstat(fh.fileno()).st_size - 8
+        if body != count * nbytes:
+            raise InvalidInputError(
+                f"codeword file body has {body} bytes, header promises "
+                f"{count} records of {nbytes}"
+            )
         words = [
             int.from_bytes(fh.read(nbytes), "little") for _ in range(count)
         ]

@@ -14,14 +14,13 @@ bulk spectrum lands on [-1, 1]; a rectangular one by 1/sqrt(N), whose Gram
 product Y^T Y is the p x p sample covariance matrix with exact unit
 diagonal.
 
-Sign dump format (``save_signs``): one JSON header line carrying
-{kind, N, p, seed}, then the packed entry bits row-major (bit 1 = entry -1,
-bit 0 = entry +1, LSB-first within each byte).
+The truly random kinds go through the same packers, fed with fair coin
+bits drawn from a generator seeded by (seed, sample index) instead of a
+codeword.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -100,9 +99,11 @@ def ensemble_spec(
     if kind in PSEUDO_KINDS:
         if m is None or delta is None:
             raise InvalidInputError(f"{kind} needs m and delta")
+        if not 1 <= m <= gf2m.MAX_DEGREE:
+            raise InvalidInputError(
+                f"m={m} outside supported range 1..{gf2m.MAX_DEGREE}"
+            )
         n = (1 << m) - 1
-        if m > gf2m.MAX_DEGREE:
-            raise InvalidInputError(f"m={m} outside supported range")
         needed = N * (N + 1) // 2 if kind == "pseudo-wigner" else N * p
         if needed > n:
             raise InvalidInputError(
@@ -163,34 +164,15 @@ def scm(M: np.ndarray) -> np.ndarray:
     return (Mf.T @ Mf) / N
 
 
-def substream_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for (seed, index); stable across runs/platforms."""
-    return np.random.default_rng((int(seed), int(index)))
-
-
-def random_sign_symmetric(N: int, rng: np.random.Generator) -> np.ndarray:
-    """IID fair signs on the upper triangle (diagonal included), mirrored."""
-    iu = np.triu_indices(N)
-    signs = (1 - 2 * rng.integers(0, 2, size=iu[0].size)).astype(np.int8)
-    M = np.empty((N, N), dtype=np.int8)
-    M[iu] = signs
-    M.T[iu] = signs
-    return M
-
-
-def random_sign_rect(N: int, p: int, rng: np.random.Generator) -> np.ndarray:
-    """IID fair signs on an N x p grid."""
-    return (1 - 2 * rng.integers(0, 2, size=(N, p))).astype(np.int8)
-
-
 def random_baseline(spec: EnsembleSpec, index: int = 0) -> np.ndarray:
     """One truly random sign matrix for sample `index` of the batch."""
     if spec.kind not in RANDOM_KINDS:
         raise InvalidInputError(f"{spec.kind} is not a random kind")
-    rng = substream_rng(spec.seed, index)
+    rng = np.random.default_rng((spec.seed, index))
+    N = spec.N
     if spec.kind == "random-wigner":
-        return random_sign_symmetric(spec.N, rng)
-    return random_sign_rect(spec.N, spec.p, rng)
+        return pack_symmetric(rng.integers(0, 2, size=N * (N + 1) // 2), N)
+    return pack_rect(rng.integers(0, 2, size=N * spec.p), N, spec.p)
 
 
 def matrix_stream(spec: EnsembleSpec, count: int):
@@ -199,7 +181,7 @@ def matrix_stream(spec: EnsembleSpec, count: int):
     Wigner kinds yield the 1/(2 sqrt(N))-scaled symmetric matrix; MP kinds
     yield the sample covariance Y^T Y.  Pseudo kinds build the BCH dual
     once and walk seeded codewords; sample i depends only on (seed, i), so
-    prefixes and parallel splits reproduce identical batches.
+    every prefix of a batch reproduces identically.
     """
     if count < 1:
         raise InvalidInputError("count must be >= 1")
@@ -217,35 +199,3 @@ def matrix_stream(spec: EnsembleSpec, count: int):
         for i in range(count):
             M = random_baseline(spec, i)
             yield scaled_wigner(M) if wigner else scm(M)
-
-
-def save_matrix_csv(path, M: np.ndarray) -> None:
-    """Plain CSV, one matrix row per line."""
-    with open(path, "w") as fh:
-        for row in np.asarray(M):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def save_signs(path, M: np.ndarray, spec: EnsembleSpec) -> None:
-    """Packed sign dump with a one-line JSON header (see module doc)."""
-    M = np.asarray(M)
-    if not np.all(np.abs(M) == 1):
-        raise InvalidInputError("sign dump requires a +-1 matrix")
-    header = {"kind": spec.kind, "N": M.shape[0],
-              "p": M.shape[1] if M.shape[1] != M.shape[0] else spec.p,
-              "seed": spec.seed}
-    bits = (np.asarray(M).ravel() == -1).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        fh.write(np.packbits(bits, bitorder="little").tobytes())
-
-
-def load_signs(path) -> tuple[dict, np.ndarray]:
-    """Inverse of save_signs; returns (header, sign matrix)."""
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        raw = np.frombuffer(fh.read(), dtype=np.uint8)
-    N = header["N"]
-    p = header["p"] if header.get("p") else N
-    bits = np.unpackbits(raw, bitorder="little")[: N * p]
-    return header, (1 - 2 * bits.astype(np.int8)).reshape(N, p)

@@ -192,11 +192,3 @@ class MarchenkoPasturLaw:
 
     def moment(self, s: int) -> Fraction:
         return mp_moment(s, self.gamma)
-
-
-def law_curve(law, which: str, x: np.ndarray) -> np.ndarray:
-    """Two-column (x, pdf) or (x, cdf) array for CSV export."""
-    if which not in ("pdf", "cdf"):
-        raise InvalidInputError("which must be 'pdf' or 'cdf'")
-    y = law.pdf(x) if which == "pdf" else law.cdf(x)
-    return np.column_stack([x, y])

@@ -27,15 +27,10 @@ SYMMETRY_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Sorted spectrum of one symmetric matrix plus its provenance."""
+    """Sorted spectrum of one symmetric matrix."""
 
     eigenvalues: np.ndarray  # ascending
     norm: float              # max(|smallest|, |largest|)
-    source: object | None = None
-
-    def esd(self, x):
-        """Empirical spectral CDF at x (right-continuous step function)."""
-        return esd_cdf(self.eigenvalues, x)
 
     def trace_moment(self, s: int) -> float:
         """(1/N) Tr(M^s) from the stored eigenvalues."""
@@ -56,7 +51,7 @@ def _check_symmetric(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def symmetric_eigen(M, want_vectors: bool = False, source=None):
+def symmetric_eigen(M, want_vectors: bool = False):
     """Eigendecomposition of a symmetric matrix.
 
     Returns a SpectralSummary, or (summary, Q) with orthonormal columns
@@ -72,7 +67,7 @@ def symmetric_eigen(M, want_vectors: bool = False, source=None):
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
     norm = float(max(abs(eigs[0]), abs(eigs[-1]))) if eigs.size else 0.0
-    summary = SpectralSummary(eigenvalues=eigs, norm=norm, source=source)
+    summary = SpectralSummary(eigenvalues=eigs, norm=norm)
     return (summary, vecs) if want_vectors else summary
 
 
@@ -118,11 +113,6 @@ def esd_cdf(eigenvalues, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def trace_moment(M, s: int) -> float:
-    """(1/N) Tr(M^s) computed through the eigendecomposition."""
-    return symmetric_eigen(M).trace_moment(s)
-
-
 def ks_distance(eigenvalues, law) -> float:
     """Sup-norm distance between the ESD and a continuous law's CDF.
 
@@ -152,10 +142,3 @@ def ks_two_sample(a, b) -> float:
     cdf_a = np.searchsorted(a, grid, side="right") / a.size
     cdf_b = np.searchsorted(b, grid, side="right") / b.size
     return float(np.abs(cdf_a - cdf_b).max())
-
-
-def save_spectra_csv(path, summaries) -> None:
-    """One row per matrix, columns = ascending eigenvalues."""
-    with open(path, "w") as fh:
-        for s in summaries:
-            fh.write(",".join(repr(float(v)) for v in s.eigenvalues) + "\n")

@@ -66,6 +66,11 @@ def test_dual_json(capsys):
     assert payload["base"]["k"] == 4
 
 
+def test_dual_rejects_delta_with_k(capsys):
+    assert run(["dual", "--m", "4", "--delta", "5", "--k", "7"]) == 2
+    assert "not both" in capsys.readouterr().err
+
+
 # --- verify-indep ------------------------------------------------------------
 
 def test_verify_indep_pass_exit_0(capsys):
@@ -117,21 +122,16 @@ def test_norms_outputs_and_replay(tmp_path, capsys):
     assert config["params"]["kind"] == "pseudo-wigner"
 
 
-def test_norms_replay_independent_of_threads(tmp_path, monkeypatch):
-    args = ["norms", "--kind", "random-mp", "--N", "12", "--p", "7",
-            "--count", "9", "--seed", "5"]
-    monkeypatch.setenv("PSEUDOSPEC_THREADS", "1")
-    assert run(args + ["--out", str(tmp_path / "t1")]) == 0
-    monkeypatch.setenv("PSEUDOSPEC_THREADS", "2")
-    assert run(args + ["--out", str(tmp_path / "t2")]) == 0
-    assert (tmp_path / "t1" / "norms.csv").read_bytes() == (
-        tmp_path / "t2" / "norms.csv"
-    ).read_bytes()
-
-
 def test_norms_infeasible_packing_exit_2(tmp_path, capsys):
     assert run(["norms", "--kind", "pseudo-wigner", "--m", "6", "--delta", "5",
                 "--N", "12", "--count", "2", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("m", ["-1", "0", "21"])
+def test_norms_unsupported_degree_exit_2(tmp_path, capsys, m):
+    assert run(["norms", "--kind", "pseudo-wigner", "--m", m, "--delta", "5",
+                "--N", "4", "--count", "1", "--out", str(tmp_path)]) == 2
+    assert "outside supported range" in capsys.readouterr().err
 
 
 # --- esd --------------------------------------------------------------------------
@@ -195,16 +195,6 @@ def test_moments_mp_first_moment_exact(tmp_path):
 
 
 # --- plumbing ---------------------------------------------------------------------------
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("PSEUDOSPEC_THREADS", raising=False)
-    assert cli.thread_count() == 1
-    monkeypatch.setenv("PSEUDOSPEC_THREADS", "3")
-    assert cli.thread_count() == 3
-    monkeypatch.setenv("PSEUDOSPEC_THREADS", "soon")
-    with pytest.raises(Exception):
-        cli.thread_count()
-
 
 def test_norm_deviation_uses_min_rho_two_thirds():
     spec_fast = cli.ensembles.ensemble_spec("random-wigner", N=64, seed=0)

@@ -17,6 +17,11 @@ def weight(word: int) -> int:
     return word.bit_count()
 
 
+def all_codewords(code) -> list[int]:
+    """Every codeword, in message order, straight from the generator."""
+    return [gf2m.poly_mul(msg, code.generator) for msg in range(1 << code.dimension)]
+
+
 @pytest.fixture(scope="module")
 def bch_15_7():
     return codes.bch_generator(4, 5)
@@ -96,12 +101,12 @@ def test_dual_of_hamming_is_simplex(hamming_7_4):
     # h = (x^7+1)/(x^3+x+1) = x^4+x^2+x+1, reciprocal x^4+x^3+x^2+1
     assert dual.generator == 0b11101
     assert dual.k_dual == 3
-    words = codes.enumerate_codewords(dual)
+    words = all_codewords(dual)
     assert len(set(words)) == 8
     assert all(weight(w) == 4 for w in words if w)
     # orthogonality against every base codeword
     for w in words:
-        for b in codes.enumerate_codewords(hamming_7_4):
+        for b in all_codewords(hamming_7_4):
             assert weight(w & b) % 2 == 0
 
 
@@ -119,7 +124,7 @@ def test_sampled_duality_random_pairs():
     code = codes.bch_generator(6, 7)
     dual = codes.dual_code(code)
     words = codes.sample_codewords(dual, 50, seed=5)
-    base_words = [codes._encode_any(code, 1), codes._encode_any(code, 0b1011)]
+    base_words = [gf2m.poly_mul(msg, code.generator) for msg in (1, 0b1011)]
     for w in words:
         for b in base_words:
             assert weight(w & b) % 2 == 0
@@ -217,14 +222,6 @@ def test_word_to_bits_order():
     assert bits.tolist() == [1, 0, 1, 1, 0, 0]  # x^0 first
 
 
-def test_words_to_bits_matches_single(bch_15_7):
-    dual = codes.dual_code(bch_15_7)
-    words = codes.sample_codewords(dual, 10, seed=3)
-    batch = codes.words_to_bits(words, dual.n)
-    for i, w in enumerate(words):
-        assert np.array_equal(batch[i], codes.word_to_bits(w, dual.n))
-
-
 def test_generator_matrix_rows_are_shifts(bch_15_7):
     dual = codes.dual_code(bch_15_7)
     G = codes.generator_matrix(dual)
@@ -246,6 +243,18 @@ def test_codeword_file_roundtrip(tmp_path, bch_15_7):
     assert back == words
     raw = path.read_bytes()
     assert raw[:8] == (15).to_bytes(4, "little") + (7).to_bytes(4, "little")
+
+
+def test_codeword_file_length_checked(tmp_path):
+    dual = codes.dual_code(codes.bch_generator(6, 5))
+    path = tmp_path / "words.bin"
+    codes.save_codewords(path, codes.sample_codewords(dual, 5, seed=2), dual.n)
+    raw = path.read_bytes()
+    assert len(raw) == 8 + 5 * 8
+    for bad in (raw[:5], raw[:-9], raw + b"\x00"):  # short header, cut body, extra
+        path.write_bytes(bad)
+        with pytest.raises(InvalidInputError):
+            codes.load_codewords(path)
 
 
 def test_json_dict_fields(bch_15_7):

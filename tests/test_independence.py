@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from pseudospec import codes, independence
+from pseudospec import codes, gf2m, independence
 from pseudospec.errors import InvalidInputError, ResourceLimitError
 
 
@@ -26,7 +26,7 @@ def brute_force_tv(dual, subset) -> float:
     r = len(subset)
     counts = np.zeros(1 << r)
     for msg in range(1 << dual.dimension):
-        word = codes._encode_any(dual, msg)
+        word = gf2m.poly_mul(msg, dual.generator)
         pattern = sum(((word >> c) & 1) << i for i, c in enumerate(subset))
         counts[pattern] += 1
     freqs = counts / (1 << dual.dimension)

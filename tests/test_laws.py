@@ -215,12 +215,3 @@ def test_law_objects_surface():
     assert mp.kind == "marchenko-pastur"
     assert mp.support == laws.mp_support(0.625)
     assert mp.moment(1) == 1
-
-
-def test_law_curve_export():
-    xs = np.linspace(-1, 1, 11)
-    curve = laws.law_curve(laws.SemicircleLaw(), "pdf", xs)
-    assert curve.shape == (11, 2)
-    assert curve[5, 1] == pytest.approx(2 / math.pi, abs=1e-12)
-    with pytest.raises(InvalidInputError):
-        laws.law_curve(laws.SemicircleLaw(), "pmf", xs)
