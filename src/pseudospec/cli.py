@@ -149,6 +149,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_norms(args) -> int:
+    if not math.isfinite(args.epsilon):
+        raise InvalidInputError(f"epsilon must be finite, got {args.epsilon}")
     spec = _spec_from_args(args)
     outdir = _prepare_outdir(args.out)
     norms: list[float] = []
@@ -219,6 +221,8 @@ def cmd_esd(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    if args.s_max < 1:
+        raise InvalidInputError("--s-max must be >= 1")
     spec = _spec_from_args(args)
     law = law_for(spec)
     wigner = spec.kind in ensembles.WIGNER_KINDS

@@ -24,7 +24,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -216,17 +216,14 @@ def message_for_index(k_bits: int, seed: int, index: int) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def iter_codewords(dual: DualCode, count: int, seed: int) -> Iterator[int]:
-    """Lazily yield `count` seeded-uniform dual codewords."""
+def sample_codewords(dual: DualCode, count: int, seed: int) -> list[int]:
+    """`count` seeded-uniform dual codewords; word i depends only on (seed, i)."""
     if count < 1:
         raise InvalidInputError("count must be >= 1")
-    for i in range(count):
-        yield encode(dual, message_for_index(dual.k_dual, seed, i))
-
-
-def sample_codewords(dual: DualCode, count: int, seed: int) -> list[int]:
-    """Materialized version of iter_codewords."""
-    return list(iter_codewords(dual, count, seed))
+    if seed < 0:
+        raise InvalidInputError("seed must be a nonnegative integer")
+    k = dual.k_dual
+    return [encode(dual, message_for_index(k, seed, i)) for i in range(count)]
 
 
 def min_distance_exact(code: Union[CyclicCode, DualCode]) -> int:

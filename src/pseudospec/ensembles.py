@@ -1,26 +1,28 @@
 """Sign-matrix ensembles: codeword-packed and truly random.
 
-Packing convention (ours, fixed once so every run is auditable): the first
-N(N+1)/2 bits of a codeword fill the upper triangle of a symmetric N x N
-matrix in row-major order -- row i receives positions (i, i) .. (i, N-1) --
-and a bit b becomes the sign (-1)^b.  The lower triangle is mirrored and
-surplus codeword bits are discarded from the tail; dropping coordinates
-cannot break the independence level of the ones that remain.  Rectangular
-N x p matrices fill rows left to right, top to bottom, same sign map.  One
-codeword always yields exactly one matrix.
+All four kinds share one path: sample i is
+``pack(spec, sample_bits(spec, i, dual))``.  Its bits come from the seeded
+dual-BCH codeword (pseudo kinds) or from fair coins drawn by a generator
+seeded by (seed, i) (random kinds); ``pack`` lays them out as below.
 
-Scaled variants: a symmetric sign matrix is scaled by 1/(2 sqrt(N)) so the
-bulk spectrum lands on [-1, 1]; a rectangular one by 1/sqrt(N), whose Gram
+Packing convention (ours, fixed once so every run is auditable): the first
+N(N+1)/2 bits fill the upper triangle of a symmetric N x N matrix in
+row-major order -- row i receives positions (i, i) .. (i, N-1) -- and a
+bit b becomes the sign (-1)^b.  The lower triangle is mirrored and surplus
+codeword bits are discarded from the tail; dropping coordinates cannot
+break the independence level of the ones that remain.  Rectangular N x p
+matrices take the first N*p bits and fill rows left to right, top to
+bottom, same sign map.  One codeword always yields exactly one matrix.
+
+Scaling: a symmetric sign matrix is scaled by 1/(2 sqrt(N)) so the bulk
+spectrum lands on [-1, 1]; a rectangular one Y by 1/sqrt(N), whose Gram
 product Y^T Y is the p x p sample covariance matrix with exact unit
 diagonal.
-
-The truly random kinds go through the same packers, fed with fair coin
-bits drawn from a generator seeded by (seed, sample index) instead of a
-codeword.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -34,6 +36,8 @@ RANDOM_KINDS = ("random-wigner", "random-mp")
 KINDS = PSEUDO_KINDS + RANDOM_KINDS
 WIGNER_KINDS = ("pseudo-wigner", "random-wigner")
 MP_KINDS = ("pseudo-mp", "random-mp")
+
+_SIGNS = np.array([1.0, -1.0])  # bit b -> (-1)^b
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,8 @@ def ensemble_spec(
         raise InvalidInputError("N must be >= 1")
     if seed < 0:
         raise InvalidInputError("seed must be a nonnegative integer")
+    if gamma is not None and not math.isfinite(gamma):
+        raise InvalidInputError(f"gamma must be finite, got {gamma}")
 
     if kind in MP_KINDS:
         if p is None:
@@ -122,80 +128,64 @@ def ensemble_spec(
     )
 
 
-def pack_symmetric(word_bits: np.ndarray, N: int) -> np.ndarray:
-    """Symmetric N x N sign matrix from the first N(N+1)/2 codeword bits."""
-    word_bits = np.asarray(word_bits)
-    used = N * (N + 1) // 2
-    if word_bits.size < used:
-        raise InvalidInputError(
-            f"codeword has {word_bits.size} bits, packing needs {used}"
-        )
-    signs = (1 - 2 * word_bits[:used].astype(np.int8)).astype(np.int8)
-    M = np.empty((N, N), dtype=np.int8)
-    iu = np.triu_indices(N)
-    M[iu] = signs
-    M.T[iu] = signs
-    return M
+def sample_bits(
+    spec: EnsembleSpec, index: int, dual: codes.DualCode | None = None
+) -> np.ndarray:
+    """The N(N+1)/2 (Wigner) or N*p (MP) bits of sample `index`.
 
-
-def pack_rect(word_bits: np.ndarray, N: int, p: int) -> np.ndarray:
-    """N x p sign matrix, rows filled left to right from the codeword bits."""
-    word_bits = np.asarray(word_bits)
-    if p > N:
-        raise InvalidInputError(f"need p <= N, got p={p}, N={N}")
-    used = N * p
-    if word_bits.size < used:
-        raise InvalidInputError(
-            f"codeword has {word_bits.size} bits, packing needs {used}"
-        )
-    return (1 - 2 * word_bits[:used].astype(np.int8)).astype(np.int8).reshape(N, p)
-
-
-def scaled_wigner(M: np.ndarray) -> np.ndarray:
-    """Sign matrix scaled by 1/(2 sqrt(N))."""
-    N = M.shape[0]
-    return M.astype(np.float64) / (2.0 * math.sqrt(N))
-
-
-def scm(M: np.ndarray) -> np.ndarray:
-    """Sample covariance Y^T Y with Y = M / sqrt(N); exact unit diagonal."""
-    Mf = M.astype(np.float64)
-    N = M.shape[0]
-    return (Mf.T @ Mf) / N
-
-
-def random_baseline(spec: EnsembleSpec, index: int = 0) -> np.ndarray:
-    """One truly random sign matrix for sample `index` of the batch."""
-    if spec.kind not in RANDOM_KINDS:
-        raise InvalidInputError(f"{spec.kind} is not a random kind")
-    rng = np.random.default_rng((spec.seed, index))
+    Pseudo kinds need `dual`, the dual of the spec's BCH code, and take the
+    leading bits of its seeded codeword; random kinds ignore it.
+    """
     N = spec.N
-    if spec.kind == "random-wigner":
-        return pack_symmetric(rng.integers(0, 2, size=N * (N + 1) // 2), N)
-    return pack_rect(rng.integers(0, 2, size=N * spec.p), N, spec.p)
+    used = N * (N + 1) // 2 if spec.kind in WIGNER_KINDS else N * spec.p
+    if spec.kind in RANDOM_KINDS:
+        return np.random.default_rng((spec.seed, index)).integers(0, 2, size=used)
+    if dual is None:
+        raise InvalidInputError(f"{spec.kind} needs the dual code")
+    word = codes.encode(dual, codes.message_for_index(dual.k_dual, spec.seed, index))
+    return codes.word_to_bits(word, dual.n)[:used]
+
+
+@functools.lru_cache(maxsize=1)
+def _upper_map(N: int) -> np.ndarray:
+    """N x N int32 map from (i, j) to the bit filling (min, max) of the pair."""
+    rows, cols = np.triu_indices(N)
+    idx = np.empty((N, N), dtype=np.int32)
+    idx[rows, cols] = idx[cols, rows] = np.arange(rows.size, dtype=np.int32)
+    idx.flags.writeable = False
+    return idx
+
+
+def pack(spec: EnsembleSpec, bits: np.ndarray) -> np.ndarray:
+    """The matrix whose spectrum is measured, from one sample's bits.
+
+    Wigner kinds give the symmetric sign matrix scaled by 1/(2 sqrt(N));
+    MP kinds give the sample covariance Y^T Y with Y = signs / sqrt(N).
+    Surplus bits past the packing are discarded.
+    """
+    N, p = spec.N, spec.p
+    wigner = spec.kind in WIGNER_KINDS
+    if not wigner and p > N:
+        raise InvalidInputError(f"need p <= N, got p={p}, N={N}")
+    used = N * (N + 1) // 2 if wigner else N * p
+    if bits.size < used:
+        raise InvalidInputError(f"sample has {bits.size} bits, packing needs {used}")
+    if wigner:
+        return (_SIGNS / (2.0 * math.sqrt(N)))[bits[_upper_map(N)]]
+    Y = _SIGNS[bits[:used]].reshape(N, p)
+    return (Y.T @ Y) / N
 
 
 def matrix_stream(spec: EnsembleSpec, count: int):
-    """Yield `count` scaled matrices for the ensemble.
+    """Yield the packed matrices of samples 0 .. count-1.
 
-    Wigner kinds yield the 1/(2 sqrt(N))-scaled symmetric matrix; MP kinds
-    yield the sample covariance Y^T Y.  Pseudo kinds build the BCH dual
-    once and walk seeded codewords; sample i depends only on (seed, i), so
-    every prefix of a batch reproduces identically.
+    Pseudo kinds build the BCH dual once.  Sample i depends only on
+    (seed, i), so every prefix of a batch reproduces identically.
     """
     if count < 1:
         raise InvalidInputError("count must be >= 1")
-    wigner = spec.kind in WIGNER_KINDS
+    dual = None
     if spec.kind in PSEUDO_KINDS:
-        code = codes.bch_generator(spec.m, spec.delta)
-        dual = codes.dual_code(code)
-        for word in codes.iter_codewords(dual, count, spec.seed):
-            bits = codes.word_to_bits(word, dual.n)
-            if wigner:
-                yield scaled_wigner(pack_symmetric(bits, spec.N))
-            else:
-                yield scm(pack_rect(bits, spec.N, spec.p))
-    else:
-        for i in range(count):
-            M = random_baseline(spec, i)
-            yield scaled_wigner(M) if wigner else scm(M)
+        dual = codes.dual_code(codes.bch_generator(spec.m, spec.delta))
+    for i in range(count):
+        yield pack(spec, sample_bits(spec, i, dual))

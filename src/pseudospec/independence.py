@@ -197,6 +197,8 @@ def verify_r_independence(
         raise InvalidInputError(f"need 1 <= r <= n={dual.n}, got {r}")
     if budget < 1:
         raise InvalidInputError("budget must be >= 1")
+    if seed < 0:
+        raise InvalidInputError("seed must be a nonnegative integer")
     if mode == "auto":
         mode = "exact" if dual.dimension <= EXACT_DIM_LIMIT else "sampled"
     if mode not in ("exact", "sampled"):

@@ -134,6 +134,29 @@ def test_norms_unsupported_degree_exit_2(tmp_path, capsys, m):
     assert "outside supported range" in capsys.readouterr().err
 
 
+BATCH = ["--m", "6", "--delta", "5", "--N", "8", "--count", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--m", "4", "--delta", "5", "--count", "3", "--seed", "-1"],
+    ["verify-indep", "--m", "4", "--delta", "5", "--r", "4", "--budget", "10",
+     "--seed", "-1"],
+    ["moments", "--kind", "pseudo-wigner", *BATCH, "--s-max", "-1"],
+    ["moments", "--kind", "pseudo-wigner", *BATCH, "--s-max", "0"],
+    ["norms", "--kind", "pseudo-mp", *BATCH, "--gamma", "nan"],
+    ["norms", "--kind", "pseudo-mp", *BATCH, "--gamma", "inf"],
+    ["norms", "--kind", "pseudo-wigner", *BATCH, "--epsilon", "nan"],
+], ids=["sample-seed", "verify-indep-seed", "s-max-negative", "s-max-zero",
+        "gamma-nan", "gamma-inf", "epsilon-nan"])
+def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    if argv[0] != "verify-indep":
+        argv = argv + ["--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 # --- esd --------------------------------------------------------------------------
 
 def test_esd_outputs(tmp_path):

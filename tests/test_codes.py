@@ -181,6 +181,8 @@ def test_sample_count_validation(bch_15_7):
     dual = codes.dual_code(bch_15_7)
     with pytest.raises(InvalidInputError):
         codes.sample_codewords(dual, 0, seed=1)
+    with pytest.raises(InvalidInputError):
+        codes.sample_codewords(dual, 1, seed=-1)
 
 
 # --- exact minimum distance -----------------------------------------------

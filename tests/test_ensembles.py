@@ -5,31 +5,50 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudospec import codes, ensembles, laws, spectral
 from pseudospec.errors import InvalidInputError
 
 
+def wigner(N):
+    return ensembles.ensemble_spec("random-wigner", N=N)
+
+
+def mp(N, p):
+    return ensembles.ensemble_spec("random-mp", N=N, p=p)
+
+
+def signs(W):
+    """The int8 sign pattern of a packed Wigner matrix."""
+    return np.where(W < 0, -1, 1).astype(np.int8)
+
+
+def sample(spec, index=0):
+    return ensembles.pack(spec, ensembles.sample_bits(spec, index))
+
+
 # --- packing -----------------------------------------------------------------
 
 def test_pack_symmetric_layout():
-    M = ensembles.pack_symmetric(np.array([1, 0, 1]), 2)
-    assert M.tolist() == [[-1, 1], [1, -1]]
-    assert M.dtype == np.int8
+    W = ensembles.pack(wigner(2), np.array([1, 0, 1]))
+    assert signs(W).tolist() == [[-1, 1], [1, -1]]
+    assert W.dtype == np.float64
 
 
 def test_pack_symmetric_all_zero_bits():
-    M = ensembles.pack_symmetric(np.zeros(6, dtype=np.uint8), 3)
-    assert np.all(M == 1)
+    W = ensembles.pack(wigner(3), np.zeros(6, dtype=np.uint8))
+    assert np.all(W == 1 / (2 * math.sqrt(3)))
 
 
 def test_pack_symmetric_row_major_order():
     # bits fill (0,0) (0,1) (0,2) (1,1) (1,2) (2,2)
     bits = np.array([1, 0, 0, 0, 0, 0])
-    M = ensembles.pack_symmetric(bits, 3)
+    M = signs(ensembles.pack(wigner(3), bits))
     assert M[0, 0] == -1 and np.all(M.ravel()[1:] == 1)
     bits = np.array([0, 0, 0, 0, 1, 0])
-    M = ensembles.pack_symmetric(bits, 3)
+    M = signs(ensembles.pack(wigner(3), bits))
     assert M[1, 2] == -1 and M[2, 1] == -1 and M.sum() == 9 - 4
 
 
@@ -37,9 +56,9 @@ def test_pack_symmetric_is_symmetric_and_discards_surplus():
     rng = np.random.default_rng(31)
     for N in (2, 7, 20):
         bits = rng.integers(0, 2, size=N * (N + 1) // 2 + 13)
-        M = ensembles.pack_symmetric(bits, N)
-        assert np.array_equal(M, M.T)
-        assert set(np.unique(M)) <= {-1, 1}
+        W = ensembles.pack(wigner(N), bits)
+        assert np.array_equal(W, W.T)
+        assert set(np.unique(signs(W))) <= {-1, 1}
 
 
 def test_pack_injectivity():
@@ -49,28 +68,74 @@ def test_pack_injectivity():
     seen = set()
     for _ in range(60):
         bits = rng.integers(0, 2, size=used)
-        seen.add(ensembles.pack_symmetric(bits, N).tobytes())
+        seen.add(ensembles.pack(wigner(N), bits).tobytes())
     bits = rng.integers(0, 2, size=used)
     flipped = bits.copy()
     flipped[4] ^= 1
     assert (
-        ensembles.pack_symmetric(bits, N).tobytes()
-        != ensembles.pack_symmetric(flipped, N).tobytes()
+        ensembles.pack(wigner(N), bits).tobytes()
+        != ensembles.pack(wigner(N), flipped).tobytes()
     )
 
 
 def test_pack_too_short():
     with pytest.raises(InvalidInputError):
-        ensembles.pack_symmetric(np.array([1, 0]), 2)
+        ensembles.pack(wigner(2), np.array([1, 0]))
     with pytest.raises(InvalidInputError):
-        ensembles.pack_rect(np.array([1, 0, 1]), 2, 2)
-    with pytest.raises(InvalidInputError):
-        ensembles.pack_rect(np.zeros(12), 3, 4)  # p > N
+        ensembles.pack(mp(2, 2), np.array([1, 0, 1]))
+    with pytest.raises(InvalidInputError):  # p > N
+        ensembles.pack(ensembles.EnsembleSpec("random-mp", N=3, p=4), np.zeros(12))
 
 
 def test_pack_rect_layout():
-    R = ensembles.pack_rect(np.array([0, 1, 1, 0]), 2, 2)
-    assert R.tolist() == [[1, -1], [-1, 1]]
+    # Y = [[1, -1], [-1, 1]] / sqrt(2)
+    G = ensembles.pack(mp(2, 2), np.array([0, 1, 1, 0]))
+    assert G.tolist() == [[1.0, -1.0], [-1.0, 1.0]]
+    # rows fill first: Y = [[1, -1], [-1, -1], [1, 1]] / sqrt(3); a column
+    # fill would give [[1, -1], [-1, 1]]
+    G = ensembles.pack(mp(3, 2), np.array([0, 1, 1, 1, 0, 0]))
+    assert G.tolist() == [[1.0, 1 / 3], [1 / 3, 1.0]]
+
+
+def naive_pack(kind, N, p, bits):
+    """The documented layout, one entry at a time."""
+    sign = [(-1) ** int(b) for b in bits]
+    if kind in ensembles.WIGNER_KINDS:
+        M = np.zeros((N, N))
+        k = 0
+        for i in range(N):
+            for j in range(i, N):
+                M[i, j] = M[j, i] = sign[k] / (2 * math.sqrt(N))
+                k += 1
+        return M
+    G = np.zeros((p, p))
+    for a in range(p):
+        for b in range(p):
+            G[a, b] = sum(sign[i * p + a] * sign[i * p + b] for i in range(N)) / N
+    return G
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(ensembles.RANDOM_KINDS),
+    N=st.integers(1, 12),
+    surplus=st.integers(0, 9),
+    dtype=st.sampled_from([np.uint8, np.int64]),
+    data=st.data(),
+)
+def test_pack_matches_naive_layout(kind, N, surplus, dtype, data):
+    p = data.draw(st.integers(1, N)) if kind in ensembles.MP_KINDS else None
+    used = N * (N + 1) // 2 if p is None else N * p
+    bits = np.array(
+        data.draw(st.lists(st.integers(0, 1), min_size=used + surplus,
+                           max_size=used + surplus)),
+        dtype=dtype,
+    )
+    got = ensembles.pack(ensembles.ensemble_spec(kind, N=N, p=p), bits)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, naive_pack(kind, N, p, bits))
+    if p is not None:
+        assert np.all(np.diag(got) == 1.0)
 
 
 def test_full_scale_packing_fits():
@@ -83,22 +148,18 @@ def test_full_scale_packing_fits():
 # --- scaling ------------------------------------------------------------------
 
 def test_scaled_wigner_values():
-    one = ensembles.pack_symmetric(np.array([0]), 1)
-    assert ensembles.scaled_wigner(one).tolist() == [[0.5]]
-    M = ensembles.pack_symmetric(np.array([1, 0, 1]), 2)
-    W = ensembles.scaled_wigner(M)
+    assert ensembles.pack(wigner(1), np.array([0])).tolist() == [[0.5]]
+    W = ensembles.pack(wigner(2), np.array([1, 0, 1]))
     assert np.allclose(np.abs(W), 1 / (2 * math.sqrt(2)))
     # Frobenius norm^2 is exactly N/4 for any sign pattern
     for N in (2, 9, 30):
-        spec = ensembles.ensemble_spec("random-wigner", N=N, seed=33)
-        W = ensembles.scaled_wigner(ensembles.random_baseline(spec))
+        W = sample(ensembles.ensemble_spec("random-wigner", N=N, seed=33))
         assert (W**2).sum() == pytest.approx(N / 4, rel=1e-12)
 
 
 def test_scm_unit_diagonal_and_trace():
     for N, p in ((2, 1), (10, 7), (40, 25)):
-        spec = ensembles.ensemble_spec("random-mp", N=N, p=p, seed=34)
-        G = ensembles.scm(ensembles.random_baseline(spec))
+        G = sample(ensembles.ensemble_spec("random-mp", N=N, p=p, seed=34))
         assert np.all(np.diag(G) == 1.0)
         assert np.trace(G) == p
         assert np.array_equal(G, G.T)
@@ -108,11 +169,11 @@ def test_exact_moment_identities_through_eigenvalues():
     spec_w = ensembles.ensemble_spec("random-wigner", N=24, seed=35)
     spec_g = ensembles.ensemble_spec("random-mp", N=24, p=15, seed=35)
     for i in range(10):
-        W = ensembles.scaled_wigner(ensembles.random_baseline(spec_w, i))
+        W = sample(spec_w, i)
         assert spectral.symmetric_eigen(W).trace_moment(2) == pytest.approx(
             0.25, abs=1e-12
         )
-        G = ensembles.scm(ensembles.random_baseline(spec_g, i))
+        G = sample(spec_g, i)
         assert spectral.symmetric_eigen(G).trace_moment(1) == pytest.approx(
             1.0, abs=1e-12
         )
@@ -158,18 +219,17 @@ def test_spec_validation_errors():
 
 def test_random_baseline_deterministic():
     spec = ensembles.ensemble_spec("random-wigner", N=12, seed=9)
-    A = ensembles.random_baseline(spec, index=4)
-    B = ensembles.random_baseline(spec, index=4)
+    A = sample(spec, index=4)
+    B = sample(spec, index=4)
     assert np.array_equal(A, B)
-    assert not np.array_equal(A, ensembles.random_baseline(spec, index=5))
+    assert not np.array_equal(A, sample(spec, index=5))
     assert np.array_equal(A, A.T)
 
 
-# sha256 prefixes of random_baseline(spec, index).tobytes() (int8 signs),
-# recorded with numpy 2.4.6 from rng = np.random.default_rng((seed, index))
-# drawing rng.integers(0, 2) once per upper-triangle entry, row-major, or
-# once per entry of the N x p grid.  No replay of a pseudo kind covers
-# these streams.
+# sha256 prefixes of the int8 sign matrix of sample `index`, recorded with
+# numpy 2.4.6 from rng = np.random.default_rng((seed, index)) drawing
+# rng.integers(0, 2) once per upper-triangle entry, row-major, or once per
+# entry of the N x p grid.  No replay of a pseudo kind covers these streams.
 PINNED_SIGN_STREAMS = [
     (dict(kind="random-wigner", N=9, seed=44), 0, "203fa78dfe6d1f38"),
     (dict(kind="random-wigner", N=9, seed=44), 3, "9ff1973df9297fe6"),
@@ -180,29 +240,32 @@ PINNED_SIGN_STREAMS = [
 
 @pytest.mark.parametrize("params, index, prefix", PINNED_SIGN_STREAMS)
 def test_random_baseline_pinned_sign_streams(params, index, prefix):
-    M = ensembles.random_baseline(ensembles.ensemble_spec(**params), index)
-    assert M.dtype == np.int8
+    spec = ensembles.ensemble_spec(**params)
+    if spec.kind in ensembles.WIGNER_KINDS:
+        M = signs(sample(spec, index))
+    else:  # the N x p row fill of the sample's bits
+        bits = ensembles.sample_bits(spec, index)
+        M = (1 - 2 * bits).astype(np.int8).reshape(spec.N, spec.p)
     assert hashlib.sha256(M.tobytes()).hexdigest().startswith(prefix)
 
 
 def test_random_baseline_kind_check():
     spec = ensembles.ensemble_spec("pseudo-wigner", N=10, m=6, delta=5)
     with pytest.raises(InvalidInputError):
-        ensembles.random_baseline(spec)
+        ensembles.sample_bits(spec, 0)
 
 
 def test_random_entries_mean_concentrates():
     # binomial 3-sigma band on the upper-triangle mean at N = 2000
     N = 2000
-    M = ensembles.random_baseline(ensembles.ensemble_spec("random-wigner", N=N, seed=81))
-    iu = np.triu_indices(N)
-    mean = M[iu].astype(np.float64).mean()
+    spec = ensembles.ensemble_spec("random-wigner", N=N, seed=81)
+    bits = ensembles.sample_bits(spec, 0)
+    mean = (1 - 2 * bits).mean()
     assert abs(mean) <= 3.0 / math.sqrt(N * (N + 1) / 2)
 
 
 def test_random_wigner_esd_close_to_semicircle():
-    spec = ensembles.ensemble_spec("random-wigner", N=1024, seed=17)
-    W = ensembles.scaled_wigner(ensembles.random_baseline(spec))
+    W = sample(ensembles.ensemble_spec("random-wigner", N=1024, seed=17))
     summary = spectral.symmetric_eigen(W)
     assert spectral.ks_distance(summary, laws.SemicircleLaw()) < 0.05
 
@@ -223,8 +286,7 @@ def test_matrix_stream_matches_manual_packing():
     got = next(iter(ensembles.matrix_stream(spec, 1)))
     dual = codes.dual_code(codes.bch_generator(8, 7))
     word = codes.sample_codewords(dual, 1, seed=6)[0]
-    bits = codes.word_to_bits(word, dual.n)
-    expected = ensembles.scm(ensembles.pack_rect(bits, 10, 6))
+    expected = ensembles.pack(spec, codes.word_to_bits(word, dual.n))
     assert np.array_equal(got, expected)
 
 
@@ -233,3 +295,25 @@ def test_matrix_stream_random_kinds():
     mats = list(ensembles.matrix_stream(spec, 3))
     assert all(m.shape == (9, 9) for m in mats)
     assert all(np.all(np.diag(m) == 1.0) for m in mats)
+
+
+SMALL_DUAL = codes.dual_code(codes.bch_generator(6, 5))  # n = 63
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(ensembles.KINDS),
+    N=st.integers(1, 7),
+    seed=st.integers(0, 2**63),
+    count=st.integers(1, 4),
+    data=st.data(),
+)
+def test_matrix_stream_replays_from_seed_and_index(kind, N, seed, count, data):
+    p = data.draw(st.integers(1, N)) if kind in ensembles.MP_KINDS else None
+    pseudo = kind in ensembles.PSEUDO_KINDS
+    code = dict(m=6, delta=5) if pseudo else {}
+    spec = ensembles.ensemble_spec(kind, N=N, p=p, seed=seed, **code)
+    dual = SMALL_DUAL if pseudo else None
+    for i, M in enumerate(ensembles.matrix_stream(spec, count)):
+        expected = ensembles.pack(spec, ensembles.sample_bits(spec, i, dual))
+        assert np.array_equal(M, expected)

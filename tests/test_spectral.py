@@ -143,7 +143,8 @@ def test_esd_cdf_examples():
 
 def test_trace_moment_identity_examples():
     assert spectral.symmetric_eigen(np.eye(5)).trace_moment(3) == pytest.approx(1.0)
-    M = ensembles.scaled_wigner(ensembles.pack_symmetric(np.array([1, 0, 1]), 2))
+    spec = ensembles.ensemble_spec("random-wigner", N=2)
+    M = ensembles.pack(spec, np.array([1, 0, 1]))
     assert spectral.symmetric_eigen(M).trace_moment(2) == pytest.approx(0.25, abs=1e-15)
 
 
@@ -214,6 +215,6 @@ def test_ks_two_sample():
 def test_scm_eigenvalues_nonnegative():
     spec = ensembles.ensemble_spec("random-mp", N=30, p=18, seed=29)
     for i in range(20):
-        M = ensembles.random_baseline(spec, i)
-        eigs = spectral.symmetric_eigen(ensembles.scm(M)).eigenvalues
+        G = ensembles.pack(spec, ensembles.sample_bits(spec, i))
+        eigs = spectral.symmetric_eigen(G).eigenvalues
         assert eigs.min() >= -1e-10
