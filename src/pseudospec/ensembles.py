@@ -3,7 +3,8 @@
 All four kinds share one path: sample i is
 ``pack(spec, sample_bits(spec, i, dual))``.  Its bits come from the seeded
 dual-BCH codeword (pseudo kinds) or from fair coins drawn by a generator
-seeded by (seed, i) (random kinds); ``pack`` lays them out as below.
+seeded by (seed, i) (random kinds).  ``pack`` lays them out as below,
+through ``pack_symmetric`` for Wigner kinds and ``pack_rect`` for MP kinds.
 
 Packing convention (ours, fixed once so every run is auditable): the first
 N(N+1)/2 bits fill the upper triangle of a symmetric N x N matrix in
@@ -36,8 +37,6 @@ RANDOM_KINDS = ("random-wigner", "random-mp")
 KINDS = PSEUDO_KINDS + RANDOM_KINDS
 WIGNER_KINDS = ("pseudo-wigner", "random-wigner")
 MP_KINDS = ("pseudo-mp", "random-mp")
-
-_SIGNS = np.array([1.0, -1.0])  # bit b -> (-1)^b
 
 
 @dataclass(frozen=True)
@@ -131,19 +130,21 @@ def ensemble_spec(
 def sample_bits(
     spec: EnsembleSpec, index: int, dual: codes.DualCode | None = None
 ) -> np.ndarray:
-    """The N(N+1)/2 (Wigner) or N*p (MP) bits of sample `index`.
+    """The uint8 bits of sample `index`; `pack` uses the leading ones.
 
-    Pseudo kinds need `dual`, the dual of the spec's BCH code, and take the
-    leading bits of its seeded codeword; random kinds ignore it.
+    Pseudo kinds need `dual`, the dual of the spec's BCH code, and give the
+    n bits of its seeded codeword; random kinds give exactly the N(N+1)/2
+    (Wigner) or N*p (MP) fair coins drawn by ``default_rng((seed, index))``.
     """
     N = spec.N
-    used = N * (N + 1) // 2 if spec.kind in WIGNER_KINDS else N * spec.p
     if spec.kind in RANDOM_KINDS:
-        return np.random.default_rng((spec.seed, index)).integers(0, 2, size=used)
+        used = N * (N + 1) // 2 if spec.kind in WIGNER_KINDS else N * spec.p
+        rng = np.random.default_rng((spec.seed, index))
+        return rng.integers(0, 2, size=used).astype(np.uint8)
     if dual is None:
         raise InvalidInputError(f"{spec.kind} needs the dual code")
     word = codes.encode(dual, codes.message_for_index(dual.k_dual, spec.seed, index))
-    return codes.word_to_bits(word, dual.n)[:used]
+    return codes.word_to_bits(word, dual.n)
 
 
 @functools.lru_cache(maxsize=1)
@@ -156,23 +157,29 @@ def _upper_map(N: int) -> np.ndarray:
     return idx
 
 
-def pack(spec: EnsembleSpec, bits: np.ndarray) -> np.ndarray:
-    """The matrix whose spectrum is measured, from one sample's bits.
+def _signs(word_bits: np.ndarray, used: int) -> np.ndarray:
+    """int8 signs (-1)^b of the first `used` bits."""
+    if word_bits.size < used:
+        raise InvalidInputError(f"packing needs {used} bits, got {word_bits.size}")
+    return 1 - 2 * word_bits[:used].astype(np.int8)
 
-    Wigner kinds give the symmetric sign matrix scaled by 1/(2 sqrt(N));
-    MP kinds give the sample covariance Y^T Y with Y = signs / sqrt(N).
-    Surplus bits past the packing are discarded.
-    """
-    N, p = spec.N, spec.p
-    wigner = spec.kind in WIGNER_KINDS
-    if not wigner and p > N:
-        raise InvalidInputError(f"need p <= N, got p={p}, N={N}")
-    used = N * (N + 1) // 2 if wigner else N * p
-    if bits.size < used:
-        raise InvalidInputError(f"sample has {bits.size} bits, packing needs {used}")
-    if wigner:
-        return (_SIGNS / (2.0 * math.sqrt(N)))[bits[_upper_map(N)]]
-    Y = _SIGNS[bits[:used]].reshape(N, p)
+
+def pack(spec: EnsembleSpec, bits: np.ndarray) -> np.ndarray:
+    """The matrix whose spectrum is measured, from one sample's bits."""
+    if spec.kind in WIGNER_KINDS:
+        return pack_symmetric(bits, spec.N)
+    return pack_rect(bits, spec.N, spec.p)
+
+
+def pack_symmetric(word_bits: np.ndarray, N: int) -> np.ndarray:
+    """Symmetric sign matrix scaled by 1/(2 sqrt(N))."""
+    signs = _signs(word_bits, N * (N + 1) // 2)
+    return signs[_upper_map(N)] / (2.0 * math.sqrt(N))
+
+
+def pack_rect(word_bits: np.ndarray, N: int, p: int) -> np.ndarray:
+    """Sample covariance Y^T Y, Y the row-filled N x p signs over sqrt(N)."""
+    Y = _signs(word_bits, N * p).astype(np.float64).reshape(N, p)
     return (Y.T @ Y) / N
 
 
@@ -184,8 +191,7 @@ def matrix_stream(spec: EnsembleSpec, count: int):
     """
     if count < 1:
         raise InvalidInputError("count must be >= 1")
-    dual = None
-    if spec.kind in PSEUDO_KINDS:
-        dual = codes.dual_code(codes.bch_generator(spec.m, spec.delta))
+    pseudo = spec.kind in PSEUDO_KINDS
+    dual = codes.dual_code(codes.bch_generator(spec.m, spec.delta)) if pseudo else None
     for i in range(count):
         yield pack(spec, sample_bits(spec, i, dual))
