@@ -198,7 +198,7 @@ def cmd_esd(args) -> int:
     ks_values: list[float] = []
     with open(outdir / "eigenvalues.csv", "w") as fh:
         for summary in iter_summaries(spec, args.count):
-            fh.write(",".join(repr(float(v)) for v in summary.eigenvalues) + "\n")
+            fh.write(",".join(map(repr, summary.eigenvalues.tolist())) + "\n")
             ks_values.append(spectral.ks_distance(summary, law))
     ks_arr = np.asarray(ks_values)
     payload = {

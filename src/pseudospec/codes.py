@@ -49,14 +49,19 @@ class CyclicCode:
     delta: int | None = None
 
     def __post_init__(self) -> None:
-        q, r = gf2m.poly_divmod((1 << self.n) | 1, self.generator)
-        if r != 0:
+        # cofactor h(x) = (x^n + 1) / g(x), reused by dual_code.  Since
+        # 1/g = h * (1 + x^n + x^2n + ...) and deg h = k < n, the power
+        # series of 1/g below x^k is h without its leading term x^k.  The
+        # product check both validates g and certifies h, once per code.
+        g, k = self.generator, self.k
+        h = 0
+        if g > 0 and g & 1 and k >= 0:
+            h = (1 << k) | gf2m.poly_inverse(g, k)
+        if gf2m.poly_mul(h, g) != (1 << self.n) | 1:
             raise InvalidInputError("generator does not divide x^n + 1")
-        if self.k < 1:
+        if k < 1:
             raise DegenerateCodeError("code has dimension 0")
-        # cofactor h(x) = (x^n + 1) / g(x), reused by dual_code; the division
-        # is linear in n but n can be ~10^6, so do it once
-        object.__setattr__(self, "_cofactor", q)
+        object.__setattr__(self, "_cofactor", h)
 
     @property
     def n(self) -> int:
@@ -181,8 +186,6 @@ def delta_for_dimension(m: int, k: int) -> int:
 def dual_code(code: CyclicCode) -> DualCode:
     """Dual of a cyclic code: generator = reciprocal of (x^n + 1) / g(x)."""
     h = code._cofactor
-    if gf2m.poly_mul(h, code.generator) != (1 << code.n) | 1:
-        raise ArithmeticCorruptionError("cofactor does not multiply back to x^n + 1")
     k_dual = code.n - code.k
     if k_dual < 1:
         raise DegenerateCodeError("dual of the full space has dimension 0")

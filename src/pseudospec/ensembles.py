@@ -74,7 +74,8 @@ def ensemble_spec(
 ) -> EnsembleSpec:
     """Validate parameters and fill in the derived fields (gamma, r, rho).
 
-    For MP kinds, p may be given directly or derived as floor(gamma * N).
+    MP kinds take exactly one of p and gamma, with p = floor(gamma * N);
+    Wigner kinds take neither.
     For pseudo kinds the underlying codeword must be long enough for the
     packing: N(N+1)/2 bits symmetric, N*p rectangular.
     """
@@ -88,17 +89,15 @@ def ensemble_spec(
         raise InvalidInputError(f"gamma must be finite, got {gamma}")
 
     if kind in MP_KINDS:
+        if (p is None) == (gamma is None):
+            raise InvalidInputError("MP kinds need exactly one of p and gamma")
         if p is None:
-            if gamma is None:
-                raise InvalidInputError("MP kinds need p or gamma")
             p = int(math.floor(gamma * N))
         if not 1 <= p <= N:
             raise InvalidInputError(f"need 1 <= p <= N, got p={p}, N={N}")
         gamma = p / N
-    else:
-        if p is not None:
-            raise InvalidInputError(f"{kind} does not take p")
-        gamma = None
+    elif p is not None or gamma is not None:
+        raise InvalidInputError(f"{kind} takes neither p nor gamma")
 
     r = rho = None
     if kind in PSEUDO_KINDS:

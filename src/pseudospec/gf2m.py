@@ -4,7 +4,13 @@ Polynomials over GF(2) are stored as plain Python integers: bit i of the
 integer is the coefficient of x^i, so the lowest-degree coefficient sits
 in the least significant bit.  Addition is XOR, the zero polynomial is 0,
 and its degree is reported as -1 (the usual ``bit_length() - 1`` sentinel
-standing in for "minus infinity").
+standing in for "minus infinity").  All arithmetic here is on integers.
+
+Division comes in two forms.  ``poly_mod`` reduces by shifted XORs, one per
+quotient bit, which suits the small operands of field arithmetic.  An exact
+quotient of a long polynomial, such as (x^n + 1) / g(x) with n near 10^6,
+is read off the power series of 1/g instead: ``poly_inverse`` computes
+g^-1 mod x^L by Newton iteration, a logarithmic number of multiplications.
 
 Elements of GF(2^m) = GF(2)[x]/(p(x)) are integers below 2^m holding the
 reduced polynomial representation.  The residue class of x (the integer 2)
@@ -19,8 +25,6 @@ least significant bit.  ``poly_to_hex`` / ``poly_from_hex`` implement this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InvalidInputError, UnsupportedDegreeError
 
@@ -92,32 +96,21 @@ def poly_mod(a: int, b: int) -> int:
     return a
 
 
-def poly_divmod(a: int, b: int) -> tuple[int, int]:
-    """Quotient and remainder of a divided by b.
+def poly_inverse(g: int, L: int) -> int:
+    """Power-series inverse g(x)^-1 mod x^L, for g(0) = 1.
 
-    Runs most-significant-bit-first synthetic division, so the working
-    remainder never exceeds deg(b) bits.  Dividend bits are unpacked once
-    and quotient bits packed once, which keeps the division of x^n + 1 by
-    a low-degree generator linear in n even when n is in the millions.
+    Newton's step f <- f * (2 - g*f) doubles the number of correct low
+    coefficients; over GF(2) the 2f term vanishes, leaving f <- g * f^2.
+    Squaring a GF(2) polynomial spreads its bits, f(x)^2 = f(x^2).
     """
-    if b == 0:
-        raise ZeroDivisionError("division by the zero polynomial")
-    d = b.bit_length() - 1
-    nbits = a.bit_length()
-    if nbits <= d:
-        return 0, a
-    raw = np.frombuffer(a.to_bytes((nbits + 7) // 8, "little"), dtype=np.uint8)
-    abits = np.unpackbits(raw, bitorder="little")[:nbits].tolist()
-    qbits = np.zeros(nbits, dtype=np.uint8)
-    top = 1 << d
-    rem = 0
-    for i in range(nbits - 1, -1, -1):
-        rem = (rem << 1) | abits[i]
-        if rem & top:
-            rem ^= b
-            qbits[i] = 1
-    q = int.from_bytes(np.packbits(qbits, bitorder="little").tobytes(), "little")
-    return q, rem
+    if not g & 1:
+        raise InvalidInputError("power-series inverse needs g(0) = 1")
+    f, t = 1, 1
+    while t < L:
+        t = min(2 * t, L)
+        mask = (1 << t) - 1
+        f = poly_mul(g & mask, int("0".join(format(f, "b")), 2)) & mask
+    return f & ((1 << L) - 1)
 
 
 def reciprocal(p: int) -> int:

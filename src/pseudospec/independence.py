@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,19 +48,7 @@ class IndependenceReport:
     exhaustive: bool = field(default=False)
 
     def to_json(self) -> str:
-        d = {
-            "r_tested": self.r_tested,
-            "mode": self.mode,
-            "subsets_checked": self.subsets_checked,
-            "max_total_variation": self.max_total_variation,
-            "verdict": self.verdict,
-            "threshold": self.threshold,
-            "failing_subset": list(self.failing_subset)
-            if self.failing_subset is not None
-            else None,
-            "exhaustive": self.exhaustive,
-        }
-        return json.dumps(d, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _column_ints(dual) -> np.ndarray:

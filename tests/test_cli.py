@@ -146,8 +146,12 @@ BATCH = ["--m", "6", "--delta", "5", "--N", "8", "--count", "2"]
     ["norms", "--kind", "pseudo-mp", *BATCH, "--gamma", "nan"],
     ["norms", "--kind", "pseudo-mp", *BATCH, "--gamma", "inf"],
     ["norms", "--kind", "pseudo-wigner", *BATCH, "--epsilon", "nan"],
+    ["norms", "--kind", "random-mp", "--N", "10", "--p", "5", "--gamma", "0.9",
+     "--count", "3"],
+    ["norms", "--kind", "random-wigner", "--N", "10", "--gamma", "0.3",
+     "--count", "3"],
 ], ids=["sample-seed", "verify-indep-seed", "s-max-negative", "s-max-zero",
-        "gamma-nan", "gamma-inf", "epsilon-nan"])
+        "gamma-nan", "gamma-inf", "epsilon-nan", "gamma-with-p", "gamma-wigner"])
 def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "out"
     if argv[0] != "verify-indep":

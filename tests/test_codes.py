@@ -91,7 +91,28 @@ def test_degenerate_code_rejected():
 
 def test_generator_divides_xn_plus_1(bch_15_7):
     n = bch_15_7.n
-    assert gf2m.poly_divmod((1 << n) | 1, bch_15_7.generator)[1] == 0
+    assert gf2m.poly_mod((1 << n) | 1, bch_15_7.generator) == 0
+
+
+@pytest.mark.parametrize("generator, error", [
+    (1 << 16 | 1, InvalidInputError),        # degree 16 > n = 15
+    (0b100110, InvalidInputError),           # even: x * (x^4 + x + 1)
+    (0b10101, InvalidInputError),            # (x^2 + x + 1)^2 does not divide
+    (0, InvalidInputError),
+    (-0b10011, InvalidInputError),           # not a polynomial
+    (1 << 15 | 1, DegenerateCodeError),      # x^n + 1 itself: k = 0
+], ids=["degree-above-n", "even", "non-divisor", "zero", "negative", "x^n+1"])
+def test_cyclic_code_generator_edge_cases(generator, error):
+    with pytest.raises(error):
+        codes.CyclicCode(field=gf2m.FieldParams.default(4), generator=generator)
+
+
+def test_cyclic_code_cofactor():
+    field = gf2m.FieldParams.default(4)
+    assert codes.CyclicCode(field=field, generator=1)._cofactor == 1 << 15 | 1
+    # (x^15 + 1) / (x^4 + x + 1) = x^11 + x^8 + x^7 + x^5 + x^3 + x^2 + x + 1
+    code = codes.CyclicCode(field=field, generator=0b10011)
+    assert code._cofactor == 0b100110101111
 
 
 # --- duals -------------------------------------------------------------------
@@ -155,7 +176,7 @@ def test_encode_linearity_and_uniqueness(bch_15_7):
 def test_codewords_divisible_by_generator(bch_15_7):
     dual = codes.dual_code(bch_15_7)
     for w in codes.sample_codewords(dual, 3, seed=42):
-        assert gf2m.poly_divmod(w, dual.generator)[1] == 0
+        assert gf2m.poly_mod(w, dual.generator) == 0
 
 
 # --- seeded sampling ----------------------------------------------------------

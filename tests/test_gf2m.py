@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudospec import gf2m
 from pseudospec.errors import InvalidInputError, UnsupportedDegreeError
@@ -49,24 +51,34 @@ def test_poly_mul_matches_reference():
         assert gf2m.poly_mul(a, b) == ref_poly_mul(a, b)
 
 
-def test_poly_divmod_roundtrip():
-    rnd = random.Random(13)
-    for _ in range(200):
-        a = rnd.getrandbits(60)
-        b = rnd.getrandbits(20) | 1
-        if b == 1:
-            continue
-        q, r = gf2m.poly_divmod(a, b)
-        assert gf2m.poly_mul(q, b) ^ r == a
-        assert gf2m.degree(r) < gf2m.degree(b)
+LENGTHS_AT_DOUBLINGS = [(1 << j) + d for j in range(10) for d in (-1, 0, 1)
+                        if (1 << j) + d <= 700]
 
 
-def test_poly_mod_matches_divmod():
+@settings(max_examples=200, deadline=None)
+@given(
+    g=st.integers(0, (1 << 299) - 1).map(lambda v: 2 * v + 1),
+    L=st.one_of(st.integers(0, 700), st.sampled_from(LENGTHS_AT_DOUBLINGS)),
+)
+def test_poly_inverse_is_power_series_inverse(g, L):
+    f = gf2m.poly_inverse(g, L)
+    assert 0 <= f < 1 << L
+    assert gf2m.poly_mul(g, f) & ((1 << L) - 1) == (1 if L else 0)
+
+
+def test_poly_inverse_needs_unit_constant_term():
+    for g in (0, 0b10, 0b110):
+        with pytest.raises(InvalidInputError):
+            gf2m.poly_inverse(g, 5)
+
+
+def test_poly_mod_remainder_identity():
     rnd = random.Random(14)
-    for _ in range(100):
-        a = rnd.getrandbits(40)
-        b = (rnd.getrandbits(12) | (1 << 12)) | 1
-        assert gf2m.poly_mod(a, b) == gf2m.poly_divmod(a, b)[1]
+    for _ in range(200):
+        b = rnd.getrandbits(20) | (1 << 20)
+        q = rnd.getrandbits(40)
+        r = rnd.getrandbits(20)
+        assert gf2m.poly_mod(gf2m.poly_mul(q, b) ^ r, b) == r
 
 
 def test_reciprocal():
@@ -114,9 +126,9 @@ def test_primitive_poly_divides_xn_plus_1_and_nothing_smaller():
     for m in (2, 3, 4, 5):
         p = gf2m.default_primitive_poly(m)
         n = (1 << m) - 1
-        assert gf2m.poly_divmod((1 << n) | 1, p)[1] == 0
+        assert gf2m.poly_mod((1 << n) | 1, p) == 0
         for k in range(1, n):
-            assert gf2m.poly_divmod((1 << k) | 1, p)[1] != 0
+            assert gf2m.poly_mod((1 << k) | 1, p) != 0
 
 
 def test_is_primitive_rejects_reducible_and_nonprimitive():
