@@ -9,7 +9,9 @@ codewords, which is what the matrix ensembles downstream consume.
 
 Codewords are GF(2) polynomials in the integer representation of
 :mod:`.gf2m` (bit i = coefficient of x^i).  ``word_to_bits`` converts one
-to a dense 0/1 array for packing into a matrix.
+to a dense 0/1 array for packing into a matrix.  A matrix uses only a
+prefix of the codeword, so ``encode`` can return just the first `length`
+bits, at a cost that falls with `length`.
 
 Batch file format (``save_codewords``): an 8-byte header of two uint32
 little-endian fields (n, count), then ``count`` records of ceil(n/8) bytes
@@ -192,16 +194,24 @@ def dual_code(code: CyclicCode) -> DualCode:
     return DualCode(base=code, generator=gf2m.reciprocal(h), k_dual=k_dual)
 
 
-def encode(dual: DualCode, message: int) -> int:
+def encode(dual: DualCode, message: int, length: int | None = None) -> int:
     """Nonsystematic encoding: codeword = message(x) * generator(x).
 
     The product degree stays below n, so no reduction modulo x^n + 1 is
-    needed; linearity and injectivity are immediate.
+    needed; linearity and injectivity are immediate.  With `length` the
+    result is the codeword mod x^length, its first `length` bits, got by
+    multiplying against the generator masked to those coefficients: the
+    higher ones cannot reach below x^length, so the work shrinks with it.
     """
     if not 0 <= message < (1 << dual.k_dual):
         raise InvalidInputError(
             f"message must fit in k_dual = {dual.k_dual} bits"
         )
+    if length is not None:
+        if not 1 <= length <= dual.n:
+            raise InvalidInputError(f"need 1 <= length <= n={dual.n}, got {length}")
+        mask = (1 << length) - 1
+        return gf2m.poly_mul(message, dual.generator & mask) & mask
     word = gf2m.poly_mul(message, dual.generator)
     if word.bit_length() > dual.n:
         raise ArithmeticCorruptionError("codeword overflow past x^(n-1)")

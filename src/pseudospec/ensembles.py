@@ -2,9 +2,13 @@
 
 All four kinds share one path: sample i is
 ``pack(spec, sample_bits(spec, i, dual))``.  Its bits come from the seeded
-dual-BCH codeword (pseudo kinds) or from fair coins drawn by a generator
-seeded by (seed, i) (random kinds).  ``pack`` lays them out as below,
-through ``pack_symmetric`` for Wigner kinds and ``pack_rect`` for MP kinds.
+dual-BCH codeword (pseudo kinds), encoded only as far as the packing reads
+it, or from fair coins drawn by a generator seeded by (seed, i) (random
+kinds).  ``pack`` lays them out as below, through ``pack_symmetric`` for
+Wigner kinds and ``pack_rect`` for MP kinds.  Every packed matrix is
+finite and exactly symmetric (a mirrored sign matrix, or Y^T Y / N with
+Y of +-1 entries, whose products sum exactly), so the batch runner
+(``cli.iter_summaries``) hands it to the eigensolver without re-checking.
 
 Packing convention (ours, fixed once so every run is auditable): the first
 N(N+1)/2 bits fill the upper triangle of a symmetric N x N matrix in
@@ -108,7 +112,7 @@ def ensemble_spec(
                 f"m={m} outside supported range 1..{gf2m.MAX_DEGREE}"
             )
         n = (1 << m) - 1
-        needed = N * (N + 1) // 2 if kind == "pseudo-wigner" else N * p
+        needed = _bits_used(kind, N, p)
         if needed > n:
             raise InvalidInputError(
                 f"packing needs {needed} bits but codewords have n={n}"
@@ -126,24 +130,30 @@ def ensemble_spec(
     )
 
 
+def _bits_used(kind: str, N: int, p: int | None) -> int:
+    """Bits one matrix takes: N(N+1)/2 symmetric, N*p rectangular."""
+    return N * (N + 1) // 2 if kind in WIGNER_KINDS else N * p
+
+
 def sample_bits(
     spec: EnsembleSpec, index: int, dual: codes.DualCode | None = None
 ) -> np.ndarray:
-    """The uint8 bits of sample `index`; `pack` uses the leading ones.
+    """The uint8 bits of sample `index`: exactly the ones `pack` uses.
 
-    Pseudo kinds need `dual`, the dual of the spec's BCH code, and give the
-    n bits of its seeded codeword; random kinds give exactly the N(N+1)/2
-    (Wigner) or N*p (MP) fair coins drawn by ``default_rng((seed, index))``.
+    That is N(N+1)/2 bits for Wigner kinds and N*p for MP kinds.  Pseudo
+    kinds need `dual`, the dual of the spec's BCH code, and give the leading
+    bits of its seeded codeword, encoded only that far (the tail the packing
+    would discard is never computed); random kinds give fair coins drawn by
+    ``default_rng((seed, index))``.
     """
-    N = spec.N
+    used = _bits_used(spec.kind, spec.N, spec.p)
     if spec.kind in RANDOM_KINDS:
-        used = N * (N + 1) // 2 if spec.kind in WIGNER_KINDS else N * spec.p
         rng = np.random.default_rng((spec.seed, index))
         return rng.integers(0, 2, size=used).astype(np.uint8)
     if dual is None:
         raise InvalidInputError(f"{spec.kind} needs the dual code")
-    word = codes.encode(dual, codes.message_for_index(dual.k_dual, spec.seed, index))
-    return codes.word_to_bits(word, dual.n)
+    message = codes.message_for_index(dual.k_dual, spec.seed, index)
+    return codes.word_to_bits(codes.encode(dual, message, used), used)
 
 
 @functools.lru_cache(maxsize=1)

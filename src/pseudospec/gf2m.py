@@ -292,20 +292,22 @@ def minimal_polynomial(e: int, params: FieldParams) -> int:
     Expands prod_{j in coset(e)} (x + alpha^j) with coefficients in GF(2^m)
     and checks that every coefficient lands in {0, 1}; a wider coefficient
     means the field arithmetic is broken, which is reported as corruption
-    rather than bad input.
+    rather than bad input.  The coset is walked as e, 2e, 4e, ..., so each
+    root is the square of the one before.
     """
     from .errors import ArithmeticCorruptionError
 
     coset = cyclotomic_coset(e, params.n) if params.n > 1 else {0}
     # coeffs[i] is the GF(2^m) coefficient of x^i
     coeffs = [1]
-    for j in sorted(coset):
-        root = alpha_pow(j, params)
+    root = alpha_pow(e, params)
+    for _ in range(len(coset)):
         nxt = [0] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             nxt[i + 1] ^= c
             nxt[i] ^= field_mul(c, root, params)
         coeffs = nxt
+        root = field_mul(root, root, params)
     result = 0
     for i, c in enumerate(coeffs):
         if c not in (0, 1):

@@ -12,7 +12,8 @@ the same exact TV and are cross-checked in the tests.
 Sampled mode is a smoke test for codes too large to enumerate: it draws
 2^16 seeded codewords, histograms the projections of `budget` random
 coordinate subsets, and flags any TV above 4 sqrt(2^r / 2^16) -- a crude
-concentration bound, never used as a proof of independence.
+concentration bound, never used as a proof of independence.  From r = 12
+that bound is at least 1, which no TV exceeds, so such r are rejected.
 """
 
 from __future__ import annotations
@@ -175,7 +176,8 @@ def verify_r_independence(
 
     Exact mode enumerates the code (dimension <= 20 required) and reports
     the exact worst-case total variation; the verdict is pass iff it is 0.
-    Sampled mode estimates it from 2^16 codewords with a loose threshold.
+    Sampled mode estimates it from 2^16 codewords with a loose threshold,
+    and rejects r >= 12, where that threshold is at least 1.
 
     On every exact run the lower levels r-1, ..., 1 are re-verified:
     marginals of uniform distributions are uniform, so a pass at r with a
@@ -191,6 +193,12 @@ def verify_r_independence(
         mode = "exact" if dual.dimension <= EXACT_DIM_LIMIT else "sampled"
     if mode not in ("exact", "sampled"):
         raise InvalidInputError(f"unknown mode {mode!r}")
+    if mode == "sampled" and 16 << r >= SAMPLE_WORDS:
+        # 4 sqrt(2^r / SAMPLE_WORDS) >= 1 bounds every TV: no verdict but pass
+        raise InvalidInputError(
+            f"sampled mode cannot fail at r={r}: its TV threshold "
+            f"4 sqrt(2^r / {SAMPLE_WORDS}) is at least 1"
+        )
 
     if mode == "exact":
         if dual.dimension > EXACT_DIM_LIMIT:

@@ -2,11 +2,15 @@
 
 The direct eigensolver is LAPACK's symmetric driver via numpy (Householder
 tridiagonalization plus implicit-shift iterations under the hood), exposed
-behind a validated interface: inputs must be finite and symmetric to 1e-12
-relative, outputs are ascending.  A second, independent route to the
-spectral norm runs Lanczos iteration (ARPACK) with a fixed start vector; the
-two must agree to 1e-8 relative, which the test suite enforces on random
-inputs.
+behind a validated interface, ``symmetric_eigen``: inputs must be finite
+and symmetric to 1e-12 relative, outputs are ascending.  Its core,
+``symmetric_eigen_unchecked``, skips the validation; the batch runner calls
+it on the matrices of ``ensembles.pack``, which are exactly symmetric and
+finite by construction, so there the check would be one more pass over
+every matrix that can never fail.  A second, independent route to the
+spectral norm runs Lanczos iteration (ARPACK) with a fixed start vector;
+the two must agree to 1e-8 relative, which the test suite enforces on
+random inputs.
 
 High-order trace moments are always formed from eigenvalues, never by
 repeated matrix multiplication: powers up to s ~ N^(2/3) are needed and
@@ -55,10 +59,19 @@ def symmetric_eigen(M, want_vectors: bool = False):
     """Eigendecomposition of a symmetric matrix.
 
     Returns a SpectralSummary, or (summary, Q) with orthonormal columns
-    when vectors are requested.  Non-convergence of the underlying
-    iteration surfaces as NumericalFailureError.
+    when vectors are requested.  Non-square, asymmetric and non-finite
+    input is rejected with InvalidInputError; non-convergence of the
+    underlying iteration surfaces as NumericalFailureError.
     """
-    M = _check_symmetric(M)
+    return symmetric_eigen_unchecked(_check_symmetric(M), want_vectors)
+
+
+def symmetric_eigen_unchecked(M: np.ndarray, want_vectors: bool = False):
+    """``symmetric_eigen`` without the input check.
+
+    M must already be a square, exactly symmetric, finite float64 array;
+    what LAPACK makes of anything else is undefined.
+    """
     try:
         if want_vectors:
             eigs, vecs = np.linalg.eigh(M)
@@ -118,11 +131,13 @@ def ks_distance(eigenvalues, law) -> float:
 
     The supremum of |step function - continuous CDF| is attained at the
     jump points, so it suffices to compare law.cdf(lambda_i) against the
-    ESD values i/N and (i-1)/N.
+    ESD values i/N and (i-1)/N.  A SpectralSummary's eigenvalues are used
+    as they are, being ascending by contract; a raw array is sorted.
     """
-    if hasattr(eigenvalues, "eigenvalues"):
-        eigenvalues = eigenvalues.eigenvalues
-    eigs = np.sort(np.asarray(eigenvalues, dtype=np.float64))
+    if isinstance(eigenvalues, SpectralSummary):
+        eigs = eigenvalues.eigenvalues
+    else:
+        eigs = np.sort(np.asarray(eigenvalues, dtype=np.float64))
     n = eigs.size
     if n == 0:
         raise InvalidInputError("empty spectrum")

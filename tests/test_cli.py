@@ -150,8 +150,11 @@ BATCH = ["--m", "6", "--delta", "5", "--N", "8", "--count", "2"]
      "--count", "3"],
     ["norms", "--kind", "random-wigner", "--N", "10", "--gamma", "0.3",
      "--count", "3"],
+    ["verify-indep", "--m", "6", "--delta", "5", "--r", "12", "--mode", "sampled",
+     "--budget", "3"],
 ], ids=["sample-seed", "verify-indep-seed", "s-max-negative", "s-max-zero",
-        "gamma-nan", "gamma-inf", "epsilon-nan", "gamma-with-p", "gamma-wigner"])
+        "gamma-nan", "gamma-inf", "epsilon-nan", "gamma-with-p", "gamma-wigner",
+        "sampled-r-12"])
 def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "out"
     if argv[0] != "verify-indep":
@@ -159,6 +162,19 @@ def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", cli.ensembles.KINDS)
+def test_iter_summaries_match_validated_eigen(kind):
+    # the runner skips symmetric_eigen's input check, not any of its results
+    p = 5 if kind in cli.ensembles.MP_KINDS else None
+    code = dict(m=6, delta=5) if kind in cli.ensembles.PSEUDO_KINDS else {}
+    spec = cli.ensembles.ensemble_spec(kind, N=9, p=p, seed=3, **code)
+    mats = cli.ensembles.matrix_stream(spec, 3)
+    for summary, M in zip(cli.iter_summaries(spec, 3), mats, strict=True):
+        checked = cli.spectral.symmetric_eigen(M)
+        assert np.array_equal(summary.eigenvalues, checked.eigenvalues)
+        assert summary.norm == checked.norm
 
 
 # --- esd --------------------------------------------------------------------------

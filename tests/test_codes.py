@@ -161,6 +161,19 @@ def test_encode_basics(hamming_7_4):
         codes.encode(dual, 1 << dual.k_dual)
 
 
+def test_encode_length_gives_codeword_prefix():
+    dual = codes.dual_code(codes.bch_generator(8, 7))
+    for message in (1, 0xDEADBEEF & ((1 << dual.k_dual) - 1), (1 << dual.k_dual) - 1):
+        word = codes.encode(dual, message)
+        for length in (1, 7, 8, 100, dual.n - dual.k_dual, dual.n):
+            assert codes.encode(dual, message, length) == word & ((1 << length) - 1)
+    for length in (0, dual.n + 1):
+        with pytest.raises(InvalidInputError):
+            codes.encode(dual, 1, length)
+    with pytest.raises(InvalidInputError):  # the message range check stays
+        codes.encode(dual, 1 << dual.k_dual, 8)
+
+
 def test_encode_linearity_and_uniqueness(bch_15_7):
     dual = codes.dual_code(bch_15_7)
     seen = set()

@@ -299,9 +299,55 @@ def test_sample_bits_lengths():
     bits = ensembles.sample_bits(wigner(5), 0)
     assert bits.dtype == np.uint8 and bits.size == 15
     assert ensembles.sample_bits(mp(6, 4), 0).size == 24
-    spec = ensembles.ensemble_spec("pseudo-wigner", N=10, m=6, delta=5)
+    # pseudo kinds too give only the bits pack uses, not the whole codeword
     dual = codes.dual_code(codes.bch_generator(6, 5))
-    assert ensembles.sample_bits(spec, 0, dual).size == dual.n == 63
+    spec = ensembles.ensemble_spec("pseudo-wigner", N=10, m=6, delta=5)
+    assert ensembles.sample_bits(spec, 0, dual).size == 55 < dual.n
+    spec = ensembles.ensemble_spec("pseudo-mp", N=7, p=5, m=6, delta=5)
+    assert ensembles.sample_bits(spec, 0, dual).size == 35
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pseudo_sample_bits_are_codeword_prefix(data):
+    m = data.draw(st.integers(4, 10), label="m")
+    delta = data.draw(st.sampled_from([3, 5, 7]), label="delta")
+    n = (1 << m) - 1
+    kind = data.draw(st.sampled_from(ensembles.PSEUDO_KINDS), label="kind")
+    if kind == "pseudo-wigner":
+        N = data.draw(st.integers(1, (math.isqrt(8 * n + 1) - 1) // 2), label="N")
+        p = None
+    else:
+        N = data.draw(st.integers(1, min(n, 40)), label="N")
+        p = data.draw(st.integers(1, min(N, n // N)), label="p")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    index = data.draw(st.integers(0, 1000), label="index")
+    spec = ensembles.ensemble_spec(kind, N=N, p=p, m=m, delta=delta, seed=seed)
+    dual = codes.dual_code(codes.bch_generator(m, delta))
+    used = N * (N + 1) // 2 if p is None else N * p
+    word = codes.encode(dual, codes.message_for_index(dual.k_dual, seed, index))
+    expected = codes.word_to_bits(word, n)[:used]
+    assert np.array_equal(ensembles.sample_bits(spec, index, dual), expected)
+
+
+# odd N, and bit counts N(N+1)/2 or N*p that are not multiples of 8
+STREAM_SHAPES = [
+    (kind, N, p)
+    for kind in ensembles.KINDS
+    for N, p in ([(1, None), (7, None), (9, None)] if kind in ensembles.WIGNER_KINDS
+                 else [(7, 5), (9, 1), (5, 5)])
+]
+
+
+@pytest.mark.parametrize("kind, N, p", STREAM_SHAPES)
+def test_matrix_stream_exactly_symmetric_and_finite(kind, N, p):
+    # the batch runner relies on this instead of re-checking every matrix
+    code = dict(m=6, delta=5) if kind in ensembles.PSEUDO_KINDS else {}
+    spec = ensembles.ensemble_spec(kind, N=N, p=p, seed=21, **code)
+    for M in ensembles.matrix_stream(spec, 5):
+        assert M.dtype == np.float64
+        assert np.array_equal(M, M.T)
+        assert np.isfinite(M).all()
 
 
 @pytest.mark.parametrize("kind", ensembles.KINDS)

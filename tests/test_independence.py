@@ -124,6 +124,19 @@ def test_sampled_mode_detects_dependence(simplex):
     assert report.verdict == "fail"
 
 
+def test_sampled_mode_rejects_r_it_cannot_fail(simplex):
+    # from r = 12 the threshold 4 sqrt(2^r / 2^16) is >= 1 >= every TV
+    assert 4 * math.sqrt(2**11 / 65536) < 1 <= 4 * math.sqrt(2**12 / 65536)
+    dual = codes.dual_code(codes.bch_generator(6, 5))
+    for r in (12, 40):
+        with pytest.raises(InvalidInputError, match="cannot fail"):
+            independence.verify_r_independence(dual, r, mode="sampled", budget=3)
+    big = codes.dual_code(codes.bch_generator(10, 15))  # k_dual = 70: auto is sampled
+    with pytest.raises(InvalidInputError, match="cannot fail"):
+        independence.verify_r_independence(big, 12, budget=3)
+    assert independence.verify_r_independence(dual, 12, mode="exact", budget=3).mode == "exact"
+
+
 def test_report_json(simplex):
     report = independence.verify_r_independence(simplex, 3)
     payload = json.loads(report.to_json())
