@@ -57,7 +57,7 @@ def scaled_norm(spec: ensembles.EnsembleSpec, summary: spectral.SpectralSummary)
 def norm_deviation(spec: ensembles.EnsembleSpec, norm: float, epsilon: float) -> float:
     """(norm - 1) * N^min(rho, 2/3) / log^(1+epsilon) N, natural log."""
     if spec.N < 2:
-        return float("nan")
+        raise InvalidInputError(f"the norm deviation needs N >= 2, got N={spec.N}")
     rho = spec.rho if spec.rho is not None else float("inf")
     exponent = min(rho, 2.0 / 3.0)
     return (norm - 1.0) * spec.N**exponent / math.log(spec.N) ** (1.0 + epsilon)
@@ -93,6 +93,10 @@ def _write_sidecar(outdir: Path, command: str, params: dict) -> None:
 
 
 def _spec_from_args(args) -> ensembles.EnsembleSpec:
+    # matrix_stream checks the count too, but only once iterated: too late
+    # for a command that has already created its output file
+    if args.count < 1:
+        raise InvalidInputError(f"--count must be >= 1, got {args.count}")
     return ensembles.ensemble_spec(
         kind=args.kind, N=args.N, p=args.p, m=args.m, delta=args.delta,
         seed=args.seed, gamma=args.gamma,
@@ -156,6 +160,10 @@ def cmd_norms(args) -> int:
     if not math.isfinite(args.epsilon):
         raise InvalidInputError(f"epsilon must be finite, got {args.epsilon}")
     spec = _spec_from_args(args)
+    if spec.N < 2:
+        raise InvalidInputError(
+            f"norms needs N >= 2: its deviation divides by log N, got N={spec.N}"
+        )
     outdir = _prepare_outdir(args.out)
     norms: list[float] = []
     with open(outdir / "norms.csv", "w") as fh:
@@ -326,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--mode", default="auto", choices=["auto", "exact", "sampled"])
+    p.add_argument("--mode", default="exact", choices=["exact", "sampled"])
     p.add_argument("--budget", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify_indep)

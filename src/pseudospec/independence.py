@@ -5,11 +5,11 @@ code exactly when the corresponding r columns of a generator matrix are
 linearly independent over GF(2).  When the columns have rank q < r, the
 joint distribution is uniform on a q-dimensional subspace, so its total
 variation distance from uniform on {0,1}^r is exactly 1 - 2^(q-r).  Exact
-mode therefore has two interchangeable engines: direct histogramming of
-all codewords (small dimensions) and column-rank computation; both return
-the same exact TV and are cross-checked in the tests.
+mode computes that rank for each subset, so it never enumerates codewords
+and works at every code dimension; the tests cross-check it against a
+brute-force histogram of all codewords of small codes.
 
-Sampled mode is a smoke test for codes too large to enumerate: it draws
+Sampled mode is an empirical cross-check from encoded words: it draws
 2^16 seeded codewords, histograms the projections of `budget` random
 coordinate subsets, and flags any TV above 4 sqrt(2^r / 2^16) -- a crude
 concentration bound, never used as a proof of independence.  From r = 12
@@ -26,14 +26,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import codes
-from .errors import (
-    ArithmeticCorruptionError,
-    InvalidInputError,
-    ResourceLimitError,
-)
+from .errors import ArithmeticCorruptionError, InvalidInputError
 
-EXACT_DIM_LIMIT = 20       # enumerate at most 2^20 codewords
-HISTOGRAM_DIM_LIMIT = 12   # histogram engine below this, rank engine above
 SAMPLE_WORDS = 1 << 16
 
 
@@ -52,19 +46,29 @@ class IndependenceReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _column_ints(dual) -> np.ndarray:
-    """Column j of a generator basis as a k-bit integer, for all j."""
-    G = codes.generator_matrix(dual)
-    k = G.shape[0]
-    weights = (1 << np.arange(k, dtype=np.int64))[:, None]
-    return (G.astype(np.int64) * weights).sum(axis=0)
+def _column_reader(dual):
+    """Column j of the generator basis (row i = x^i g) as a k-bit integer.
+
+    Entry (i, j) is the coefficient of x^(j-i) in g, so column j is the
+    k-bit window at bit j of g(x) x^(k-1), with row i at window bit
+    k-1-i.  That fixed reordering of rows leaves every rank unchanged, so
+    the window is read as it is, from bytes built once: O(k) per column.
+    """
+    k = dual.dimension
+    source = (dual.generator << (k - 1)).to_bytes((dual.n + 7) // 8, "little")
+    mask = (1 << k) - 1
+
+    def column(j: int) -> int:
+        window = int.from_bytes(source[j >> 3 : (j + k + 7) >> 3], "little")
+        return (window >> (j & 7)) & mask
+
+    return column
 
 
 def _rank_gf2(vectors) -> int:
     pivot: dict[int, int] = {}
     rank = 0
     for v in vectors:
-        v = int(v)
         while v:
             lead = v.bit_length() - 1
             if lead in pivot:
@@ -74,6 +78,11 @@ def _rank_gf2(vectors) -> int:
                 rank += 1
                 break
     return rank
+
+
+def _subset_tv(column, subset) -> float:
+    """Exact TV of the projection onto `subset`: 1 - 2^(rank - r)."""
+    return 1.0 - 2.0 ** (_rank_gf2(map(column, subset)) - len(subset))
 
 
 def _iter_subsets(n: int, r: int, budget: int, seed: int):
@@ -91,44 +100,16 @@ def _iter_subsets(n: int, r: int, budget: int, seed: int):
     return iter(sorted(chosen)), budget, False
 
 
-def _exact_level(dual, r: int, budget: int, seed: int):
+def _exact_level(column, n: int, r: int, budget: int, seed: int):
     """(max TV, subsets checked, exhaustive?, worst subset) at one level."""
-    k = dual.dimension
-    n = dual.n
     subsets, count, exhaustive = _iter_subsets(n, r, budget, seed)
     worst_tv = 0.0
     worst_subset = None
-
-    if k <= HISTOGRAM_DIM_LIMIT:
-        G = codes.generator_matrix(dual)
-        msgs = ((np.arange(1 << k)[:, None] >> np.arange(k)[None, :]) & 1).astype(
-            np.uint8
-        )
-        powers = 1 << np.arange(r)
-        uniform = 1.0 / (1 << r)
-        total_words = float(1 << k)
-        for S in subsets:
-            proj = (msgs @ G[:, S].astype(np.int64)) & 1
-            patterns = proj @ powers
-            counts = np.bincount(patterns, minlength=1 << r)
-            tv = 0.5 * float(np.abs(counts / total_words - uniform).sum())
-            if tv > worst_tv:
-                worst_tv, worst_subset = tv, tuple(S)
-    else:
-        cols = _column_ints(dual)
-        for S in subsets:
-            q = _rank_gf2(cols[list(S)])
-            tv = 1.0 - 2.0 ** (q - r)
-            if tv > worst_tv:
-                worst_tv, worst_subset = tv, tuple(S)
+    for S in subsets:
+        tv = _subset_tv(column, S)
+        if tv > worst_tv:
+            worst_tv, worst_subset = tv, tuple(S)
     return worst_tv, count, exhaustive, worst_subset
-
-
-def _exact_tv_by_rank(dual, subset) -> float:
-    """Rank-engine TV for one subset; used to cross-check the histogram."""
-    cols = _column_ints(dual)
-    q = _rank_gf2(cols[list(subset)])
-    return 1.0 - 2.0 ** (q - len(subset))
 
 
 def _sampled_level(dual, r: int, budget: int, seed: int):
@@ -168,14 +149,14 @@ def _sampled_level(dual, r: int, budget: int, seed: int):
 def verify_r_independence(
     dual,
     r: int,
-    mode: str = "auto",
+    mode: str = "exact",
     budget: int = 2000,
     seed: int = 0,
 ) -> IndependenceReport:
     """Check that every r-subset of codeword coordinates is jointly uniform.
 
-    Exact mode enumerates the code (dimension <= 20 required) and reports
-    the exact worst-case total variation; the verdict is pass iff it is 0.
+    Exact mode reports the exact worst-case total variation from column
+    ranks, at any code dimension; the verdict is pass iff it is 0.
     Sampled mode estimates it from 2^16 codewords with a loose threshold,
     and rejects r >= 12, where that threshold is at least 1.
 
@@ -189,8 +170,6 @@ def verify_r_independence(
         raise InvalidInputError("budget must be >= 1")
     if seed < 0:
         raise InvalidInputError("seed must be a nonnegative integer")
-    if mode == "auto":
-        mode = "exact" if dual.dimension <= EXACT_DIM_LIMIT else "sampled"
     if mode not in ("exact", "sampled"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     if mode == "sampled" and 16 << r >= SAMPLE_WORDS:
@@ -201,16 +180,14 @@ def verify_r_independence(
         )
 
     if mode == "exact":
-        if dual.dimension > EXACT_DIM_LIMIT:
-            raise ResourceLimitError(
-                f"exact mode enumerates 2^{dual.dimension} codewords; "
-                f"limit is 2^{EXACT_DIM_LIMIT}"
-            )
-        tv, nsub, exhaustive, worst = _exact_level(dual, r, budget, seed)
+        column = _column_reader(dual)
+        tv, nsub, exhaustive, worst = _exact_level(column, dual.n, r, budget, seed)
         verdict = "pass" if tv == 0.0 else "fail"
         if verdict == "pass" and exhaustive:
             for r_lower in range(r - 1, 0, -1):
-                tv_low, _, ex_low, sub_low = _exact_level(dual, r_lower, budget, seed)
+                tv_low, _, ex_low, sub_low = _exact_level(
+                    column, dual.n, r_lower, budget, seed
+                )
                 if ex_low and tv_low > 0.0:
                     raise ArithmeticCorruptionError(
                         f"monotonicity violated: pass at r={r} but "

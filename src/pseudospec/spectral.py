@@ -8,9 +8,9 @@ and symmetric to 1e-12 relative, outputs are ascending.  Its core,
 it on the matrices of ``ensembles.pack``, which are exactly symmetric and
 finite by construction, so there the check would be one more pass over
 every matrix that can never fail.  A second, independent route to the
-spectral norm runs Lanczos iteration (ARPACK) with a fixed start vector;
-the two must agree to 1e-8 relative, which the test suite enforces on
-random inputs.
+spectral norm, ``lanczos_norm``, runs Lanczos iteration (ARPACK) with a
+fixed start vector; it must agree with ``symmetric_eigen(M).norm`` to
+1e-8 relative, which the test suite enforces on random inputs.
 
 High-order trace moments are always formed from eigenvalues, never by
 repeated matrix multiplication: powers up to s ~ N^(2/3) are needed and
@@ -84,18 +84,13 @@ def symmetric_eigen_unchecked(M: np.ndarray, want_vectors: bool = False):
     return (summary, vecs) if want_vectors else summary
 
 
-def spectral_norm(M, method: str = "direct") -> float:
-    """Largest absolute eigenvalue.
+def lanczos_norm(M) -> float:
+    """Largest absolute eigenvalue by Lanczos, with a fixed start vector.
 
-    method="direct" goes through the full eigendecomposition;
-    method="iterative" runs Lanczos with a deterministic start vector and
-    is cheaper for large matrices.  Both routes must agree to 1e-8
-    relative; they are kept separate so each can check the other.
+    A route to the norm independent of the dense solver, so each can check
+    the other: it must agree with ``symmetric_eigen(M).norm`` to 1e-8
+    relative.  Orders 1 and 2 use closed forms.
     """
-    if method == "direct":
-        return symmetric_eigen(M).norm
-    if method != "iterative":
-        raise InvalidInputError(f"unknown method {method!r}")
     M = _check_symmetric(M)
     n = M.shape[0]
     if n == 1:

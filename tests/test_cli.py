@@ -152,9 +152,19 @@ BATCH = ["--m", "6", "--delta", "5", "--N", "8", "--count", "2"]
      "--count", "3"],
     ["verify-indep", "--m", "6", "--delta", "5", "--r", "12", "--mode", "sampled",
      "--budget", "3"],
+    ["norms", "--kind", "random-wigner", "--N", "8", "--count", "0"],
+    ["norms", "--kind", "pseudo-wigner", "--m", "6", "--delta", "5", "--N", "8",
+     "--count", "-2"],
+    ["esd", "--kind", "random-wigner", "--N", "8", "--count", "0"],
+    ["esd", "--kind", "pseudo-mp", "--m", "6", "--delta", "5", "--N", "8", "--p", "4",
+     "--count", "-1"],
+    ["moments", "--kind", "random-mp", "--N", "8", "--p", "4", "--count", "0"],
+    ["moments", "--kind", "pseudo-wigner", "--m", "6", "--delta", "5", "--N", "8",
+     "--count", "-5"],
 ], ids=["sample-seed", "verify-indep-seed", "s-max-negative", "s-max-zero",
         "gamma-nan", "gamma-inf", "epsilon-nan", "gamma-with-p", "gamma-wigner",
-        "sampled-r-12"])
+        "sampled-r-12", "norms-count-0", "norms-count-negative", "esd-count-0",
+        "esd-count-negative", "moments-count-0", "moments-count-negative"])
 def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "out"
     if argv[0] != "verify-indep":
@@ -162,6 +172,28 @@ def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "random-wigner", "--N", "1", "--count", "3"],
+    ["--kind", "pseudo-wigner", "--m", "6", "--delta", "5", "--N", "1", "--count", "3"],
+    ["--kind", "random-mp", "--N", "1", "--p", "1", "--count", "3"],
+], ids=["random-wigner", "pseudo-wigner", "random-mp"])
+def test_norms_single_row_exit_2(tmp_path, capsys, argv):
+    # the deviation statistic divides by log N, so N = 1 has none to report
+    assert run(["norms", *argv, "--out", str(tmp_path)]) == 2
+    assert "N >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "norms.csv").exists()
+    assert not (tmp_path / "summary.json").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_indep_exact_at_paper_scale(capsys):
+    # the m = 14 code of the N = 180 experiment, at its guaranteed level
+    assert run(["verify-indep", "--m", "14", "--delta", "31", "--r", "30",
+                "--budget", "50"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["mode"], payload["verdict"]) == ("exact", "pass")
 
 
 @pytest.mark.parametrize("kind", cli.ensembles.KINDS)

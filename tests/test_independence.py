@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pseudospec import codes, gf2m, independence
-from pseudospec.errors import InvalidInputError, ResourceLimitError
+from pseudospec.errors import InvalidInputError
 
 
 @pytest.fixture(scope="module")
@@ -21,16 +21,36 @@ def dual_15_7():
     return codes.dual_code(codes.bch_generator(4, 5))
 
 
-def brute_force_tv(dual, subset) -> float:
-    """Histogram the projection over every codeword, straight from encode."""
+def all_codeword_bits(dual) -> np.ndarray:
+    """Every codeword as a 0/1 row, straight from encode."""
+    words = [gf2m.poly_mul(msg, dual.generator) for msg in range(1 << dual.dimension)]
+    return np.array([codes.word_to_bits(w, dual.n) for w in words], dtype=np.int64)
+
+
+def brute_force_tv(bits, subset) -> float:
+    """Histogram the projection onto `subset` over every codeword."""
     r = len(subset)
-    counts = np.zeros(1 << r)
-    for msg in range(1 << dual.dimension):
-        word = gf2m.poly_mul(msg, dual.generator)
-        pattern = sum(((word >> c) & 1) << i for i, c in enumerate(subset))
-        counts[pattern] += 1
-    freqs = counts / (1 << dual.dimension)
+    counts = np.bincount(bits[:, list(subset)] @ (1 << np.arange(r)), minlength=1 << r)
+    freqs = counts / float(bits.shape[0])
     return 0.5 * float(np.abs(freqs - 1.0 / (1 << r)).sum())
+
+
+def rank_by_elimination(A) -> int:
+    """Rank over GF(2) of a 0/1 matrix, by row reduction."""
+    A = np.array(A, dtype=np.uint8) & 1
+    rank = 0
+    for col in range(A.shape[1]):
+        rows = np.nonzero(A[rank:, col])[0]
+        if rows.size == 0:
+            continue
+        pivot = rank + rows[0]
+        A[[rank, pivot]] = A[[pivot, rank]]
+        below = np.nonzero(A[:, col])[0]
+        A[below[below != rank]] ^= A[rank]
+        rank += 1
+        if rank == A.shape[0]:
+            break
+    return rank
 
 
 def test_simplex_pairs_uniform(simplex):
@@ -47,7 +67,8 @@ def test_simplex_triples_fail(simplex):
     assert report.max_total_variation > 0.0
     assert report.failing_subset is not None
     # the reported subset really is non-uniform, per brute force
-    assert brute_force_tv(simplex, report.failing_subset) == pytest.approx(
+    bits = all_codeword_bits(simplex)
+    assert brute_force_tv(bits, report.failing_subset) == pytest.approx(
         report.max_total_variation
     )
 
@@ -61,47 +82,105 @@ def test_dual_15_7_four_independent(dual_15_7):
 
 def test_single_coordinate_fairness():
     # every dual built here has exactly fair single bits
-    for m, delta in [(3, 3), (4, 5), (5, 7), (6, 7)]:
+    for m, delta in [(3, 3), (4, 5), (5, 7), (6, 7), (10, 15)]:
         dual = codes.dual_code(codes.bch_generator(m, delta))
-        if dual.dimension <= independence.EXACT_DIM_LIMIT:
-            report = independence.verify_r_independence(dual, 1)
-            assert report.verdict == "pass"
-            assert report.max_total_variation == 0.0
+        report = independence.verify_r_independence(dual, 1)
+        assert report.verdict == "pass"
+        assert report.max_total_variation == 0.0
 
 
 def test_guarantee_at_designed_distance_minus_one():
-    # dual passes at r = delta - 1 whenever exact verification is feasible
+    # dual passes at r = delta - 1; exact mode has no dimension limit
     for m, delta in [(3, 3), (4, 5), (4, 7)]:
         code = codes.bch_generator(m, delta)
         dual = codes.dual_code(code)
-        if dual.dimension <= independence.EXACT_DIM_LIMIT:
-            report = independence.verify_r_independence(dual, delta - 1, budget=500)
-            assert report.verdict == "pass", (m, delta)
+        report = independence.verify_r_independence(dual, delta - 1, budget=500)
+        assert report.verdict == "pass", (m, delta)
+
+
+@pytest.mark.parametrize("m, delta, k_dual", [(10, 15, 70), (14, 31, 210)])
+def test_exact_mode_at_guaranteed_level_for_large_codes(m, delta, k_dual):
+    # (14, 31) is the paper's N=180 code: exact at r = 30, far past 2^20 words
+    dual = codes.dual_code(codes.bch_generator(m, delta))
+    assert dual.dimension == k_dual
+    report = independence.verify_r_independence(dual, delta - 1, budget=200)
+    assert (report.mode, report.verdict) == ("exact", "pass")
+    assert report.max_total_variation == 0.0
+    assert report.subsets_checked == 200 and not report.exhaustive
 
 
 def test_histogram_and_rank_engines_agree(simplex, dual_15_7):
-    for dual, r in [(simplex, 2), (simplex, 3), (dual_15_7, 3), (dual_15_7, 5)]:
-        for subset in itertools.islice(itertools.combinations(range(dual.n), r), 40):
-            hist_tv = brute_force_tv(dual, subset)
-            rank_tv = independence._exact_tv_by_rank(dual, subset)
-            assert hist_tv == pytest.approx(rank_tv, abs=1e-12), (r, subset)
+    # every subset of both codes at every r: same max TV, same first worst
+    for dual in (simplex, dual_15_7):
+        bits = all_codeword_bits(dual)
+        for r in range(1, dual.n + 1):
+            tvs = [(brute_force_tv(bits, S), S)
+                   for S in itertools.combinations(range(dual.n), r)]
+            worst_tv, worst = max(tvs, key=lambda t: t[0])
+            report = independence.verify_r_independence(dual, r, budget=len(tvs))
+            assert report.exhaustive and report.subsets_checked == len(tvs)
+            assert report.max_total_variation == worst_tv, (dual.n, r)
+            if worst_tv > 0.0:
+                assert report.failing_subset == worst, (dual.n, r)
+            else:
+                assert report.verdict == "pass", (dual.n, r)
+
+
+def test_rank_engine_matches_generator_matrix_elimination():
+    dual = codes.dual_code(codes.bch_generator(10, 15))  # k_dual = 70
+    G = codes.generator_matrix(dual)
+    column = independence._column_reader(dual)
+    rng = np.random.default_rng(8)
+    for r in (1, 2, 14, 15, 40, 70, 71, 90):
+        for _ in range(6):
+            S = sorted(int(c) for c in rng.choice(dual.n, size=r, replace=False))
+            q = rank_by_elimination(G[:, S])
+            assert independence._subset_tv(column, S) == 1.0 - 2.0 ** (q - r), (r, S)
+    # both ends of the window source: the x^(k-1) padding and bit n - 1
+    for S in (list(range(6)), list(range(dual.n - 6, dual.n))):
+        q = rank_by_elimination(G[:, S])
+        assert independence._subset_tv(column, S) == 1.0 - 2.0 ** (q - 6), S
 
 
 def test_rank_engine_used_for_mid_dimensions():
-    # k_dual = 16 > histogram limit: rank engine path, still exact
-    code = codes.bch_generator(8, 5)
+    code = codes.bch_generator(8, 5)  # k_dual = 16
     dual = codes.dual_code(code)
-    assert independence.HISTOGRAM_DIM_LIMIT < dual.dimension <= independence.EXACT_DIM_LIMIT
     report = independence.verify_r_independence(dual, 4, budget=300)
     assert report.mode == "exact"
     assert report.verdict == "pass"
     assert not report.exhaustive  # C(255, 4) is far beyond the budget
 
 
-def test_exact_mode_resource_limit():
-    dual = codes.dual_code(codes.bch_generator(10, 15))  # k_dual = 70
-    with pytest.raises(ResourceLimitError):
-        independence.verify_r_independence(dual, 3, mode="exact")
+# (m, delta, r, budget, seed) -> exact report JSON: pins the subset sampling,
+# the first-worst-subset choice and the report format, for k_dual 3..15
+PINNED_REPORTS = {
+    (3, 3, 2, 2000, 0): '{"exhaustive": true, "failing_subset": null, '
+    '"max_total_variation": 0.0, "mode": "exact", "r_tested": 2, '
+    '"subsets_checked": 21, "threshold": 0.0, "verdict": "pass"}',
+    (3, 3, 3, 2000, 0): '{"exhaustive": true, "failing_subset": [0, 1, 3], '
+    '"max_total_variation": 0.5, "mode": "exact", "r_tested": 3, '
+    '"subsets_checked": 35, "threshold": 0.0, "verdict": "fail"}',
+    (4, 3, 5, 50, 0): '{"exhaustive": false, "failing_subset": [0, 2, 8, 9, 11], '
+    '"max_total_variation": 0.75, "mode": "exact", "r_tested": 5, '
+    '"subsets_checked": 50, "threshold": 0.0, "verdict": "fail"}',
+    (4, 5, 5, 2000, 0): '{"exhaustive": false, "failing_subset": [0, 1, 2, 9, 13], '
+    '"max_total_variation": 0.5, "mode": "exact", "r_tested": 5, '
+    '"subsets_checked": 2000, "threshold": 0.0, "verdict": "fail"}',
+    (5, 7, 6, 50, 0): '{"exhaustive": false, "failing_subset": null, '
+    '"max_total_variation": 0.0, "mode": "exact", "r_tested": 6, '
+    '"subsets_checked": 50, "threshold": 0.0, "verdict": "pass"}',
+    (6, 5, 5, 2000, 3): '{"exhaustive": false, "failing_subset": null, '
+    '"max_total_variation": 0.0, "mode": "exact", "r_tested": 5, '
+    '"subsets_checked": 2000, "threshold": 0.0, "verdict": "pass"}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_REPORTS))
+def test_exact_reports_pinned(case):
+    m, delta, r, budget, seed = case
+    dual = codes.dual_code(codes.bch_generator(m, delta))
+    report = independence.verify_r_independence(dual, r, budget=budget, seed=seed)
+    assert report.to_json() == PINNED_REPORTS[case]
 
 
 def test_sampled_mode_smoke():
@@ -131,10 +210,12 @@ def test_sampled_mode_rejects_r_it_cannot_fail(simplex):
     for r in (12, 40):
         with pytest.raises(InvalidInputError, match="cannot fail"):
             independence.verify_r_independence(dual, r, mode="sampled", budget=3)
-    big = codes.dual_code(codes.bch_generator(10, 15))  # k_dual = 70: auto is sampled
+    big = codes.dual_code(codes.bch_generator(10, 15))  # k_dual = 70
     with pytest.raises(InvalidInputError, match="cannot fail"):
-        independence.verify_r_independence(big, 12, budget=3)
-    assert independence.verify_r_independence(dual, 12, mode="exact", budget=3).mode == "exact"
+        independence.verify_r_independence(big, 12, mode="sampled", budget=3)
+    # exact mode, the default, has no such limit at any dimension
+    for code in (dual, big):
+        assert independence.verify_r_independence(code, 12, budget=3).mode == "exact"
 
 
 def test_report_json(simplex):

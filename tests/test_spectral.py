@@ -94,7 +94,7 @@ def test_non_finite_rejected():
         with pytest.raises(InvalidInputError):
             spectral.symmetric_eigen(M)
         with pytest.raises(InvalidInputError):
-            spectral.spectral_norm(M, method="iterative")
+            spectral.lanczos_norm(M)
 
 
 def test_agrees_with_charpoly_oracle():
@@ -110,19 +110,19 @@ def test_agrees_with_charpoly_oracle():
 
 def test_norm_examples():
     M = np.ones((2, 2)) / (2 * math.sqrt(2))
-    assert spectral.spectral_norm(M) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-    assert spectral.spectral_norm(np.eye(7)) == pytest.approx(1.0)
+    for norm in (spectral.lanczos_norm, lambda A: spectral.symmetric_eigen(A).norm):
+        assert norm(M) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+        assert norm(np.eye(7)) == pytest.approx(1.0)
+        assert norm(np.diag([0.5, -3.0, 2.0])) == pytest.approx(3.0)
 
 
 def test_norm_routes_agree():
     rng = np.random.default_rng(25)
     for n in (1, 2, 3, 10, 50, 150):
         M = random_symmetric(n, rng)
-        a = spectral.spectral_norm(M, method="direct")
-        b = spectral.spectral_norm(M, method="iterative")
+        a = spectral.symmetric_eigen(M).norm
+        b = spectral.lanczos_norm(M)
         assert abs(a - b) <= 1e-8 * max(a, 1e-12)
-    with pytest.raises(InvalidInputError):
-        spectral.spectral_norm(np.eye(2), method="power")
 
 
 # --- ESD -----------------------------------------------------------------------
