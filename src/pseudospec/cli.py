@@ -26,7 +26,6 @@ from .errors import (
     ArithmeticCorruptionError,
     InvalidInputError,
     NumericalFailureError,
-    ResourceLimitError,
 )
 
 DEFAULT_EPSILON = 0.1
@@ -54,13 +53,30 @@ def scaled_norm(spec: ensembles.EnsembleSpec, summary: spectral.SpectralSummary)
     return summary.norm / (1.0 + math.sqrt(spec.gamma)) ** 2
 
 
+def _log_divisor(N: int, epsilon: float) -> float:
+    """log^(1+epsilon) N, natural log, rejected unless positive and finite."""
+    if N < 2:
+        raise InvalidInputError(
+            f"the norm deviation divides by log N, so needs N >= 2, got N={N}"
+        )
+    try:
+        divisor = math.log(N) ** (1.0 + epsilon)
+    except OverflowError:
+        divisor = math.inf
+    if not 0.0 < divisor < math.inf:
+        raise InvalidInputError(
+            f"epsilon={epsilon} puts log^(1+epsilon) N outside the positive "
+            f"floating-point range at N={N}"
+        )
+    return divisor
+
+
 def norm_deviation(spec: ensembles.EnsembleSpec, norm: float, epsilon: float) -> float:
     """(norm - 1) * N^min(rho, 2/3) / log^(1+epsilon) N, natural log."""
-    if spec.N < 2:
-        raise InvalidInputError(f"the norm deviation needs N >= 2, got N={spec.N}")
+    divisor = _log_divisor(spec.N, epsilon)
     rho = spec.rho if spec.rho is not None else float("inf")
     exponent = min(rho, 2.0 / 3.0)
-    return (norm - 1.0) * spec.N**exponent / math.log(spec.N) ** (1.0 + epsilon)
+    return (norm - 1.0) * spec.N**exponent / divisor
 
 
 def law_for(spec: ensembles.EnsembleSpec):
@@ -87,8 +103,11 @@ def _prepare_outdir(out: str | None) -> Path:
     return outdir
 
 
-def _write_sidecar(outdir: Path, command: str, params: dict) -> None:
-    payload = {"command": command, "version": __version__, "params": params}
+def _write_sidecar(outdir: Path, args) -> None:
+    """config.json: the command and every parsed flag but --out, for replay."""
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("command", "func", "out")}
+    payload = {"command": args.command, "version": __version__, "params": params}
     (outdir / "config.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -101,10 +120,6 @@ def _spec_from_args(args) -> ensembles.EnsembleSpec:
         kind=args.kind, N=args.N, p=args.p, m=args.m, delta=args.delta,
         seed=args.seed, gamma=args.gamma,
     )
-
-
-def _params_dict(args, names) -> dict:
-    return {n: getattr(args, n) for n in names}
 
 
 # ---------------------------------------------------------------------------
@@ -150,20 +165,14 @@ def cmd_sample(args) -> int:
     words = codes.sample_codewords(dual, args.count, args.seed)
     outdir = _prepare_outdir(args.out)
     codes.save_codewords(outdir / "codewords.bin", words, dual.n)
-    _write_sidecar(outdir, "sample",
-                   _params_dict(args, ["m", "delta", "count", "seed"]))
+    _write_sidecar(outdir, args)
     print(f"wrote {len(words)} codewords of length {dual.n} to {outdir}")
     return 0
 
 
 def cmd_norms(args) -> int:
-    if not math.isfinite(args.epsilon):
-        raise InvalidInputError(f"epsilon must be finite, got {args.epsilon}")
     spec = _spec_from_args(args)
-    if spec.N < 2:
-        raise InvalidInputError(
-            f"norms needs N >= 2: its deviation divides by log N, got N={spec.N}"
-        )
+    _log_divisor(spec.N, args.epsilon)  # reject N and epsilon before any output
     outdir = _prepare_outdir(args.out)
     norms: list[float] = []
     with open(outdir / "norms.csv", "w") as fh:
@@ -193,11 +202,15 @@ def cmd_norms(args) -> int:
         "ensemble": spec.to_json_dict(),
         "version": __version__,
     }
-    (outdir / "summary.json").write_text(
-        json.dumps(summary_payload, indent=2, sort_keys=True) + "\n"
-    )
-    _write_sidecar(outdir, "norms", _params_dict(
-        args, ["kind", "m", "delta", "N", "p", "gamma", "count", "seed", "epsilon"]))
+    try:
+        text = json.dumps(summary_payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise InvalidInputError(
+            f"epsilon={args.epsilon} makes a deviation summary non-finite; "
+            "summary.json not written"
+        ) from None
+    (outdir / "summary.json").write_text(text + "\n")
+    _write_sidecar(outdir, args)
     print(f"norm mean {arr.mean():.6f} over {args.count} samples -> {outdir}")
     return 0
 
@@ -225,8 +238,7 @@ def cmd_esd(args) -> int:
         "version": __version__,
     }
     (outdir / "ks.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_sidecar(outdir, "esd", _params_dict(
-        args, ["kind", "m", "delta", "N", "p", "gamma", "count", "seed"]))
+    _write_sidecar(outdir, args)
     print(f"KS mean {ks_arr.mean():.4f}, {100 * np.mean(ks_arr <= band):.1f}% within "
           f"{band:.4f} -> {outdir}")
     return 0
@@ -255,8 +267,7 @@ def cmd_moments(args) -> int:
             if wigner:
                 row += f",{mean * math.sqrt(math.pi * s**3 / 8.0)!r}"
             fh.write(row + "\n")
-    _write_sidecar(outdir, "moments", _params_dict(
-        args, ["kind", "m", "delta", "N", "p", "gamma", "count", "seed", "s_max"]))
+    _write_sidecar(outdir, args)
     print(f"wrote moments s=1..{args.s_max} over {args.count} samples -> {outdir}")
     return 0
 
@@ -347,8 +358,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInputError, ResourceLimitError) as exc:
-        # InvalidInputError covers the degenerate/unsupported subtypes
+    except InvalidInputError as exc:
+        # covers the degenerate/unsupported subtypes
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalFailureError, ArithmeticCorruptionError) as exc:

@@ -2,10 +2,17 @@
 
 A code of length n = 2^m - 1 with designed distance delta is generated by
 the least common multiple of the minimal polynomials of alpha, alpha^2,
-..., alpha^(delta-1).  The dual code is cyclic as well, generated by the
-reciprocal of h(x) = (x^n + 1) / g(x); sampling uniform messages and
-multiplying by that generator induces the uniform measure on dual
-codewords, which is what the matrix ensembles downstream consume.
+..., alpha^(delta-1), alpha the primitive element of the field GF(2^m)
+that :mod:`.gf2m` names by its degree m.  The dual code is cyclic as well,
+generated by the reciprocal of h(x) = (x^n + 1) / g(x); sampling uniform
+messages and multiplying by that generator induces the uniform measure on
+dual codewords, which is what the matrix ensembles downstream consume.
+
+``designed_distance`` is the one place (m, delta) is checked: delta must
+be at least 3, an even delta is promoted to delta + 1 (the same code, by
+conjugacy), and the promoted delta must not exceed n, or the roots would
+include alpha^n = alpha^0 and leave no code.  Every caller that takes a
+designed distance, the ensemble specs included, goes through it.
 
 Codewords are GF(2) polynomials in the integer representation of
 :mod:`.gf2m` (bit i = coefficient of x^i).  ``word_to_bits`` converts one
@@ -46,11 +53,12 @@ ENUMERATION_BUDGET_BITS = 24
 class CyclicCode:
     """Cyclic code of length n = 2^m - 1 with generator g(x)."""
 
-    field: gf2m.FieldParams
+    m: int
     generator: int
     delta: int | None = None
 
     def __post_init__(self) -> None:
+        gf2m.default_primitive_poly(self.m)  # m must name a supported field
         # cofactor h(x) = (x^n + 1) / g(x), reused by dual_code.  Since
         # 1/g = h * (1 + x^n + x^2n + ...) and deg h = k < n, the power
         # series of 1/g below x^k is h without its leading term x^k.  The
@@ -67,7 +75,7 @@ class CyclicCode:
 
     @property
     def n(self) -> int:
-        return self.field.n
+        return (1 << self.m) - 1
 
     @property
     def k(self) -> int:
@@ -80,7 +88,7 @@ class CyclicCode:
 
     def to_json_dict(self) -> dict:
         return {
-            "m": self.field.m,
+            "m": self.m,
             "n": self.n,
             "delta": self.delta,
             "generator_hex": gf2m.poly_to_hex(self.generator),
@@ -111,47 +119,59 @@ class DualCode:
         return d
 
 
-def bch_generator(m: int, delta: int) -> CyclicCode:
-    """Construct the BCH code of length 2^m - 1 and designed distance delta.
+def designed_distance(m: int, delta: int) -> int:
+    """The designed distance the BCH code of length 2^m - 1 is built with.
 
-    An even delta is promoted to delta + 1 (with a warning): the conjugacy
-    class of alpha^(delta/2) already contains alpha^delta, so both choices
-    generate the same code.  If the requested roots exhaust x^n + 1 the
-    code collapses and a DegenerateCodeError is raised.
+    Checks m against the field table, rejects delta < 3 with
+    InvalidInputError, and promotes an even delta to delta + 1: alpha^delta
+    is conjugate to alpha^(delta/2), already a root, so both generate the
+    same code.  A promoted delta above n = 2^m - 1 puts alpha^n = alpha^0
+    among the roots, so g(x) = x^n + 1 and no code is left; that raises
+    DegenerateCodeError.  Any delta returned gives dimension >= 1, and every
+    root index 1 .. delta - 1 is below n.
     """
-    params = gf2m.FieldParams.default(m)
+    gf2m.default_primitive_poly(m)
     if delta < 3:
         raise InvalidInputError(f"designed distance must be >= 3, got {delta}")
     if delta % 2 == 0:
-        warnings.warn(
-            f"even designed distance {delta} promoted to {delta + 1} "
-            "(same code by conjugacy)",
-            stacklevel=2,
-        )
         delta += 1
-
-    n = params.n
-    reps_seen: set[int] = set()
-    g = 1
-    for e in range(1, delta):
-        e_mod = e % n
-        rep = min(gf2m.cyclotomic_coset(e_mod, n)) if n > 1 else 0
-        if rep in reps_seen:
-            continue
-        reps_seen.add(rep)
-        g = gf2m.poly_mul(g, gf2m.minimal_polynomial(e_mod, params))
-
-    if gf2m.degree(g) >= n:
+    n = (1 << m) - 1
+    if delta > n:
         raise DegenerateCodeError(
             f"designed distance {delta} leaves no code at n={n}"
         )
-    code = CyclicCode(field=params, generator=g, delta=delta)
-    if delta <= n:
-        t = (delta - 1) // 2
-        if code.k < n - m * t:
-            raise ArithmeticCorruptionError(
-                f"dimension {code.k} below the n - m*t = {n - m * t} bound"
-            )
+    return delta
+
+
+def bch_generator(m: int, delta: int) -> CyclicCode:
+    """Construct the BCH code of length 2^m - 1 and designed distance delta.
+
+    The distance is checked and promoted by ``designed_distance``; an even
+    delta is promoted with a warning.
+    """
+    promoted = designed_distance(m, delta)
+    if promoted != delta:
+        warnings.warn(
+            f"even designed distance {delta} promoted to {promoted} "
+            "(same code by conjugacy)",
+            stacklevel=2,
+        )
+    n = (1 << m) - 1
+    reps_seen: set[int] = set()
+    g = 1
+    for e in range(1, promoted):
+        rep = min(gf2m.cyclotomic_coset(e, n))
+        if rep in reps_seen:
+            continue
+        reps_seen.add(rep)
+        g = gf2m.poly_mul(g, gf2m.minimal_polynomial(e, m))
+
+    code = CyclicCode(m=m, generator=g, delta=promoted)
+    t = (promoted - 1) // 2
+    if code.k < n - m * t:
+        raise ArithmeticCorruptionError(
+            f"dimension {code.k} below the n - m*t = {n - m * t} bound"
+        )
     return code
 
 
@@ -162,8 +182,8 @@ def delta_for_dimension(m: int, k: int) -> int:
     delta) until the target dimension is hit; raises if it is skipped over,
     since not every k is a BCH dimension.
     """
-    params = gf2m.FieldParams.default(m)
-    n = params.n
+    gf2m.default_primitive_poly(m)
+    n = (1 << m) - 1
     if not 1 <= k < n:
         raise InvalidInputError(f"target dimension {k} outside [1, {n})")
     deg = 0

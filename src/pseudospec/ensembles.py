@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import codes, gf2m
+from . import codes
 from .errors import InvalidInputError
 
 PSEUDO_KINDS = ("pseudo-wigner", "pseudo-mp")
@@ -80,8 +80,9 @@ def ensemble_spec(
 
     MP kinds take exactly one of p and gamma, with p = floor(gamma * N);
     Wigner kinds take neither.
-    For pseudo kinds the underlying codeword must be long enough for the
-    packing: N(N+1)/2 bits symmetric, N*p rectangular.
+    For pseudo kinds (m, delta) must pass ``codes.designed_distance``, whose
+    promoted delta gives r = delta - 1, and the underlying codeword must be
+    long enough for the packing: N(N+1)/2 bits symmetric, N*p rectangular.
     """
     if kind not in KINDS:
         raise InvalidInputError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -107,18 +108,13 @@ def ensemble_spec(
     if kind in PSEUDO_KINDS:
         if m is None or delta is None:
             raise InvalidInputError(f"{kind} needs m and delta")
-        if not 1 <= m <= gf2m.MAX_DEGREE:
-            raise InvalidInputError(
-                f"m={m} outside supported range 1..{gf2m.MAX_DEGREE}"
-            )
+        r = codes.designed_distance(m, delta) - 1
         n = (1 << m) - 1
         needed = _bits_used(kind, N, p)
         if needed > n:
             raise InvalidInputError(
                 f"packing needs {needed} bits but codewords have n={n}"
             )
-        delta_eff = delta + 1 if delta % 2 == 0 else delta
-        r = delta_eff - 1
         rho = math.log(r) / math.log(N) if N > 1 else None
     else:
         if m is not None or delta is not None:

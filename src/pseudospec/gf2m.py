@@ -12,10 +12,15 @@ quotient of a long polynomial, such as (x^n + 1) / g(x) with n near 10^6,
 is read off the power series of 1/g instead: ``poly_inverse`` computes
 g^-1 mod x^L by Newton iteration, a logarithmic number of multiplications.
 
-Elements of GF(2^m) = GF(2)[x]/(p(x)) are integers below 2^m holding the
-reduced polynomial representation.  The residue class of x (the integer 2)
-is written alpha throughout; every modulus in PRIMITIVE_POLYS is primitive,
-so alpha generates the full multiplicative group of order 2^m - 1.
+A field is named by its degree alone: the field functions take m and
+reduce modulo p(x) = PRIMITIVE_POLYS[m], so every run, on every machine,
+works in the same GF(2^m) = GF(2)[x]/(p(x)).  There is no other modulus to
+pass, and no table entry is re-checked at run time; the test suite
+certifies each one primitive with ``is_primitive``.  A degree outside the
+table raises UnsupportedDegreeError.  Elements are integers below 2^m
+holding the reduced polynomial representation.  The residue class of x
+(the integer 2) is written alpha throughout; because p is primitive, alpha
+generates the full multiplicative group of order n = 2^m - 1.
 
 Serialized form: a polynomial's bytes are its integer value little-endian,
 so byte i carries the coefficients of x^(8i) .. x^(8i+7) with x^(8i) in the
@@ -24,9 +29,11 @@ least significant bit.  ``poly_to_hex`` / ``poly_from_hex`` implement this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InvalidInputError, UnsupportedDegreeError
+from .errors import (
+    ArithmeticCorruptionError,
+    InvalidInputError,
+    UnsupportedDegreeError,
+)
 
 # One canonical primitive polynomial per extension degree, so that every run
 # (and every machine) works with the same alpha.  Entries are the classic
@@ -133,17 +140,6 @@ def poly_from_hex(s: str) -> int:
     return int.from_bytes(bytes.fromhex(s), "little")
 
 
-def poly_str(p: int) -> str:
-    """Human-readable form like 'x^4 + x + 1'."""
-    if p == 0:
-        return "0"
-    terms = []
-    for i in range(p.bit_length() - 1, -1, -1):
-        if (p >> i) & 1:
-            terms.append("1" if i == 0 else ("x" if i == 1 else f"x^{i}"))
-    return " + ".join(terms)
-
-
 def _prime_factors(n: int) -> list[int]:
     factors = []
     d = 2
@@ -197,66 +193,47 @@ def default_primitive_poly(m: int) -> int:
         ) from None
 
 
-@dataclass(frozen=True)
-class FieldParams:
-    """Arithmetic context for GF(2^m): extension degree, modulus, group order."""
-
-    m: int
-    modulus: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n != (1 << self.m) - 1:
-            raise InvalidInputError("n must equal 2^m - 1")
-        if not is_primitive(self.modulus, self.m):
+def _field_modulus(m: int, *elements: int) -> int:
+    """PRIMITIVE_POLYS[m], once each element is checked to lie in GF(2^m)."""
+    modulus = default_primitive_poly(m)
+    for a in elements:
+        if not 0 <= a < (1 << m):
             raise InvalidInputError(
-                f"modulus {poly_str(self.modulus)} is not primitive of degree {self.m}"
+                f"element {a:#x} is wider than {m} bits; wrong field?"
             )
-
-    @classmethod
-    def default(cls, m: int) -> "FieldParams":
-        """Field over the canonical degree-m primitive polynomial."""
-        return cls(m=m, modulus=default_primitive_poly(m), n=(1 << m) - 1)
+    return modulus
 
 
-def _check_element(a: int, params: FieldParams) -> None:
-    if not 0 <= a < (1 << params.m):
-        raise InvalidInputError(
-            f"element {a:#x} is wider than {params.m} bits; wrong field?"
-        )
-
-
-def field_mul(a: int, b: int, params: FieldParams) -> int:
+def field_mul(a: int, b: int, m: int) -> int:
     """Product in GF(2^m): carry-less multiply followed by reduction."""
-    _check_element(a, params)
-    _check_element(b, params)
-    return poly_mod(poly_mul(a, b), params.modulus)
+    return poly_mod(poly_mul(a, b), _field_modulus(m, a, b))
 
 
-def field_pow(a: int, e: int, params: FieldParams) -> int:
+def field_pow(a: int, e: int, m: int) -> int:
     """a^e in GF(2^m) (e >= 0)."""
-    _check_element(a, params)
+    _field_modulus(m, a)
     result = 1
     base = a
     while e:
         if e & 1:
-            result = field_mul(result, base, params)
-        base = field_mul(base, base, params)
+            result = field_mul(result, base, m)
+        base = field_mul(base, base, m)
         e >>= 1
     return result
 
 
-def alpha_pow(j: int, params: FieldParams) -> int:
-    """alpha^j, with alpha the residue class of x."""
-    return _x_pow_mod(j % params.n if params.n > 1 else 0, params.modulus)
+def alpha_pow(j: int, m: int) -> int:
+    """alpha^j in GF(2^m), with alpha the residue class of x."""
+    modulus = default_primitive_poly(m)
+    return _x_pow_mod(j % ((1 << m) - 1), modulus)
 
 
-def field_eval(poly: int, elem: int, params: FieldParams) -> int:
-    """Evaluate a binary polynomial at a field element (Horner)."""
-    _check_element(elem, params)
+def field_eval(poly: int, elem: int, m: int) -> int:
+    """Evaluate a binary polynomial at an element of GF(2^m) (Horner)."""
+    _field_modulus(m, elem)
     acc = 0
     for i in range(poly.bit_length() - 1, -1, -1):
-        acc = field_mul(acc, elem, params) ^ ((poly >> i) & 1)
+        acc = field_mul(acc, elem, m) ^ ((poly >> i) & 1)
     return acc
 
 
@@ -274,20 +251,8 @@ def cyclotomic_coset(e: int, n: int) -> set[int]:
     return coset
 
 
-def all_cyclotomic_cosets(n: int) -> list[set[int]]:
-    """The distinct cyclotomic cosets partitioning {0, ..., n-1}."""
-    seen: set[int] = set()
-    cosets = []
-    for e in range(n):
-        if e not in seen:
-            c = cyclotomic_coset(e, n)
-            cosets.append(c)
-            seen |= c
-    return cosets
-
-
-def minimal_polynomial(e: int, params: FieldParams) -> int:
-    """Minimal polynomial of alpha^e over GF(2).
+def minimal_polynomial(e: int, m: int) -> int:
+    """Minimal polynomial of alpha^e over GF(2), for 0 <= e < 2^m - 1.
 
     Expands prod_{j in coset(e)} (x + alpha^j) with coefficients in GF(2^m)
     and checks that every coefficient lands in {0, 1}; a wider coefficient
@@ -295,19 +260,18 @@ def minimal_polynomial(e: int, params: FieldParams) -> int:
     rather than bad input.  The coset is walked as e, 2e, 4e, ..., so each
     root is the square of the one before.
     """
-    from .errors import ArithmeticCorruptionError
-
-    coset = cyclotomic_coset(e, params.n) if params.n > 1 else {0}
-    # coeffs[i] is the GF(2^m) coefficient of x^i
+    modulus = default_primitive_poly(m)
+    root = alpha_pow(e, m)
+    # coeffs[i] is the GF(2^m) coefficient of x^i; every product of two
+    # reduced elements is reduced again, so none is wider than m bits
     coeffs = [1]
-    root = alpha_pow(e, params)
-    for _ in range(len(coset)):
+    for _ in range(len(cyclotomic_coset(e, (1 << m) - 1))):
         nxt = [0] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             nxt[i + 1] ^= c
-            nxt[i] ^= field_mul(c, root, params)
+            nxt[i] ^= poly_mod(poly_mul(c, root), modulus)
         coeffs = nxt
-        root = field_mul(root, root, params)
+        root = poly_mod(poly_mul(root, root), modulus)
     result = 0
     for i, c in enumerate(coeffs):
         if c not in (0, 1):

@@ -2,8 +2,8 @@
 
 The direct eigensolver is LAPACK's symmetric driver via numpy (Householder
 tridiagonalization plus implicit-shift iterations under the hood), exposed
-behind a validated interface, ``symmetric_eigen``: inputs must be finite
-and symmetric to 1e-12 relative, outputs are ascending.  Its core,
+behind a validated interface, ``symmetric_eigen``: inputs must be nonempty,
+finite and symmetric to 1e-12 relative, outputs are ascending.  Its core,
 ``symmetric_eigen_unchecked``, skips the validation; the batch runner calls
 it on the matrices of ``ensembles.pack``, which are exactly symmetric and
 finite by construction, so there the check would be one more pass over
@@ -47,7 +47,9 @@ def _check_symmetric(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {M.shape}")
-    scale = np.abs(M).max() if M.size else 0.0
+    if M.size == 0:
+        raise InvalidInputError("empty matrix")
+    scale = np.abs(M).max()
     if not np.isfinite(scale):
         raise InvalidInputError("matrix has non-finite entries")
     if np.abs(M - M.T).max() > SYMMETRY_RTOL * max(scale, 1e-300):
@@ -59,9 +61,9 @@ def symmetric_eigen(M, want_vectors: bool = False):
     """Eigendecomposition of a symmetric matrix.
 
     Returns a SpectralSummary, or (summary, Q) with orthonormal columns
-    when vectors are requested.  Non-square, asymmetric and non-finite
-    input is rejected with InvalidInputError; non-convergence of the
-    underlying iteration surfaces as NumericalFailureError.
+    when vectors are requested.  Empty, non-square, asymmetric and
+    non-finite input is rejected with InvalidInputError; non-convergence
+    of the underlying iteration surfaces as NumericalFailureError.
     """
     return symmetric_eigen_unchecked(_check_symmetric(M), want_vectors)
 
@@ -116,6 +118,8 @@ def lanczos_norm(M) -> float:
 def esd_cdf(eigenvalues, x):
     """(1/N) #{i : lambda_i <= x}; ties counted with multiplicity."""
     eigs = np.sort(np.asarray(eigenvalues, dtype=np.float64))
+    if eigs.size == 0:
+        raise InvalidInputError("empty spectrum")
     counts = np.searchsorted(eigs, x, side="right")
     out = np.asarray(counts, dtype=np.float64) / eigs.size
     return float(out) if np.ndim(x) == 0 else out

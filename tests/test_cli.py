@@ -119,7 +119,10 @@ def test_norms_outputs_and_replay(tmp_path, capsys):
     assert len(summary["histogram"]["edges"]) == len(summary["histogram"]["density"]) + 1
     # exactly one sidecar json with the full replay config
     config = json.loads((tmp_path / "a" / "config.json").read_text())
-    assert config["params"]["kind"] == "pseudo-wigner"
+    assert config["command"] == "norms"
+    assert config["params"] == {
+        "kind": "pseudo-wigner", "m": 6, "delta": 5, "N": 10, "p": None,
+        "gamma": None, "count": 12, "seed": 3, "epsilon": cli.DEFAULT_EPSILON}
 
 
 def test_norms_infeasible_packing_exit_2(tmp_path, capsys):
@@ -186,6 +189,35 @@ def test_norms_single_row_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "norms.csv").exists()
     assert not (tmp_path / "summary.json").exists()
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("delta", ["1", "0", "-3", "200"])
+@pytest.mark.parametrize("argv", [
+    ["norms", "--kind", "pseudo-wigner"],
+    ["esd", "--kind", "pseudo-mp", "--p", "4"],
+    ["moments", "--kind", "pseudo-wigner"],
+], ids=["norms", "esd", "moments"])
+def test_bad_designed_distance_exit_2_before_output(tmp_path, capsys, argv, delta):
+    # delta < 3 has no guarantee, and delta = 200 > n = 63 leaves no code
+    out = tmp_path / "out"
+    assert run([*argv, "--m", "6", "--delta", delta, "--N", "8", "--count", "2",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("epsilon", ["1000", "-1000", "-532"])
+def test_norms_extreme_epsilon_exit_2(tmp_path, capsys, epsilon):
+    # log^(1+eps) N overflows at 1000 and underflows to 0 at -1000; at -532
+    # it is tiny but positive, and the deviation means overflow to +-inf
+    out = tmp_path / "out"
+    assert run(["norms", "--kind", "random-wigner", "--N", "44", "--count", "300",
+                "--epsilon", epsilon, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "summary.json").exists()
+    if epsilon != "-532":
+        assert not out.exists()
 
 
 def test_verify_indep_exact_at_paper_scale(capsys):

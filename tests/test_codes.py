@@ -1,6 +1,7 @@
 """BCH construction, duals, encoding, sampling, exact distances."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pseudospec.errors import (
     DegenerateCodeError,
     InvalidInputError,
     ResourceLimitError,
+    UnsupportedDegreeError,
 )
 
 
@@ -36,8 +38,8 @@ def hamming_7_4():
 
 def test_bch_15_7_generator(bch_15_7):
     # lcm over cosets {1,2,4,8} and {3,6,12,9}; cross-check by direct product
-    m1 = gf2m.minimal_polynomial(1, bch_15_7.field)
-    m3 = gf2m.minimal_polynomial(3, bch_15_7.field)
+    m1 = gf2m.minimal_polynomial(1, bch_15_7.m)
+    m3 = gf2m.minimal_polynomial(3, bch_15_7.m)
     assert bch_15_7.generator == gf2m.poly_mul(m1, m3)
     assert bch_15_7.generator == 0b111010001  # x^8+x^7+x^6+x^4+1
     assert bch_15_7.k == 7
@@ -89,6 +91,41 @@ def test_degenerate_code_rejected():
         codes.bch_generator(4, 2)
 
 
+def _outcome(build, m, delta):
+    """(exception class or None, delta) of one construction attempt."""
+    try:
+        return None, build(m, delta)
+    except InvalidInputError as exc:
+        return type(exc), None
+
+
+@pytest.mark.filterwarnings("ignore:even designed distance")
+def test_designed_distance_owns_bch_rules():
+    # designed_distance raises exactly when bch_generator does, with the
+    # same class, and otherwise returns the delta the code is built with
+    for m in range(1, 9):
+        n = (1 << m) - 1
+        for delta in range(-1, n + 4):
+            checked = _outcome(codes.designed_distance, m, delta)
+            built = _outcome(lambda m, d: codes.bch_generator(m, d).delta, m, delta)
+            assert checked == built, (m, delta)
+            if checked[0] is None:
+                assert checked[1] == delta + 1 - delta % 2 <= n
+            else:
+                assert checked[0] is (
+                    InvalidInputError if delta < 3 else DegenerateCodeError)
+
+
+def test_designed_distance_range_of_m():
+    for m in (-1, 0, 21):
+        with pytest.raises(UnsupportedDegreeError):
+            codes.designed_distance(m, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # only bch_generator warns on promotion
+        assert codes.designed_distance(14, 30) == 31
+    assert codes.designed_distance(3, 7) == 7  # delta = n: the repetition code, k = 1
+
+
 def test_generator_divides_xn_plus_1(bch_15_7):
     n = bch_15_7.n
     assert gf2m.poly_mod((1 << n) | 1, bch_15_7.generator) == 0
@@ -104,14 +141,19 @@ def test_generator_divides_xn_plus_1(bch_15_7):
 ], ids=["degree-above-n", "even", "non-divisor", "zero", "negative", "x^n+1"])
 def test_cyclic_code_generator_edge_cases(generator, error):
     with pytest.raises(error):
-        codes.CyclicCode(field=gf2m.FieldParams.default(4), generator=generator)
+        codes.CyclicCode(m=4, generator=generator)
+
+
+@pytest.mark.parametrize("m", [-1, 0, 21])
+def test_cyclic_code_unsupported_degree(m):
+    with pytest.raises(UnsupportedDegreeError):
+        codes.CyclicCode(m=m, generator=0b11)
 
 
 def test_cyclic_code_cofactor():
-    field = gf2m.FieldParams.default(4)
-    assert codes.CyclicCode(field=field, generator=1)._cofactor == 1 << 15 | 1
+    assert codes.CyclicCode(m=4, generator=1)._cofactor == 1 << 15 | 1
     # (x^15 + 1) / (x^4 + x + 1) = x^11 + x^8 + x^7 + x^5 + x^3 + x^2 + x + 1
-    code = codes.CyclicCode(field=field, generator=0b10011)
+    code = codes.CyclicCode(m=4, generator=0b10011)
     assert code._cofactor == 0b100110101111
 
 
@@ -136,7 +178,7 @@ def test_dual_dimension(bch_15_7):
 
 
 def test_dual_of_full_space_degenerate():
-    full = codes.CyclicCode(field=gf2m.FieldParams.default(3), generator=1)
+    full = codes.CyclicCode(m=3, generator=1)
     with pytest.raises(DegenerateCodeError):
         codes.dual_code(full)
 

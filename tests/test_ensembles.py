@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudospec import codes, ensembles, laws, spectral
-from pseudospec.errors import InvalidInputError
+from pseudospec.errors import DegenerateCodeError, InvalidInputError
 
 
 def wigner(N):
@@ -211,6 +211,11 @@ def test_spec_validation_errors():
         ensembles.ensemble_spec("ginibre", N=10)
     with pytest.raises(InvalidInputError):
         ensembles.ensemble_spec("pseudo-wigner", N=10, m=6, delta=5, seed=-1)
+    for delta in (-3, 0, 1, 2):
+        with pytest.raises(InvalidInputError, match="must be >= 3"):
+            ensembles.ensemble_spec("pseudo-wigner", N=8, m=6, delta=delta)
+    with pytest.raises(DegenerateCodeError):
+        ensembles.ensemble_spec("pseudo-wigner", N=8, m=6, delta=200)
 
 
 # --- random baselines --------------------------------------------------------------

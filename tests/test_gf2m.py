@@ -95,12 +95,6 @@ def test_hex_roundtrip():
         assert gf2m.poly_from_hex(gf2m.poly_to_hex(p)) == p
 
 
-def test_poly_str():
-    assert gf2m.poly_str(0b10011) == "x^4 + x + 1"
-    assert gf2m.poly_str(0) == "0"
-    assert gf2m.poly_str(0b11) == "x + 1"
-
-
 # --- primitive polynomial table --------------------------------------------
 
 def test_table_covers_1_to_20_and_is_primitive():
@@ -139,61 +133,57 @@ def test_is_primitive_rejects_reducible_and_nonprimitive():
 
 # --- field arithmetic -------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def gf16():
-    return gf2m.FieldParams.default(4)
-
-
-def test_field_mul_example(gf16):
+def test_field_mul_example():
     # alpha^3 * alpha = alpha^4 = alpha + 1 under x^4 + x + 1
-    assert gf2m.field_mul(0b1000, 0b0010, gf16) == 0b0011
+    assert gf2m.field_mul(0b1000, 0b0010, 4) == 0b0011
 
 
-def test_field_mul_identity_and_zero(gf16):
+def test_field_mul_identity_and_zero():
     for a in range(16):
-        assert gf2m.field_mul(a, 1, gf16) == a
-        assert gf2m.field_mul(a, 0, gf16) == 0
+        assert gf2m.field_mul(a, 1, 4) == a
+        assert gf2m.field_mul(a, 0, 4) == 0
 
 
 def test_field_mul_matches_reference():
     rnd = random.Random(7)
     for m in (2, 4, 8):
-        fp = gf2m.FieldParams.default(m)
+        modulus = gf2m.default_primitive_poly(m)
         for _ in range(100):
             a = rnd.getrandbits(m)
             b = rnd.getrandbits(m)
-            assert gf2m.field_mul(a, b, fp) == ref_field_mul(a, b, fp.modulus)
+            assert gf2m.field_mul(a, b, m) == ref_field_mul(a, b, modulus)
 
 
 def test_field_axioms_random_triples():
     rnd = random.Random(99)
     for m in (3, 5, 10):
-        fp = gf2m.FieldParams.default(m)
-        mask = (1 << m) - 1
+        n = (1 << m) - 1
         for _ in range(50):
-            a, b, c = (rnd.getrandbits(m) & mask for _ in range(3))
-            assert gf2m.field_mul(a, b ^ c, fp) == (
-                gf2m.field_mul(a, b, fp) ^ gf2m.field_mul(a, c, fp)
+            a, b, c = (rnd.getrandbits(m) for _ in range(3))
+            assert gf2m.field_mul(a, b ^ c, m) == (
+                gf2m.field_mul(a, b, m) ^ gf2m.field_mul(a, c, m)
             )
-            assert gf2m.field_mul(gf2m.field_mul(a, b, fp), c, fp) == (
-                gf2m.field_mul(a, gf2m.field_mul(b, c, fp), fp)
+            assert gf2m.field_mul(gf2m.field_mul(a, b, m), c, m) == (
+                gf2m.field_mul(a, gf2m.field_mul(b, c, m), m)
             )
             if a:
                 # a * a^(2^m - 2) = 1: the (n-1)-th power is the inverse
-                assert gf2m.field_mul(a, gf2m.field_pow(a, fp.n - 1, fp), fp) == 1
-                assert gf2m.field_pow(a, fp.n, fp) == gf2m.field_pow(a, 0, fp) == 1
+                assert gf2m.field_mul(a, gf2m.field_pow(a, n - 1, m), m) == 1
+                assert gf2m.field_pow(a, n, m) == gf2m.field_pow(a, 0, m) == 1
 
 
-def test_field_mul_rejects_wide_elements(gf16):
+def test_field_mul_rejects_wide_elements():
     with pytest.raises(InvalidInputError):
-        gf2m.field_mul(0b10000, 1, gf16)
+        gf2m.field_mul(0b10000, 1, 4)
 
 
-def test_bad_field_params_rejected():
-    with pytest.raises(InvalidInputError):
-        gf2m.FieldParams(m=4, modulus=0b11111, n=15)  # not primitive
-    with pytest.raises(InvalidInputError):
-        gf2m.FieldParams(m=4, modulus=0b10011, n=14)  # n mismatch
+@pytest.mark.parametrize("m", [-1, 0, 21])
+def test_field_functions_reject_unsupported_degree(m):
+    for call in (lambda: gf2m.field_mul(1, 1, m), lambda: gf2m.field_pow(1, 3, m),
+                 lambda: gf2m.alpha_pow(1, m), lambda: gf2m.field_eval(0b11, 1, m),
+                 lambda: gf2m.minimal_polynomial(0, m)):
+        with pytest.raises(UnsupportedDegreeError):
+            call()
 
 
 # --- cyclotomic cosets ------------------------------------------------------
@@ -202,14 +192,6 @@ def test_coset_examples():
     assert gf2m.cyclotomic_coset(1, 15) == {1, 2, 4, 8}
     assert gf2m.cyclotomic_coset(5, 15) == {5, 10}
     assert gf2m.cyclotomic_coset(0, 15) == {0}
-
-
-def test_cosets_partition():
-    for n in (7, 15, 31, 63, 1023):
-        cosets = gf2m.all_cyclotomic_cosets(n)
-        union = set().union(*cosets)
-        assert union == set(range(n))
-        assert sum(len(c) for c in cosets) == n
 
 
 def test_coset_preconditions():
@@ -221,17 +203,20 @@ def test_coset_preconditions():
 
 # --- minimal polynomials ----------------------------------------------------
 
-def test_minimal_polynomial_examples(gf16):
-    assert gf2m.minimal_polynomial(1, gf16) == gf16.modulus
-    assert gf2m.minimal_polynomial(5, gf16) == 0b111   # x^2 + x + 1
-    assert gf2m.minimal_polynomial(0, gf16) == 0b11    # x + 1
+def test_minimal_polynomial_examples():
+    assert gf2m.minimal_polynomial(1, 4) == gf2m.default_primitive_poly(4)
+    assert gf2m.minimal_polynomial(5, 4) == 0b111   # x^2 + x + 1
+    assert gf2m.minimal_polynomial(0, 4) == 0b11    # x + 1
+    assert gf2m.minimal_polynomial(0, 1) == 0b11    # GF(2): alpha = 1
+    with pytest.raises(InvalidInputError):
+        gf2m.minimal_polynomial(15, 4)              # exponents live mod n
 
 
 def test_minimal_polynomial_degree_and_root():
     for m in (3, 4, 6, 10):
-        fp = gf2m.FieldParams.default(m)
-        for e in (0, 1, 3, 5, fp.n - 1):
-            mp = gf2m.minimal_polynomial(e, fp)
-            assert gf2m.degree(mp) == len(gf2m.cyclotomic_coset(e, fp.n))
-            root = gf2m.alpha_pow(e, fp)
-            assert gf2m.field_eval(mp, root, fp) == 0
+        n = (1 << m) - 1
+        for e in (0, 1, 3, 5, n - 1):
+            mp = gf2m.minimal_polynomial(e, m)
+            assert gf2m.degree(mp) == len(gf2m.cyclotomic_coset(e, n))
+            root = gf2m.alpha_pow(e, m)
+            assert gf2m.field_eval(mp, root, m) == 0

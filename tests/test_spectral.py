@@ -97,6 +97,18 @@ def test_non_finite_rejected():
             spectral.lanczos_norm(M)
 
 
+def test_empty_input_rejected():
+    empty = np.zeros((0, 0))
+    with pytest.raises(InvalidInputError, match="empty"):
+        spectral.symmetric_eigen(empty)
+    with pytest.raises(InvalidInputError, match="empty"):
+        spectral.lanczos_norm(empty)
+    with pytest.raises(InvalidInputError, match="empty"):
+        spectral.esd_cdf([], 0.0)
+    with pytest.raises(InvalidInputError, match="empty"):
+        spectral.esd_cdf(np.array([]), np.array([-1.0, 1.0]))
+
+
 def test_agrees_with_charpoly_oracle():
     rng = np.random.default_rng(24)
     for n in (2, 3, 4):
