@@ -2,8 +2,8 @@
 # Full-scale norm experiment: 10^5 symmetric 180x180 sign matrices packed
 # from dual codewords of the (16383, 16173) BCH code (m=14; dimension
 # 16173 corresponds to designed distance 31), plus the truly random
-# baseline of the same size.  This is a long run (roughly 10^5 dense
-# eigendecompositions per ensemble); norms stream to disk with a flush
+# baseline of the same size.  This is a long run (10^5 dense tridiagonal
+# reductions per ensemble); norms stream to disk with a flush
 # every 1000 samples, so partial output survives interruption.
 #
 # Usage: scripts/full_scale_norms.sh [COUNT] [OUTDIR]

@@ -2,10 +2,13 @@
 
 Subcommands: genpoly, dual, sample, norms, esd, moments, verify-indep.
 Every artifact-writing command drops exactly one ``config.json`` sidecar in
-the output directory holding the full parameter set and library version,
-so any run can be replayed; replays produce byte-identical CSV output
-(samples are processed serially in index order, and sample i depends only
-on (seed, i), so any prefix of a batch reproduces).
+the output directory holding the full parameter set, library version and
+BLAS environment, so any run can be replayed; replays at the same BLAS
+thread count produce byte-identical CSV output (samples are processed
+serially in index order, and sample i depends only on (seed, i), so any
+prefix of a batch reproduces).  ``norms`` takes only the extreme
+eigenvalues of each matrix (``spectral.norm_unchecked``); ``esd`` and
+``moments`` take the full spectrum.
 
 Exit codes: 0 success / verification pass, 1 verification fail, 2 invalid
 input, 3 numerical failure.
@@ -36,21 +39,27 @@ CHECKPOINT_EVERY = 1000
 # batch engine (also used directly by the verification suite)
 # ---------------------------------------------------------------------------
 
-def iter_summaries(spec: ensembles.EnsembleSpec, count: int):
-    """Spectral summaries of a matrix batch, in sample-index order.
+def iter_summaries(spec: ensembles.EnsembleSpec, count: int, solve=None):
+    """``solve`` of each matrix of a batch, in sample-index order.
 
-    Packed matrices are symmetric and finite by construction, so they go
-    to the eigensolver without ``symmetric_eigen``'s input check.
+    ``solve`` defaults to ``spectral.symmetric_eigen_unchecked`` (a
+    SpectralSummary per sample); ``norms`` passes
+    ``spectral.norm_unchecked``, which yields the norm alone.  Packed
+    matrices are symmetric and finite by construction, so they go to the
+    solver without ``symmetric_eigen``'s input check, and each is fresh,
+    so the solver may overwrite it.
     """
+    if solve is None:
+        solve = spectral.symmetric_eigen_unchecked
     for M in ensembles.matrix_stream(spec, count):
-        yield spectral.symmetric_eigen_unchecked(M)
+        yield solve(M)
 
 
-def scaled_norm(spec: ensembles.EnsembleSpec, summary: spectral.SpectralSummary) -> float:
+def scaled_norm(spec: ensembles.EnsembleSpec, norm: float) -> float:
     """The norm statistic expected to concentrate at 1 for this kind."""
     if spec.kind in ensembles.WIGNER_KINDS:
-        return summary.norm
-    return summary.norm / (1.0 + math.sqrt(spec.gamma)) ** 2
+        return norm
+    return norm / (1.0 + math.sqrt(spec.gamma)) ** 2
 
 
 def _log_divisor(N: int, epsilon: float) -> float:
@@ -104,10 +113,16 @@ def _prepare_outdir(out: str | None) -> Path:
 
 
 def _write_sidecar(outdir: Path, args) -> None:
-    """config.json: the command and every parsed flag but --out, for replay."""
+    """config.json: the command and every parsed flag but --out, for replay.
+
+    Its ``environment`` block records the BLAS build, the BLAS thread count
+    in effect (spectra from N ~ 180 up differ in the last digits between
+    thread counts) and the route ``norms`` takes to the norm.
+    """
     params = {k: v for k, v in vars(args).items()
               if k not in ("command", "func", "out")}
-    payload = {"command": args.command, "version": __version__, "params": params}
+    payload = {"command": args.command, "version": __version__, "params": params,
+               "environment": spectral.environment()}
     (outdir / "config.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -177,8 +192,9 @@ def cmd_norms(args) -> int:
     norms: list[float] = []
     with open(outdir / "norms.csv", "w") as fh:
         fh.write("norm\n")
-        for i, summary in enumerate(iter_summaries(spec, args.count)):
-            v = scaled_norm(spec, summary)
+        for i, norm in enumerate(iter_summaries(spec, args.count,
+                                                spectral.norm_unchecked)):
+            v = scaled_norm(spec, norm)
             norms.append(v)
             fh.write(repr(v) + "\n")
             if (i + 1) % CHECKPOINT_EVERY == 0:
@@ -244,11 +260,27 @@ def cmd_esd(args) -> int:
     return 0
 
 
+def _law_moments(law, s_max: int) -> list[float]:
+    """The law's moments of orders 1..s_max as floats, or InvalidInputError
+    naming the largest order whose moment fits the float range."""
+    moments = []
+    for s in range(1, s_max + 1):
+        try:
+            moments.append(float(law.moment(s)))
+        except OverflowError:
+            raise InvalidInputError(
+                f"the {law.kind} moment of order {s} exceeds the float range; "
+                f"the largest usable --s-max is {s - 1}"
+            ) from None
+    return moments
+
+
 def cmd_moments(args) -> int:
     if args.s_max < 1:
         raise InvalidInputError("--s-max must be >= 1")
     spec = _spec_from_args(args)
     law = law_for(spec)
+    law_moments = _law_moments(law, args.s_max)
     wigner = spec.kind in ensembles.WIGNER_KINDS
     outdir = _prepare_outdir(args.out)
     orders = range(1, args.s_max + 1)
@@ -261,9 +293,9 @@ def cmd_moments(args) -> int:
         if wigner:
             header += ",stirling_ratio"
         fh.write(header + "\n")
-        for s, mean in zip(orders, means):
+        for s, mean, law_moment in zip(orders, means, law_moments):
             mean = float(mean)
-            row = f"{s},{mean!r},{float(law.moment(s))!r}"
+            row = f"{s},{mean!r},{law_moment!r}"
             if wigner:
                 row += f",{mean * math.sqrt(math.pi * s**3 / 8.0)!r}"
             fh.write(row + "\n")

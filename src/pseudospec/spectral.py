@@ -12,6 +12,24 @@ spectral norm, ``lanczos_norm``, runs Lanczos iteration (ARPACK) with a
 fixed start vector; it must agree with ``symmetric_eigen(M).norm`` to
 1e-8 relative, which the test suite enforces on random inputs.
 
+The ``norms`` command needs only the norm, max(|lambda_min|, |lambda_max|),
+so it takes a third route, ``norm_unchecked``: one blocked Householder
+reduction to tridiagonal form (LAPACK ``dsytrd``, workspace from an
+``lwork = -1`` query) and two bisections (``dstebz``) for the extreme
+eigenvalues of the tridiagonal matrix, to an absolute tolerance of twice
+the safe minimum (Anderson et al., *LAPACK Users' Guide*, 3rd ed., 1999,
+sec. 2.4.4).  It skips the implicit-shift iterations over every other
+eigenvalue, and agrees with the ``eigvalsh`` norm to about 1e-14 relative
+(1e-13 is enforced by the tests), not bit for bit: ``norms.csv`` changed
+once in its last digits, from the change after commit d0e4931 on, while
+``esd`` and ``moments`` keep the full solve and their outputs.  The two
+routines are called through ``ctypes`` in the OpenBLAS that numpy itself
+links, found by ``dlsym`` on the handle of numpy's linalg extension, so no
+second LAPACK (scipy's) is loaded.  A numpy whose LAPACK is not exported
+under a known spelling (a conda or MKL build, say) gets the ``eigvalsh``
+norm instead, chosen once at import; ``environment()`` says which route is
+in effect, with the BLAS build and thread count read from the same handle.
+
 High-order trace moments are always formed from eigenvalues, never by
 repeated matrix multiplication: powers up to s ~ N^(2/3) are needed and
 matrix powers lose precision long before that.
@@ -19,6 +37,8 @@ matrix powers lose precision long before that.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,6 +104,131 @@ def symmetric_eigen_unchecked(M: np.ndarray, want_vectors: bool = False):
     norm = float(max(abs(eigs[0]), abs(eigs[-1]))) if eigs.size else 0.0
     summary = SpectralSummary(eigenvalues=eigs, norm=norm)
     return (summary, vecs) if want_vectors else summary
+
+
+def _numpy_blas():
+    """Handle of numpy's linalg extension; dlsym on it reaches numpy's BLAS."""
+    try:
+        from numpy.linalg import _umath_linalg
+
+        return ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+
+
+def _blas_symbol(name: str):
+    """`name` as numpy 2.x wheels (scipy_ prefix) or 1.2x wheels export it."""
+    if _BLAS is None:
+        return None
+    for prefix in ("scipy_", ""):
+        try:
+            return getattr(_BLAS, prefix + name)
+        except AttributeError:
+            continue
+    return None
+
+
+def _load_lapack():
+    """(dsytrd, dstebz) of numpy's ILP64 OpenBLAS, or None if either is absent.
+
+    Both take int64 integers and a trailing size_t length per character
+    argument; every other argument goes by pointer.
+    """
+    dsytrd, dstebz = _blas_symbol("dsytrd_64_"), _blas_symbol("dstebz_64_")
+    if dsytrd is None or dstebz is None:
+        return None
+    ptr, char, length = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t
+    # UPLO N A LDA D E TAU WORK LWORK INFO
+    dsytrd.argtypes = [char] + [ptr] * 9 + [length]
+    # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO
+    dstebz.argtypes = [char, char] + [ptr] * 16 + [length, length]
+    dsytrd.restype = dstebz.restype = None
+    return dsytrd, dstebz
+
+
+_BLAS = _numpy_blas()
+_LAPACK = _load_lapack()
+_ABSTOL = 2.0 * np.finfo(np.float64).tiny  # LAPACK's safe minimum, twice
+
+
+def environment() -> dict:
+    """The BLAS build, its thread count and the norm route in this process."""
+    get_config = _blas_symbol("openblas_get_config64_")
+    get_threads = _blas_symbol("openblas_get_num_threads64_")
+    if get_config is not None:
+        get_config.restype = ctypes.c_char_p
+    if get_threads is not None:
+        get_threads.restype = ctypes.c_int
+    return {
+        "blas": get_config().decode() if get_config is not None else None,
+        "blas_threads": get_threads() if get_threads is not None else None,
+        "norm_route": "eigvalsh" if _LAPACK is None else "lapack-bisection",
+    }
+
+
+@functools.lru_cache(maxsize=1)
+def _dsytrd_lwork(n: int) -> int:
+    """dsytrd's optimal (blocked) workspace length at order n."""
+    dsytrd = _LAPACK[0]
+    order, query, info = ctypes.c_int64(n), ctypes.c_int64(-1), ctypes.c_int64()
+    work = np.zeros(1)
+    unused = work.ctypes.data  # the query reads neither A nor D, E and TAU
+    ref = ctypes.byref
+    dsytrd(b"L", ref(order), unused, ref(order), unused, unused, unused,
+           work.ctypes.data, ref(query), ref(info), 1)
+    if info.value != 0:
+        raise NumericalFailureError(f"dsytrd workspace query failed, INFO={info.value}")
+    return max(int(work[0]), 1)
+
+
+def norm_unchecked(M: np.ndarray) -> float:
+    """Spectral norm max(|lambda_min|, |lambda_max|) of a symmetric matrix.
+
+    The norm-only route: one blocked ``dsytrd`` and a ``dstebz`` bisection
+    for each extreme eigenvalue, in numpy's own LAPACK, or
+    ``symmetric_eigen_unchecked(M).norm`` when that LAPACK is not reachable.
+    Like ``symmetric_eigen_unchecked`` it does not check that M is
+    symmetric and finite.  It may overwrite M: a float64, C-contiguous,
+    writeable M is reduced in place, which suits the fresh matrices of
+    ``ensembles.pack``.  A LAPACK failure raises NumericalFailureError.
+    """
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise InvalidInputError(f"expected a square matrix, got shape {M.shape}")
+    n = M.shape[0]
+    if n == 0:
+        raise InvalidInputError("empty matrix")
+    if _LAPACK is None:
+        return symmetric_eigen_unchecked(M).norm
+    dsytrd, dstebz = _LAPACK
+    a = np.require(M, np.float64, ("C", "W"))
+    lwork = _dsytrd_lwork(n)
+    d, e = np.empty(n), np.empty(n)  # e holds n - 1 off-diagonals
+    tau, work = np.empty(n), np.empty(lwork)
+    order, length, info = ctypes.c_int64(n), ctypes.c_int64(lwork), ctypes.c_int64()
+    ref = ctypes.byref
+    dsytrd(b"L", ref(order), a.ctypes.data, ref(order), d.ctypes.data, e.ctypes.data,
+           tau.ctypes.data, work.ctypes.data, ref(length), ref(info), 1)
+    if info.value != 0:
+        raise NumericalFailureError(f"dsytrd failed, INFO={info.value}")
+    bound, abstol = ctypes.c_double(0.0), ctypes.c_double(_ABSTOL)
+    found, nsplit = ctypes.c_int64(), ctypes.c_int64()
+    w, scratch = np.empty(n), np.empty(4 * n)
+    iblock, isplit = np.empty(n, np.int64), np.empty(n, np.int64)
+    iwork = np.empty(3 * n, np.int64)
+    extremes = []
+    for index in (1, n):
+        k = ctypes.c_int64(index)
+        dstebz(b"I", b"E", ref(order), ref(bound), ref(bound), ref(k), ref(k),
+               ref(abstol), d.ctypes.data, e.ctypes.data, ref(found), ref(nsplit),
+               w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data,
+               scratch.ctypes.data, iwork.ctypes.data, ref(info), 1, 1)
+        if info.value != 0 or found.value != 1:
+            raise NumericalFailureError(
+                f"dstebz failed for eigenvalue {index} of {n}: "
+                f"INFO={info.value}, {found.value} eigenvalues returned"
+            )
+        extremes.append(w[0])
+    return float(max(abs(extremes[0]), abs(extremes[1])))
 
 
 def lanczos_norm(M) -> float:

@@ -35,7 +35,8 @@ def _report(num, name, ok, detail=""):
 def _norms(kind, count, seed, **kw):
     spec = ensembles.ensemble_spec(kind, seed=seed, **kw)
     return spec, np.array(
-        [cli.scaled_norm(spec, s) for s in cli.iter_summaries(spec, count)]
+        [cli.scaled_norm(spec, v)
+         for v in cli.iter_summaries(spec, count, spectral.norm_unchecked)]
     )
 
 

@@ -16,17 +16,25 @@ def run(argv):
     return cli.main(argv)
 
 
-def test_cli_import_skips_quadrature_and_arpack():
-    # a fresh interpreter, so modules this test process loaded cannot mask it
+def test_cli_import_and_norms_load_no_scipy(tmp_path):
+    # a fresh interpreter, so modules this test process loaded cannot mask
+    # it; the norm route must use numpy's LAPACK, not load scipy's
     src = os.path.dirname(os.path.dirname(pseudospec.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, pseudospec.cli; "
-            "print([m for m in ('scipy.integrate', 'scipy.sparse.linalg') "
-            "if m in sys.modules])")
+    code = (
+        "import sys, pseudospec.cli\n"
+        "def scipy(): return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(scipy())\n"
+        "argv = ['norms', '--kind', 'pseudo-wigner', '--m', '14', '--delta', '31',\n"
+        f"        '--N', '180', '--count', '3', '--out', {str(tmp_path)!r}]\n"
+        "assert pseudospec.cli.main(argv) == 0\n"
+        "print(scipy())\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    lines = out.splitlines()  # after the import, then after the norms run
+    assert (lines[0], lines[-1]) == ("[]", "[]")
 
 
 # --- genpoly / dual ----------------------------------------------------------
@@ -123,6 +131,29 @@ def test_norms_outputs_and_replay(tmp_path, capsys):
     assert config["params"] == {
         "kind": "pseudo-wigner", "m": 6, "delta": 5, "N": 10, "p": None,
         "gamma": None, "count": 12, "seed": 3, "epsilon": cli.DEFAULT_EPSILON}
+    assert config["environment"] == cli.spectral.environment()
+
+
+@pytest.mark.parametrize("kind", cli.ensembles.KINDS)
+def test_norms_csv_matches_full_solve(tmp_path, capsys, norm_route, kind):
+    # every norms.csv value against the full eigvalsh norm of its matrix:
+    # 1e-13 relative on the LAPACK route, bit for bit on the fallback
+    p = 90 if kind in cli.ensembles.MP_KINDS else None
+    code = dict(m=14, delta=31) if kind in cli.ensembles.PSEUDO_KINDS else {}
+    flags = [f"--{k}={v}" for k, v in dict(p=p, **code).items() if v is not None]
+    assert run(["norms", "--kind", kind, "--N", "180", *flags, "--count", "4",
+                "--seed", "5", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "norms.csv").read_text().splitlines()[1:]
+    spec = cli.ensembles.ensemble_spec(kind, N=180, p=p, seed=5, **code)
+    mats = cli.ensembles.matrix_stream(spec, 4)
+    for row, M in zip(rows, mats, strict=True):
+        expected = cli.scaled_norm(spec, cli.spectral.symmetric_eigen(M).norm)
+        if norm_route == "eigvalsh":
+            assert float(row) == expected
+        else:
+            assert abs(float(row) - expected) <= 1e-13 * expected
+    config = json.loads((tmp_path / "config.json").read_text())
+    assert config["environment"]["norm_route"] == norm_route
 
 
 def test_norms_infeasible_packing_exit_2(tmp_path, capsys):
@@ -299,6 +330,21 @@ def test_moments_mp_first_moment_exact(tmp_path):
     s1 = rows[1].split(",")
     assert abs(float(s1[1]) - 1.0) <= 1e-12
     assert float(s1[2]) == 1.0
+
+
+def test_moments_law_overflow_exit_2_before_output(tmp_path, capsys):
+    # the MP(1/2) moment of order 673 is beyond the float range
+    out = tmp_path / "out"
+    assert run(["moments", "--kind", "random-mp", "--N", "8", "--p", "4",
+                "--count", "2", "--s-max", "1000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "largest usable --s-max is 672" in err
+    assert not (out / "moments.csv").exists()
+    assert not out.exists()
+    law = cli.laws.MarchenkoPasturLaw(0.5)
+    assert float(law.moment(672)) < float("inf")
+    with pytest.raises(OverflowError):
+        float(law.moment(673))
 
 
 # --- plumbing ---------------------------------------------------------------------------

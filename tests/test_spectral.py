@@ -6,8 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from pseudospec import ensembles, laws, spectral
-from pseudospec.errors import InvalidInputError
+from pseudospec import codes, ensembles, laws, spectral
+from pseudospec.errors import InvalidInputError, NumericalFailureError
 
 
 def random_symmetric(n: int, rng) -> np.ndarray:
@@ -135,6 +135,73 @@ def test_norm_routes_agree():
         a = spectral.symmetric_eigen(M).norm
         b = spectral.lanczos_norm(M)
         assert abs(a - b) <= 1e-8 * max(a, 1e-12)
+
+
+# --- norm-only route -------------------------------------------------------------
+
+def packed_matrices():
+    """Three packed matrices of each kind at N = 2, 3, 44 and 180."""
+    for kind in ensembles.KINDS:
+        for N in (2, 3, 44, 180):
+            p = (N + 1) // 2 if kind in ensembles.MP_KINDS else None
+            code = {}
+            if kind in ensembles.PSEUDO_KINDS:
+                code = dict(m=14, delta=31) if N == 180 else dict(m=10, delta=15)
+            spec = ensembles.ensemble_spec(kind, N=N, p=p, seed=N, **code)
+            yield from ensembles.matrix_stream(spec, 3)
+
+
+def test_norm_route_matches_full_solve(norm_route):
+    # the full eigvalsh norm is the oracle: 1e-13 relative on the LAPACK
+    # route, bit for bit on the fallback, which is that same solve
+    edges = [np.zeros((4, 4)), np.eye(5), np.ones((3, 3))]
+    rng = np.random.default_rng(30)
+    for M in [*packed_matrices(), *edges, random_symmetric(60, rng)]:
+        expected = spectral.symmetric_eigen(M).norm
+        got = spectral.norm_unchecked(M.copy())
+        assert isinstance(got, float)
+        if norm_route == "eigvalsh":
+            assert got == expected
+        else:
+            assert abs(got - expected) <= 1e-13 * expected
+
+
+def test_norm_route_input_layouts(norm_route):
+    rng = np.random.default_rng(31)
+    M = random_symmetric(9, rng)
+    expected = spectral.norm_unchecked(M.copy())
+    frozen = M.copy()
+    frozen.flags.writeable = False
+    assert spectral.norm_unchecked(frozen) == expected
+    assert np.array_equal(frozen, M)  # copied, not reduced in place
+    assert spectral.norm_unchecked(np.asfortranarray(M)) == expected
+    with pytest.raises(InvalidInputError):
+        spectral.norm_unchecked(np.zeros((0, 0)))
+    with pytest.raises(InvalidInputError):
+        spectral.norm_unchecked(np.ones((2, 3)))
+
+
+def test_norm_route_failure_raises(monkeypatch):
+    if spectral._LAPACK is None:
+        pytest.skip("numpy exports no dsytrd/dstebz under a known name")
+    dsytrd, _ = spectral._LAPACK
+
+    def finds_nothing(*args):
+        pass  # leaves M = 0 eigenvalues found
+
+    monkeypatch.setattr(spectral, "_LAPACK", (dsytrd, finds_nothing))
+    with pytest.raises(NumericalFailureError, match="0 eigenvalues"):
+        spectral.norm_unchecked(np.eye(3))
+
+
+def test_environment_names_the_route():
+    env = spectral.environment()
+    assert set(env) == {"blas", "blas_threads", "norm_route"}
+    assert env["norm_route"] == (
+        "eigvalsh" if spectral._LAPACK is None else "lapack-bisection")
+    if env["blas"] is not None:
+        assert "OpenBLAS" in env["blas"]
+        assert env["blas_threads"] >= 1
 
 
 # --- ESD -----------------------------------------------------------------------
