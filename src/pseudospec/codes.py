@@ -45,7 +45,8 @@ from .errors import (
     ResourceLimitError,
 )
 
-# Exhaustive enumerations (distance, exact independence) stop at 2^24 words.
+# min_distance_exact enumerates codewords and stops at 2^24 of them; exact
+# r-independence uses column ranks and enumerates nothing.
 ENUMERATION_BUDGET_BITS = 24
 
 

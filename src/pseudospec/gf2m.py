@@ -12,15 +12,18 @@ quotient of a long polynomial, such as (x^n + 1) / g(x) with n near 10^6,
 is read off the power series of 1/g instead: ``poly_inverse`` computes
 g^-1 mod x^L by Newton iteration, a logarithmic number of multiplications.
 
-A field is named by its degree alone: the field functions take m and
-reduce modulo p(x) = PRIMITIVE_POLYS[m], so every run, on every machine,
-works in the same GF(2^m) = GF(2)[x]/(p(x)).  There is no other modulus to
-pass, and no table entry is re-checked at run time; the test suite
-certifies each one primitive with ``is_primitive``.  A degree outside the
-table raises UnsupportedDegreeError.  Elements are integers below 2^m
-holding the reduced polynomial representation.  The residue class of x
-(the integer 2) is written alpha throughout; because p is primitive, alpha
-generates the full multiplicative group of order n = 2^m - 1.
+A field is named by its degree alone: ``alpha_pow`` and
+``minimal_polynomial`` take m and reduce modulo p(x) = PRIMITIVE_POLYS[m],
+so every run, on every machine, works in the same GF(2^m) = GF(2)[x]/(p(x)).
+There is no other modulus to pass, and no table entry is re-checked at run
+time; the test suite certifies each one primitive with the ``is_primitive``
+of ``tests/oracles.py``, which also holds the general field arithmetic
+(``field_mul``, ``field_pow``, ``field_eval``) the tests check roots with.
+A degree outside the table raises UnsupportedDegreeError.  Elements are
+integers below 2^m holding the reduced polynomial representation.  The
+residue class of x (the integer 2) is written alpha throughout; because p
+is primitive, alpha generates the full multiplicative group of order
+n = 2^m - 1.
 
 Serialized form: a polynomial's bytes are its integer value little-endian,
 so byte i carries the coefficients of x^(8i) .. x^(8i+7) with x^(8i) in the
@@ -38,7 +41,7 @@ from .errors import (
 # One canonical primitive polynomial per extension degree, so that every run
 # (and every machine) works with the same alpha.  Entries are the classic
 # minimum-weight primitive polynomials from the standard tables; each one is
-# re-verified by is_primitive() in the test suite.
+# re-verified by is_primitive() in tests/oracles.py.
 #
 #   m= 1: x+1                   m=11: x^11+x^2+1
 #   m= 2: x^2+x+1               m=12: x^12+x^6+x^4+x+1
@@ -140,20 +143,6 @@ def poly_from_hex(s: str) -> int:
     return int.from_bytes(bytes.fromhex(s), "little")
 
 
-def _prime_factors(n: int) -> list[int]:
-    factors = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        factors.append(n)
-    return factors
-
-
 def _x_pow_mod(e: int, modulus: int) -> int:
     """x^e reduced modulo the given polynomial, by square and multiply."""
     result = 1
@@ -166,23 +155,6 @@ def _x_pow_mod(e: int, modulus: int) -> int:
     return result
 
 
-def is_primitive(p: int, m: int) -> bool:
-    """True when x has multiplicative order 2^m - 1 modulo p.
-
-    Order exactly 2^m - 1 forces p to be irreducible (a reducible modulus
-    has a strictly smaller unit group), so this single check certifies
-    primitivity.
-    """
-    if degree(p) != m or not (p & 1):
-        return False
-    n = (1 << m) - 1
-    if n == 1:
-        return True
-    if _x_pow_mod(n, p) != 1:
-        return False
-    return all(_x_pow_mod(n // q, p) != 1 for q in _prime_factors(n))
-
-
 def default_primitive_poly(m: int) -> int:
     """The canonical primitive polynomial of degree m from PRIMITIVE_POLYS."""
     try:
@@ -193,48 +165,10 @@ def default_primitive_poly(m: int) -> int:
         ) from None
 
 
-def _field_modulus(m: int, *elements: int) -> int:
-    """PRIMITIVE_POLYS[m], once each element is checked to lie in GF(2^m)."""
-    modulus = default_primitive_poly(m)
-    for a in elements:
-        if not 0 <= a < (1 << m):
-            raise InvalidInputError(
-                f"element {a:#x} is wider than {m} bits; wrong field?"
-            )
-    return modulus
-
-
-def field_mul(a: int, b: int, m: int) -> int:
-    """Product in GF(2^m): carry-less multiply followed by reduction."""
-    return poly_mod(poly_mul(a, b), _field_modulus(m, a, b))
-
-
-def field_pow(a: int, e: int, m: int) -> int:
-    """a^e in GF(2^m) (e >= 0)."""
-    _field_modulus(m, a)
-    result = 1
-    base = a
-    while e:
-        if e & 1:
-            result = field_mul(result, base, m)
-        base = field_mul(base, base, m)
-        e >>= 1
-    return result
-
-
 def alpha_pow(j: int, m: int) -> int:
     """alpha^j in GF(2^m), with alpha the residue class of x."""
     modulus = default_primitive_poly(m)
     return _x_pow_mod(j % ((1 << m) - 1), modulus)
-
-
-def field_eval(poly: int, elem: int, m: int) -> int:
-    """Evaluate a binary polynomial at an element of GF(2^m) (Horner)."""
-    _field_modulus(m, elem)
-    acc = 0
-    for i in range(poly.bit_length() - 1, -1, -1):
-        acc = field_mul(acc, elem, m) ^ ((poly >> i) & 1)
-    return acc
 
 
 def cyclotomic_coset(e: int, n: int) -> set[int]:

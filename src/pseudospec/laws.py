@@ -1,20 +1,25 @@
 """Semicircle and Marchenko-Pastur limit laws.
 
-Densities and cumulative distributions are evaluated in float64, both
-CDFs in closed form (the Marchenko-Pastur one in a half-angle atan2 form
-that keeps full precision at the support edges; see mp_cdf); moments are
-exact rationals (Catalan numbers for the semicircle, a Narayana-number
-expansion for Marchenko-Pastur) computed with big-integer arithmetic, since
-the Catalan numbers involved overflow 64 bits well before s = 60.
+Cumulative distributions are evaluated in float64 in closed form (the
+Marchenko-Pastur one in a half-angle atan2 form that keeps full precision
+at the support edges; see mp_cdf); moments are exact rationals (Catalan
+numbers for the semicircle, an integer recurrence for Marchenko-Pastur)
+computed with big-integer arithmetic, since the Catalan numbers involved
+overflow 64 bits well before s = 60.
 
-The MP moment of order s at aspect ratio gamma is
+The MP moment of order s at aspect ratio gamma is the Narayana sum
 
-    sum_{k=1}^{s} gamma^(k-1) * N(s, k),   N(s, k) = (1/s) C(s, k) C(s, k-1).
+    sum_{k=1}^{s} gamma^(k-1) * N(s, k),   N(s, k) = (1/s) C(s, k) C(s, k-1),
 
-The exponent convention (gamma^(k-1), not gamma^k) is pinned by the exact
-trace identity: the first moment of the spectrum of Y^T Y with unit-norm
-columns is exactly 1 for every gamma, which only the k-1 convention
-satisfies.  The quadrature cross-check in the test suite arbitrates.
+which mp_moment evaluates by the three-term recurrence of the Narayana
+polynomials.  The exponent convention (gamma^(k-1), not gamma^k) is pinned
+by the exact trace identity: the first moment of the spectrum of Y^T Y
+with unit-norm columns is exactly 1 for every gamma, which only the k-1
+convention satisfies.
+
+The densities, and the Narayana sum itself, live in ``tests/oracles.py``:
+the tests integrate the densities by quadrature to check the CDFs and the
+moments, and check the recurrence against the sum exactly.
 """
 
 from __future__ import annotations
@@ -31,15 +36,6 @@ from .errors import InvalidInputError
 # ---------------------------------------------------------------------------
 # semicircle law on [-1, 1]
 # ---------------------------------------------------------------------------
-
-def semicircle_pdf(x):
-    """Density (2/pi) sqrt(1 - x^2) on [-1, 1], zero outside."""
-    x = np.asarray(x, dtype=np.float64)
-    inside = np.abs(x) <= 1.0
-    out = np.zeros_like(x)
-    out[inside] = (2.0 / np.pi) * np.sqrt(1.0 - x[inside] ** 2)
-    return out if out.ndim else float(out)
-
 
 def semicircle_cdf(x):
     """Closed-form CDF, clamped to {0, 1} outside the support."""
@@ -82,20 +78,6 @@ def mp_support(gamma: float) -> tuple[float, float]:
     return (1.0 - sq) ** 2, (1.0 + sq) ** 2
 
 
-def mp_pdf(x, gamma: float):
-    """Density sqrt((b - x)(x - a)) / (2 pi gamma x) on [a, b], zero outside."""
-    gamma = _check_gamma(gamma)
-    a, b = mp_support(gamma)
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    inside = (x >= a) & (x <= b) & (x > 0)
-    xi = x[inside]
-    out[inside] = np.sqrt(np.clip((b - xi) * (xi - a), 0.0, None)) / (
-        2.0 * np.pi * gamma * xi
-    )
-    return out if out.ndim else float(out)
-
-
 def mp_cdf(x, gamma: float):
     """Closed-form CDF: the antiderivative of the density from the lower edge.
 
@@ -134,23 +116,33 @@ def mp_cdf(x, gamma: float):
     return out
 
 
-def narayana(s: int, k: int) -> Fraction:
-    """Narayana number N(s, k) = (1/s) C(s, k) C(s, k-1)."""
-    return Fraction(math.comb(s, k) * math.comb(s, k - 1), s)
-
-
 def mp_moment(s: int, gamma) -> Fraction:
-    """Exact s-th MP moment: sum_k gamma^(k-1) N(s, k).
+    """Exact s-th MP moment, sum_k gamma^(k-1) N(s, k), by integer recurrence.
 
     gamma may be a Fraction or a float; floats convert exactly (binary
-    rationals such as 0.625 stay exact).
+    rationals such as 0.625 stay exact).  With gamma = a/b in lowest terms,
+    P_s = b^(s-1) * moment is the homogenised Narayana polynomial
+    sum_k a^(k-1) b^(s-k) N(s, k), an integer, and it obeys the three-term
+    recurrence of the Narayana polynomials (OEIS A001263):
+
+        P_1 = 1,  P_2 = a + b,
+        (j+1) P_j = (2j-1)(a+b) P_{j-1} - (j-2)(b-a)^2 P_{j-2},
+
+    in which the division is exact.  That is O(s) integer operations and one
+    final division, instead of s Fraction terms.
     """
     if s < 1:
         raise InvalidInputError("moment order must be >= 1")
+    _check_gamma(gamma)  # NaN and +-inf, before Fraction() trips on them
     g = Fraction(gamma)
     if not 0 < g <= 1:
         raise InvalidInputError(f"gamma must be in (0, 1], got {gamma}")
-    return sum((g ** (k - 1)) * narayana(s, k) for k in range(1, s + 1))
+    a, b = g.as_integer_ratio()
+    ab, d2 = a + b, (b - a) ** 2
+    prev, cur = 0, 1  # a stand-in P_0: the j = 2 step gives it weight j - 2 = 0
+    for j in range(2, s + 1):
+        prev, cur = cur, ((2 * j - 1) * ab * cur - (j - 2) * d2 * prev) // (j + 1)
+    return Fraction(cur, b ** (s - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +153,6 @@ def mp_moment(s: int, gamma) -> Fraction:
 class SemicircleLaw:
     kind: str = field(default="semicircle", init=False)
     support: tuple[float, float] = field(default=(-1.0, 1.0), init=False)
-
-    def pdf(self, x):
-        return semicircle_pdf(x)
 
     def cdf(self, x):
         return semicircle_cdf(x)
@@ -183,9 +172,6 @@ class MarchenkoPasturLaw:
     @property
     def support(self) -> tuple[float, float]:
         return mp_support(self.gamma)
-
-    def pdf(self, x):
-        return mp_pdf(x, self.gamma)
 
     def cdf(self, x):
         return mp_cdf(x, self.gamma)

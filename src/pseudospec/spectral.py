@@ -7,13 +7,14 @@ finite and symmetric to 1e-12 relative, outputs are ascending.  Its core,
 ``symmetric_eigen_unchecked``, skips the validation; the batch runner calls
 it on the matrices of ``ensembles.pack``, which are exactly symmetric and
 finite by construction, so there the check would be one more pass over
-every matrix that can never fail.  A second, independent route to the
-spectral norm, ``lanczos_norm``, runs Lanczos iteration (ARPACK) with a
-fixed start vector; it must agree with ``symmetric_eigen(M).norm`` to
-1e-8 relative, which the test suite enforces on random inputs.
+every matrix that can never fail.  The test suite checks the norm against
+an independent route, the Lanczos (ARPACK) ``lanczos_norm`` of
+``tests/oracles.py``, to 1e-8 relative, and the KS distance against the
+brute-force ``esd_cdf`` there.  ARPACK is needed only by that oracle, so
+its package is a test dependency, not a runtime one.
 
 The ``norms`` command needs only the norm, max(|lambda_min|, |lambda_max|),
-so it takes a third route, ``norm_unchecked``: one blocked Householder
+so it takes a second route, ``norm_unchecked``: one blocked Householder
 reduction to tridiagonal form (LAPACK ``dsytrd``, workspace from an
 ``lwork = -1`` query) and two bisections (``dstebz``) for the extreme
 eigenvalues of the tridiagonal matrix, to an absolute tolerance of twice
@@ -25,7 +26,7 @@ once in its last digits, from the change after commit d0e4931 on, while
 ``esd`` and ``moments`` keep the full solve and their outputs.  The two
 routines are called through ``ctypes`` in the OpenBLAS that numpy itself
 links, found by ``dlsym`` on the handle of numpy's linalg extension, so no
-second LAPACK (scipy's) is loaded.  A numpy whose LAPACK is not exported
+second LAPACK is loaded.  A numpy whose LAPACK is not exported
 under a known spelling (a conda or MKL build, say) gets the ``eigvalsh``
 norm instead, chosen once at import; ``environment()`` says which route is
 in effect, with the BLAS build and thread count read from the same handle.
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,43 +231,12 @@ def norm_unchecked(M: np.ndarray) -> float:
     return float(max(abs(extremes[0]), abs(extremes[1])))
 
 
-def lanczos_norm(M) -> float:
-    """Largest absolute eigenvalue by Lanczos, with a fixed start vector.
-
-    A route to the norm independent of the dense solver, so each can check
-    the other: it must agree with ``symmetric_eigen(M).norm`` to 1e-8
-    relative.  Orders 1 and 2 use closed forms.
-    """
-    M = _check_symmetric(M)
-    n = M.shape[0]
-    if n == 1:
-        return float(abs(M[0, 0]))
-    if n == 2:
-        # closed form keeps this path independent of the dense solver
-        a, b, c = M[0, 0], M[0, 1], M[1, 1]
-        half_gap = math.hypot((a - c) / 2.0, b)
-        mid = (a + c) / 2.0
-        return float(max(abs(mid + half_gap), abs(mid - half_gap)))
-    import scipy.sparse.linalg  # only this oracle route needs ARPACK
-
-    v0 = np.full(n, 1.0 / math.sqrt(n))
-    try:
-        vals = scipy.sparse.linalg.eigsh(
-            M, k=1, which="LM", v0=v0, tol=1e-12, return_eigenvectors=False
-        )
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise NumericalFailureError(f"Lanczos did not converge: {exc}") from exc
-    return float(abs(vals[0]))
-
-
-def esd_cdf(eigenvalues, x):
-    """(1/N) #{i : lambda_i <= x}; ties counted with multiplicity."""
-    eigs = np.sort(np.asarray(eigenvalues, dtype=np.float64))
-    if eigs.size == 0:
-        raise InvalidInputError("empty spectrum")
-    counts = np.searchsorted(eigs, x, side="right")
-    out = np.asarray(counts, dtype=np.float64) / eigs.size
-    return float(out) if np.ndim(x) == 0 else out
+def _sorted_finite(values) -> np.ndarray:
+    """values as an ascending float64 array; NaN and +-inf are rejected."""
+    x = np.sort(np.asarray(values, dtype=np.float64))
+    if not np.isfinite(x).all():
+        raise InvalidInputError("sample has non-finite values")
+    return x
 
 
 def ks_distance(eigenvalues, law) -> float:
@@ -276,12 +245,13 @@ def ks_distance(eigenvalues, law) -> float:
     The supremum of |step function - continuous CDF| is attained at the
     jump points, so it suffices to compare law.cdf(lambda_i) against the
     ESD values i/N and (i-1)/N.  A SpectralSummary's eigenvalues are used
-    as they are, being ascending by contract; a raw array is sorted.
+    as they are, being ascending and finite by contract; a raw array is
+    sorted, and rejected if any value is not finite.
     """
     if isinstance(eigenvalues, SpectralSummary):
         eigs = eigenvalues.eigenvalues
     else:
-        eigs = np.sort(np.asarray(eigenvalues, dtype=np.float64))
+        eigs = _sorted_finite(eigenvalues)
     n = eigs.size
     if n == 0:
         raise InvalidInputError("empty spectrum")
@@ -292,9 +262,8 @@ def ks_distance(eigenvalues, law) -> float:
 
 
 def ks_two_sample(a, b) -> float:
-    """Sup-norm distance between two empirical CDFs."""
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
+    """Sup-norm distance between two empirical CDFs of finite samples."""
+    a, b = _sorted_finite(a), _sorted_finite(b)
     if a.size == 0 or b.size == 0:
         raise InvalidInputError("empty sample")
     grid = np.concatenate([a, b])

@@ -1,0 +1,203 @@
+"""Reference implementations that the tests check the program against.
+
+None of these is on a path that a ``pseudospec`` command runs; each is an
+independent route to something the program computes, kept naive or kept
+in its textbook form so that it shares as little as possible with the
+code under test:
+
+- ``lanczos_norm``: the spectral norm by Lanczos iteration (scipy's
+  ARPACK), against the dense solver and the norm-only route.  scipy is a
+  test-only dependency, and this is its only user outside the tests.
+- ``esd_cdf``: the empirical spectral distribution at arbitrary points,
+  the brute-force grid check of ``spectral.ks_distance``.
+- ``is_primitive`` / ``_prime_factors``: the certificate that every entry
+  of ``gf2m.PRIMITIVE_POLYS`` is primitive.
+- ``field_mul``, ``field_pow``, ``field_eval`` and ``_field_modulus``:
+  GF(2^m) arithmetic by carry-less multiply and reduction, the root check
+  of ``gf2m.minimal_polynomial``.
+- ``semicircle_pdf`` / ``mp_pdf``: the densities whose quadrature checks
+  the closed-form CDFs and the exact moments.
+- ``narayana`` / ``mp_moment``: the Marchenko-Pastur moment as the
+  Narayana sum, in ``Fraction`` arithmetic, against which the integer
+  recurrence of ``laws.mp_moment`` is checked.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from pseudospec.errors import InvalidInputError, NumericalFailureError
+from pseudospec.gf2m import (
+    _x_pow_mod,
+    default_primitive_poly,
+    degree,
+    poly_mod,
+    poly_mul,
+)
+from pseudospec.laws import _check_gamma, mp_support
+from pseudospec.spectral import _check_symmetric
+
+
+# ---------------------------------------------------------------------------
+# spectra
+# ---------------------------------------------------------------------------
+
+def lanczos_norm(M) -> float:
+    """Largest absolute eigenvalue by Lanczos, with a fixed start vector.
+
+    A route to the norm independent of the dense solver, so each can check
+    the other: it must agree with ``symmetric_eigen(M).norm`` to 1e-8
+    relative.  Orders 1 and 2 use closed forms.
+    """
+    M = _check_symmetric(M)
+    n = M.shape[0]
+    if n == 1:
+        return float(abs(M[0, 0]))
+    if n == 2:
+        # closed form keeps this path independent of the dense solver
+        a, b, c = M[0, 0], M[0, 1], M[1, 1]
+        half_gap = math.hypot((a - c) / 2.0, b)
+        mid = (a + c) / 2.0
+        return float(max(abs(mid + half_gap), abs(mid - half_gap)))
+    import scipy.sparse.linalg  # only this oracle route needs ARPACK
+
+    v0 = np.full(n, 1.0 / math.sqrt(n))
+    try:
+        vals = scipy.sparse.linalg.eigsh(
+            M, k=1, which="LM", v0=v0, tol=1e-12, return_eigenvectors=False
+        )
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise NumericalFailureError(f"Lanczos did not converge: {exc}") from exc
+    return float(abs(vals[0]))
+
+
+def esd_cdf(eigenvalues, x):
+    """(1/N) #{i : lambda_i <= x}; ties counted with multiplicity."""
+    eigs = np.sort(np.asarray(eigenvalues, dtype=np.float64))
+    if eigs.size == 0:
+        raise InvalidInputError("empty spectrum")
+    counts = np.searchsorted(eigs, x, side="right")
+    out = np.asarray(counts, dtype=np.float64) / eigs.size
+    return float(out) if np.ndim(x) == 0 else out
+
+
+# ---------------------------------------------------------------------------
+# GF(2^m)
+# ---------------------------------------------------------------------------
+
+def _prime_factors(n: int) -> list[int]:
+    factors = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
+def is_primitive(p: int, m: int) -> bool:
+    """True when x has multiplicative order 2^m - 1 modulo p.
+
+    Order exactly 2^m - 1 forces p to be irreducible (a reducible modulus
+    has a strictly smaller unit group), so this single check certifies
+    primitivity.
+    """
+    if degree(p) != m or not (p & 1):
+        return False
+    n = (1 << m) - 1
+    if n == 1:
+        return True
+    if _x_pow_mod(n, p) != 1:
+        return False
+    return all(_x_pow_mod(n // q, p) != 1 for q in _prime_factors(n))
+
+
+def _field_modulus(m: int, *elements: int) -> int:
+    """PRIMITIVE_POLYS[m], once each element is checked to lie in GF(2^m)."""
+    modulus = default_primitive_poly(m)
+    for a in elements:
+        if not 0 <= a < (1 << m):
+            raise InvalidInputError(
+                f"element {a:#x} is wider than {m} bits; wrong field?"
+            )
+    return modulus
+
+
+def field_mul(a: int, b: int, m: int) -> int:
+    """Product in GF(2^m): carry-less multiply followed by reduction."""
+    return poly_mod(poly_mul(a, b), _field_modulus(m, a, b))
+
+
+def field_pow(a: int, e: int, m: int) -> int:
+    """a^e in GF(2^m) (e >= 0)."""
+    _field_modulus(m, a)
+    result = 1
+    base = a
+    while e:
+        if e & 1:
+            result = field_mul(result, base, m)
+        base = field_mul(base, base, m)
+        e >>= 1
+    return result
+
+
+def field_eval(poly: int, elem: int, m: int) -> int:
+    """Evaluate a binary polynomial at an element of GF(2^m) (Horner)."""
+    _field_modulus(m, elem)
+    acc = 0
+    for i in range(poly.bit_length() - 1, -1, -1):
+        acc = field_mul(acc, elem, m) ^ ((poly >> i) & 1)
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# limit laws
+# ---------------------------------------------------------------------------
+
+def semicircle_pdf(x):
+    """Density (2/pi) sqrt(1 - x^2) on [-1, 1], zero outside."""
+    x = np.asarray(x, dtype=np.float64)
+    inside = np.abs(x) <= 1.0
+    out = np.zeros_like(x)
+    out[inside] = (2.0 / np.pi) * np.sqrt(1.0 - x[inside] ** 2)
+    return out if out.ndim else float(out)
+
+
+def mp_pdf(x, gamma: float):
+    """Density sqrt((b - x)(x - a)) / (2 pi gamma x) on [a, b], zero outside."""
+    gamma = _check_gamma(gamma)
+    a, b = mp_support(gamma)
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros_like(x)
+    inside = (x >= a) & (x <= b) & (x > 0)
+    xi = x[inside]
+    out[inside] = np.sqrt(np.clip((b - xi) * (xi - a), 0.0, None)) / (
+        2.0 * np.pi * gamma * xi
+    )
+    return out if out.ndim else float(out)
+
+
+def narayana(s: int, k: int) -> Fraction:
+    """Narayana number N(s, k) = (1/s) C(s, k) C(s, k-1)."""
+    return Fraction(math.comb(s, k) * math.comb(s, k - 1), s)
+
+
+def mp_moment(s: int, gamma) -> Fraction:
+    """Exact s-th MP moment: sum_k gamma^(k-1) N(s, k).
+
+    gamma may be a Fraction or a float; floats convert exactly (binary
+    rationals such as 0.625 stay exact).
+    """
+    if s < 1:
+        raise InvalidInputError("moment order must be >= 1")
+    g = Fraction(gamma)
+    if not 0 < g <= 1:
+        raise InvalidInputError(f"gamma must be in (0, 1], got {gamma}")
+    return sum((g ** (k - 1)) * narayana(s, k) for k in range(1, s + 1))

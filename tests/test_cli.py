@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: outputs, exit codes, replayability."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,23 @@ def test_cli_import_and_norms_load_no_scipy(tmp_path):
                          capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()  # after the import, then after the norms run
     assert (lines[0], lines[-1]) == ("[]", "[]")
+
+
+def test_package_sources_import_no_scipy():
+    # scipy is a test-only dependency: no module of the package may import
+    # it, at top level or inside a function
+    found = []
+    for path in sorted(Path(pseudospec.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 # --- genpoly / dual ----------------------------------------------------------

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import oracles
+
 from pseudospec import laws
 from pseudospec.errors import InvalidInputError
 
@@ -17,10 +19,10 @@ GAMMAS = (0.25, 0.5, 0.625, 1.0)
 # --- semicircle --------------------------------------------------------------
 
 def test_semicircle_pdf_values():
-    assert laws.semicircle_pdf(0.0) == pytest.approx(2.0 / math.pi, abs=1e-15)
-    assert laws.semicircle_pdf(1.0) == 0.0
-    assert laws.semicircle_pdf(1.5) == 0.0
-    assert laws.semicircle_pdf(-2.0) == 0.0
+    assert oracles.semicircle_pdf(0.0) == pytest.approx(2.0 / math.pi, abs=1e-15)
+    assert oracles.semicircle_pdf(1.0) == 0.0
+    assert oracles.semicircle_pdf(1.5) == 0.0
+    assert oracles.semicircle_pdf(-2.0) == 0.0
 
 
 def test_semicircle_cdf_values():
@@ -32,13 +34,13 @@ def test_semicircle_cdf_values():
 
 
 def test_semicircle_pdf_integrates_to_one():
-    val, _ = integrate.quad(laws.semicircle_pdf, -1, 1, epsabs=1e-12)
+    val, _ = integrate.quad(oracles.semicircle_pdf, -1, 1, epsabs=1e-12)
     assert abs(val - 1.0) <= 1e-8
 
 
 def test_semicircle_cdf_matches_pdf_integral():
     for x in (-0.9, -0.3, 0.2, 0.7):
-        val, _ = integrate.quad(laws.semicircle_pdf, -1, x, epsabs=1e-12)
+        val, _ = integrate.quad(oracles.semicircle_pdf, -1, x, epsabs=1e-12)
         assert laws.semicircle_cdf(x) == pytest.approx(val, abs=1e-10)
 
 
@@ -53,7 +55,7 @@ def test_semicircle_moments_exact_values():
 def test_semicircle_moments_vs_quadrature():
     for s in range(13):
         val, _ = integrate.quad(
-            lambda x: x**s * laws.semicircle_pdf(x), -1, 1, epsabs=1e-13
+            lambda x: x**s * oracles.semicircle_pdf(x), -1, 1, epsabs=1e-13
         )
         assert abs(float(laws.semicircle_moment(s)) - val) <= 1e-10
 
@@ -82,17 +84,17 @@ def test_mp_support_values():
 
 def test_mp_pdf_values():
     # at gamma=1: f(x) = sqrt(x (4 - x)) / (2 pi x); f(2) = 1/(2 pi)
-    assert laws.mp_pdf(2.0, 1.0) == pytest.approx(1.0 / (2 * math.pi), abs=1e-15)
+    assert oracles.mp_pdf(2.0, 1.0) == pytest.approx(1.0 / (2 * math.pi), abs=1e-15)
     a, b = laws.mp_support(0.5)
-    assert laws.mp_pdf(a - 1e-9, 0.5) == 0.0
-    assert laws.mp_pdf(b + 1e-9, 0.5) == 0.0
+    assert oracles.mp_pdf(a - 1e-9, 0.5) == 0.0
+    assert oracles.mp_pdf(b + 1e-9, 0.5) == 0.0
 
 
 def test_mp_pdf_integrates_to_one():
     for gamma in GAMMAS:
         a, b = laws.mp_support(gamma)
         val, _ = integrate.quad(
-            lambda x: laws.mp_pdf(x, gamma), a, b, epsabs=1e-12, limit=200
+            lambda x: oracles.mp_pdf(x, gamma), a, b, epsabs=1e-12, limit=200
         )
         assert abs(val - 1.0) <= 1e-8, f"gamma={gamma}: integral {val}"
 
@@ -141,7 +143,7 @@ def _quad_mp_cdf(x, gamma):
         for lo, hi in ((a, min(x, mid)), (mid, x)):
             if hi > lo:
                 val, _ = integrate.quad(
-                    lambda t: laws.mp_pdf(t, gamma), lo, hi,
+                    lambda t: oracles.mp_pdf(t, gamma), lo, hi,
                     epsabs=1e-14, epsrel=1e-13, limit=200,
                 )
                 total += val
@@ -170,7 +172,7 @@ def test_mp_moments_vs_quadrature():
         a, b = laws.mp_support(gamma)
         for s in range(1, 9):
             val, _ = integrate.quad(
-                lambda x: x**s * laws.mp_pdf(x, gamma), a, b,
+                lambda x: x**s * oracles.mp_pdf(x, gamma), a, b,
                 epsabs=1e-12, limit=200,
             )
             exact = float(laws.mp_moment(s, gamma))
@@ -183,14 +185,20 @@ def test_mp_gamma_one_moments_are_catalan():
 
 
 def test_narayana_values():
-    assert laws.narayana(4, 2) == 6
-    assert sum(laws.narayana(4, k) for k in range(1, 5)) == laws.catalan(4)
+    assert oracles.narayana(4, 2) == 6
+    assert sum(oracles.narayana(4, k) for k in range(1, 5)) == laws.catalan(4)
+
+
+def test_mp_moment_recurrence_matches_narayana_sum():
+    for gamma in (1, 0.5, 0.625, 1 / 3, Fraction(1, 3), 0.3, 1e-3):
+        for s in range(1, 61):
+            assert laws.mp_moment(s, gamma) == oracles.mp_moment(s, gamma), (s, gamma)
 
 
 def test_gamma_validation():
-    for bad in (0.0, -0.1, 1.5):
+    for bad in (0.0, -0.1, 1.5, math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidInputError):
-            laws.mp_pdf(1.0, bad)
+            oracles.mp_pdf(1.0, bad)
         with pytest.raises(InvalidInputError):
             laws.mp_moment(2, bad)
     with pytest.raises(InvalidInputError):
