@@ -6,9 +6,11 @@ the output directory holding the full parameter set, library version and
 BLAS environment, so any run can be replayed; replays at the same BLAS
 thread count produce byte-identical CSV output (samples are processed
 serially in index order, and sample i depends only on (seed, i), so any
-prefix of a batch reproduces).  ``norms`` takes only the extreme
-eigenvalues of each matrix (``spectral.norm_unchecked``); ``esd`` and
-``moments`` take the full spectrum.
+prefix of a batch reproduces).  ``esd`` takes the full spectrum of each
+matrix; ``norms`` and ``moments`` take only its tridiagonal form, from
+which ``norms`` bisects for the two extreme eigenvalues
+(``spectral.norm_unchecked``) and ``moments`` forms the traces of powers
+(``spectral.trace_moments_unchecked``).
 
 Exit codes: 0 success / verification pass, 1 verification fail, 2 invalid
 input, 3 numerical failure.
@@ -17,6 +19,7 @@ input, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -44,7 +47,9 @@ def iter_summaries(spec: ensembles.EnsembleSpec, count: int, solve=None):
 
     ``solve`` defaults to ``spectral.symmetric_eigen_unchecked`` (a
     SpectralSummary per sample); ``norms`` passes
-    ``spectral.norm_unchecked``, which yields the norm alone.  Packed
+    ``spectral.norm_unchecked``, which yields the norm alone, and
+    ``moments`` passes ``spectral.trace_moments_unchecked``, which yields
+    the array of trace moments.  Packed
     matrices are symmetric and finite by construction, so they go to the
     solver without ``symmetric_eigen``'s input check, and each is fresh,
     so the solver may overwrite it.
@@ -264,9 +269,9 @@ def _law_moments(law, s_max: int) -> list[float]:
     """The law's moments of orders 1..s_max as floats, or InvalidInputError
     naming the largest order whose moment fits the float range."""
     moments = []
-    for s in range(1, s_max + 1):
+    for s, moment in enumerate(law.moments(s_max), start=1):
         try:
-            moments.append(float(law.moment(s)))
+            moments.append(float(moment))
         except OverflowError:
             raise InvalidInputError(
                 f"the {law.kind} moment of order {s} exceeds the float range; "
@@ -284,9 +289,10 @@ def cmd_moments(args) -> int:
     wigner = spec.kind in ensembles.WIGNER_KINDS
     outdir = _prepare_outdir(args.out)
     orders = range(1, args.s_max + 1)
+    solve = functools.partial(spectral.trace_moments_unchecked, s_max=args.s_max)
     sums = np.zeros(args.s_max)
-    for summary in iter_summaries(spec, args.count):
-        sums += [summary.trace_moment(s) for s in orders]
+    for moments in iter_summaries(spec, args.count, solve):
+        sums += moments
     means = sums / args.count
     with open(outdir / "moments.csv", "w") as fh:
         header = "s,sample_mean,law_moment"

@@ -11,11 +11,12 @@ The MP moment of order s at aspect ratio gamma is the Narayana sum
 
     sum_{k=1}^{s} gamma^(k-1) * N(s, k),   N(s, k) = (1/s) C(s, k) C(s, k-1),
 
-which mp_moment evaluates by the three-term recurrence of the Narayana
-polynomials.  The exponent convention (gamma^(k-1), not gamma^k) is pinned
-by the exact trace identity: the first moment of the spectrum of Y^T Y
-with unit-norm columns is exactly 1 for every gamma, which only the k-1
-convention satisfies.
+which mp_moments evaluates for every order up to s in one pass of the
+three-term recurrence of the Narayana polynomials.  The exponent
+convention (gamma^(k-1), not gamma^k) is pinned by the exact trace
+identity: the first moment of the spectrum of Y^T Y with unit-norm
+columns is exactly 1 for every gamma, which only the k-1 convention
+satisfies.
 
 The densities, and the Narayana sum itself, live in ``tests/oracles.py``:
 the tests integrate the densities by quadrature to check the CDFs and the
@@ -58,6 +59,19 @@ def semicircle_moment(s: int) -> Fraction:
     if s % 2 == 1:
         return Fraction(0)
     return Fraction(catalan(s // 2), 1 << s)
+
+
+def semicircle_moments(s_max: int):
+    """``semicircle_moment`` of orders 1..s_max, yielded from one pass of
+    the Catalan recurrence C_k = C_{k-1} (4k - 2) / (k + 1)."""
+    catalan_k = 1  # C_0
+    for s in range(1, s_max + 1):
+        if s % 2 == 1:
+            yield Fraction(0)
+        else:
+            k = s // 2
+            catalan_k = catalan_k * (4 * k - 2) // (k + 1)
+            yield Fraction(catalan_k, 1 << s)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +130,9 @@ def mp_cdf(x, gamma: float):
     return out
 
 
-def mp_moment(s: int, gamma) -> Fraction:
-    """Exact s-th MP moment, sum_k gamma^(k-1) N(s, k), by integer recurrence.
+def mp_moments(s_max: int, gamma):
+    """Exact MP moments of orders 1..s_max, yielded from one run of the
+    integer recurrence below.
 
     gamma may be a Fraction or a float; floats convert exactly (binary
     rationals such as 0.625 stay exact).  With gamma = a/b in lowest terms,
@@ -128,21 +143,32 @@ def mp_moment(s: int, gamma) -> Fraction:
         P_1 = 1,  P_2 = a + b,
         (j+1) P_j = (2j-1)(a+b) P_{j-1} - (j-2)(b-a)^2 P_{j-2},
 
-    in which the division is exact.  That is O(s) integer operations and one
-    final division, instead of s Fraction terms.
+    in which the division is exact.  That is O(s_max) integer operations,
+    plus one Fraction per order.
     """
-    if s < 1:
-        raise InvalidInputError("moment order must be >= 1")
     _check_gamma(gamma)  # NaN and +-inf, before Fraction() trips on them
     g = Fraction(gamma)
     if not 0 < g <= 1:
         raise InvalidInputError(f"gamma must be in (0, 1], got {gamma}")
     a, b = g.as_integer_ratio()
     ab, d2 = a + b, (b - a) ** 2
-    prev, cur = 0, 1  # a stand-in P_0: the j = 2 step gives it weight j - 2 = 0
-    for j in range(2, s + 1):
-        prev, cur = cur, ((2 * j - 1) * ab * cur - (j - 2) * d2 * prev) // (j + 1)
-    return Fraction(cur, b ** (s - 1))
+    # prev starts as a stand-in P_0: the j = 2 step gives it weight j - 2 = 0
+    prev, cur, scale = 0, 1, 1
+    for j in range(1, s_max + 1):
+        if j > 1:
+            prev, cur = cur, ((2 * j - 1) * ab * cur - (j - 2) * d2 * prev) // (j + 1)
+            scale *= b
+        yield Fraction(cur, scale)
+
+
+def mp_moment(s: int, gamma) -> Fraction:
+    """Exact s-th MP moment, sum_k gamma^(k-1) N(s, k): the last of
+    ``mp_moments(s, gamma)``."""
+    if s < 1:
+        raise InvalidInputError("moment order must be >= 1")
+    for moment in mp_moments(s, gamma):
+        pass
+    return moment
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +185,9 @@ class SemicircleLaw:
 
     def moment(self, s: int) -> Fraction:
         return semicircle_moment(s)
+
+    def moments(self, s_max: int):
+        return semicircle_moments(s_max)
 
 
 @dataclass(frozen=True)
@@ -178,3 +207,6 @@ class MarchenkoPasturLaw:
 
     def moment(self, s: int) -> Fraction:
         return mp_moment(s, self.gamma)
+
+    def moments(self, s_max: int):
+        return mp_moments(s_max, self.gamma)

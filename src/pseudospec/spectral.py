@@ -16,24 +16,34 @@ its package is a test dependency, not a runtime one.
 The ``norms`` command needs only the norm, max(|lambda_min|, |lambda_max|),
 so it takes a second route, ``norm_unchecked``: one blocked Householder
 reduction to tridiagonal form (LAPACK ``dsytrd``, workspace from an
-``lwork = -1`` query) and two bisections (``dstebz``) for the extreme
-eigenvalues of the tridiagonal matrix, to an absolute tolerance of twice
-the safe minimum (Anderson et al., *LAPACK Users' Guide*, 3rd ed., 1999,
-sec. 2.4.4).  It skips the implicit-shift iterations over every other
-eigenvalue, and agrees with the ``eigvalsh`` norm to about 1e-14 relative
-(1e-13 is enforced by the tests), not bit for bit: ``norms.csv`` changed
-once in its last digits, from the change after commit d0e4931 on, while
-``esd`` and ``moments`` keep the full solve and their outputs.  The two
-routines are called through ``ctypes`` in the OpenBLAS that numpy itself
-links, found by ``dlsym`` on the handle of numpy's linalg extension, so no
-second LAPACK is loaded.  A numpy whose LAPACK is not exported
-under a known spelling (a conda or MKL build, say) gets the ``eigvalsh``
-norm instead, chosen once at import; ``environment()`` says which route is
-in effect, with the BLAS build and thread count read from the same handle.
+``lwork = -1`` query; ``_tridiagonal``) and two bisections (``dstebz``)
+for the extreme eigenvalues of the tridiagonal matrix, to an absolute
+tolerance of twice the safe minimum (Anderson et al., *LAPACK Users'
+Guide*, 3rd ed., 1999, sec. 2.4.4).  It skips the implicit-shift
+iterations over every other eigenvalue, and agrees with the ``eigvalsh``
+norm to about 1e-14 relative (1e-13 is enforced by the tests), not bit for
+bit: ``norms.csv`` changed once in its last digits, from the change after
+commit d0e4931 on.  The two routines are called through ``ctypes`` in the
+OpenBLAS that numpy itself links, found by ``dlsym`` on the handle of
+numpy's linalg extension, so no second LAPACK is loaded.  A numpy whose
+LAPACK is not exported under a known spelling (a conda or MKL build, say)
+gets the ``eigvalsh`` norm instead, chosen once at import;
+``environment()`` says which route is in effect, with the BLAS build and
+thread count read from the same handle.
 
-High-order trace moments are always formed from eigenvalues, never by
-repeated matrix multiplication: powers up to s ~ N^(2/3) are needed and
-matrix powers lose precision long before that.
+The ``moments`` command needs the traces (1/N) Tr(M^s), s = 1..s_max, and
+no eigenvalue, so ``trace_moments_unchecked`` takes them from the same
+tridiagonal form T = Q^T M Q: traces are invariant under the similarity
+(Golub & Van Loan, *Matrix Computations*, sec. 8.3), and the banded powers
+of T cost O(N s_max^2) flops, against the O(N^2) implicit-shift sweep that
+finds every eigenvalue.  Powers of the tridiagonal T, not of the dense M,
+are multiplied: an entry of T^a is off by about a u ||T||^a, u the unit
+roundoff, as the power lambda^s of an eigenvalue from the full solve is
+off by about s u ||T||^s.  The two routes agree to within 2.3e-13 of
+mean(|lambda|^s), measured up to s = 60 at N = 180 and s = 16 at N = 1024
+(the tests enforce 1e-12).  This changed ``moments.csv`` once in its last
+digits, from the change after commit d25428d on.  Without numpy's LAPACK
+the moments are power sums of the ``eigvalsh`` eigenvalues, as before.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError, NumericalFailureError
 
@@ -55,12 +66,6 @@ class SpectralSummary:
 
     eigenvalues: np.ndarray  # ascending
     norm: float              # max(|smallest|, |largest|)
-
-    def trace_moment(self, s: int) -> float:
-        """(1/N) Tr(M^s) from the stored eigenvalues."""
-        if s < 1:
-            raise InvalidInputError("moment order must be >= 1")
-        return float(np.mean(self.eigenvalues**s))
 
 
 def _check_symmetric(M: np.ndarray) -> np.ndarray:
@@ -181,16 +186,14 @@ def _dsytrd_lwork(n: int) -> int:
     return max(int(work[0]), 1)
 
 
-def norm_unchecked(M: np.ndarray) -> float:
-    """Spectral norm max(|lambda_min|, |lambda_max|) of a symmetric matrix.
+def _tridiagonal(M: np.ndarray):
+    """Diagonal d and off-diagonal e (n - 1 entries) of T = Q^T M Q.
 
-    The norm-only route: one blocked ``dsytrd`` and a ``dstebz`` bisection
-    for each extreme eigenvalue, in numpy's own LAPACK, or
-    ``symmetric_eigen_unchecked(M).norm`` when that LAPACK is not reachable.
-    Like ``symmetric_eigen_unchecked`` it does not check that M is
-    symmetric and finite.  It may overwrite M: a float64, C-contiguous,
-    writeable M is reduced in place, which suits the fresh matrices of
-    ``ensembles.pack``.  A LAPACK failure raises NumericalFailureError.
+    One blocked Householder reduction, LAPACK ``dsytrd``, in numpy's own
+    LAPACK; None when that LAPACK is not reachable.  Non-square and empty
+    M raise InvalidInputError.  A float64, C-contiguous, writeable M is
+    reduced in place; any other M is copied first.  A LAPACK failure
+    raises NumericalFailureError.
     """
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {M.shape}")
@@ -198,11 +201,11 @@ def norm_unchecked(M: np.ndarray) -> float:
     if n == 0:
         raise InvalidInputError("empty matrix")
     if _LAPACK is None:
-        return symmetric_eigen_unchecked(M).norm
-    dsytrd, dstebz = _LAPACK
+        return None
+    dsytrd = _LAPACK[0]
     a = np.require(M, np.float64, ("C", "W"))
     lwork = _dsytrd_lwork(n)
-    d, e = np.empty(n), np.empty(n)  # e holds n - 1 off-diagonals
+    d, e = np.empty(n), np.empty(n)
     tau, work = np.empty(n), np.empty(lwork)
     order, length, info = ctypes.c_int64(n), ctypes.c_int64(lwork), ctypes.c_int64()
     ref = ctypes.byref
@@ -210,6 +213,28 @@ def norm_unchecked(M: np.ndarray) -> float:
            tau.ctypes.data, work.ctypes.data, ref(length), ref(info), 1)
     if info.value != 0:
         raise NumericalFailureError(f"dsytrd failed, INFO={info.value}")
+    return d, e[: n - 1]
+
+
+def norm_unchecked(M: np.ndarray) -> float:
+    """Spectral norm max(|lambda_min|, |lambda_max|) of a symmetric matrix.
+
+    The norm-only route: ``_tridiagonal`` and a ``dstebz`` bisection for
+    each extreme eigenvalue of T, in numpy's own LAPACK, or
+    ``symmetric_eigen_unchecked(M).norm`` when that LAPACK is not reachable.
+    Like ``symmetric_eigen_unchecked`` it does not check that M is
+    symmetric and finite.  It may overwrite M: a float64, C-contiguous,
+    writeable M is reduced in place, which suits the fresh matrices of
+    ``ensembles.pack``.  A LAPACK failure raises NumericalFailureError.
+    """
+    tridiagonal = _tridiagonal(M)
+    if tridiagonal is None:
+        return symmetric_eigen_unchecked(M).norm
+    d, e = tridiagonal
+    dstebz = _LAPACK[1]
+    n = d.size
+    order, info = ctypes.c_int64(n), ctypes.c_int64()
+    ref = ctypes.byref
     bound, abstol = ctypes.c_double(0.0), ctypes.c_double(_ABSTOL)
     found, nsplit = ctypes.c_int64(), ctypes.c_int64()
     w, scratch = np.empty(n), np.empty(4 * n)
@@ -229,6 +254,64 @@ def norm_unchecked(M: np.ndarray) -> float:
             )
         extremes.append(w[0])
     return float(max(abs(extremes[0]), abs(extremes[1])))
+
+
+def trace_moments_unchecked(M: np.ndarray, s_max: int) -> np.ndarray:
+    """(1/N) Tr(M^s) for s = 1..s_max, as an array, of a symmetric matrix M.
+
+    Traces are invariant under the orthogonal similarity of ``_tridiagonal``,
+    Tr(M^s) = Tr(T^s), so only ``dsytrd`` runs and no eigenvalue is found.
+    The banded powers T^a, a <= ceil(s_max/2), are formed by repeated
+    multiplication with T, each held by its 2h + 1 diagonals, h = min(a,
+    N - 1), and Tr(T^s) = <T^a, T^(s-a)>, the elementwise inner product
+    at a = floor(s/2): O(N s_max^2) flops in all.  Orders whose traces
+    leave the float range read inf or nan.  When numpy's LAPACK is not
+    reachable, the moments are power sums of the ``eigvalsh`` eigenvalues.
+    The input contract is ``norm_unchecked``'s: M is not checked for
+    symmetry or finiteness and may be overwritten.  s_max < 1 raises
+    InvalidInputError.
+    """
+    if s_max < 1:
+        raise InvalidInputError(f"moment order must be >= 1, got s_max={s_max}")
+    tridiagonal = _tridiagonal(M)
+    if tridiagonal is None:
+        eigs = symmetric_eigen_unchecked(M).eigenvalues
+        return np.array([np.mean(eigs**s) for s in range(1, s_max + 1)])
+    d, e = tridiagonal
+    n = d.size
+    top = (s_max + 1) // 2  # the highest power formed
+    w = min(top, n - 1)
+    # Column w + 1 + k of row i holds entry (i, i + k).  Columns 0 and
+    # 2w + 2 stay zero, so the shifted reads below stay in bounds.
+    width = 2 * w + 3
+
+    def by_offset(values):
+        padded = np.zeros(n + width - 1)
+        padded[w + 1 : w + 1 + values.size] = values
+        return sliding_window_view(padded, width).copy()
+
+    diag, upper = by_offset(d), by_offset(e)  # T[j, j] and T[j, j + 1], j = i + k
+    outside = by_offset(np.ones(n)) == 0.0   # j beyond the matrix
+    traces = np.empty(s_max)
+    prev, cur = np.zeros((n, width)), np.zeros((n, width))
+    prev[:, w + 1] = 1.0  # T^0
+    lo, hi = w + 1, w + 2  # the band's columns
+    for a in range(1, top + 1):
+        # cur = prev T; a buffer's stale columns lie inside its new band
+        lo_prev, hi_prev = lo, hi
+        h = min(a, w)
+        lo, hi = w + 1 - h, w + 2 + h
+        band = cur[:, lo:hi]
+        band[...] = (prev[:, lo - 1 : hi - 1] * upper[:, lo - 1 : hi - 1]
+                     + prev[:, lo:hi] * diag[:, lo:hi]
+                     + prev[:, lo + 1 : hi + 1] * upper[:, lo:hi])
+        # an overflowed entry times a zero pad would be NaN, not zero
+        band[outside[:, lo:hi]] = 0.0
+        traces[2 * a - 2] = np.sum(prev[:, lo_prev:hi_prev] * cur[:, lo_prev:hi_prev])
+        if 2 * a <= s_max:
+            traces[2 * a - 1] = np.sum(band * band)
+        prev, cur = cur, prev
+    return traces / n
 
 
 def _sorted_finite(values) -> np.ndarray:

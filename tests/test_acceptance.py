@@ -13,6 +13,7 @@ code-built ensemble reproduces the truly random moments -- which holds
 to a fraction of a percent.
 """
 
+import functools
 import math
 import time
 
@@ -89,16 +90,21 @@ def test_criterion_2_independence_verification():
 # 3. exact trace-moment identities
 # -------------------------------------------------------------------------
 
+def _moments_solver(s_max):
+    """The per-sample solver of the ``moments`` command."""
+    return functools.partial(spectral.trace_moments_unchecked, s_max=s_max)
+
+
 def test_criterion_3_exact_moment_identities():
     spec_w = ensembles.ensemble_spec("pseudo-wigner", N=44, m=10, delta=15, seed=3001)
     worst_w = max(
-        abs(s.trace_moment(2) - 0.25) for s in cli.iter_summaries(spec_w, 500)
+        abs(m[1] - 0.25) for m in cli.iter_summaries(spec_w, 500, _moments_solver(2))
     )
     spec_g = ensembles.ensemble_spec(
         "pseudo-mp", N=40, p=25, m=10, delta=15, seed=3002
     )
     worst_g = max(
-        abs(s.trace_moment(1) - 1.0) for s in cli.iter_summaries(spec_g, 500)
+        abs(m[0] - 1.0) for m in cli.iter_summaries(spec_g, 500, _moments_solver(1))
     )
     ok = worst_w <= 1e-12 and worst_g <= 1e-12
     _report(3, "exact second/first moment identities", ok,
@@ -184,9 +190,10 @@ def n1024_traces():
     ]:
         spec = ensembles.ensemble_spec(kind, N=1024, seed=seed, **kw)
         traces = {s: [] for s in CRIT6_EVEN + CRIT6_ODD}
-        for summary in cli.iter_summaries(spec, CRIT6_COUNT):
+        solve = _moments_solver(max(traces))
+        for moments in cli.iter_summaries(spec, CRIT6_COUNT, solve):
             for s in traces:
-                traces[s].append(1024.0 * summary.trace_moment(s))
+                traces[s].append(1024.0 * moments[s - 1])
         out[kind] = {s: np.asarray(v) for s, v in traces.items()}
     return out
 

@@ -351,6 +351,19 @@ def test_moments_mp_first_moment_exact(tmp_path):
     assert float(s1[2]) == 1.0
 
 
+def test_moments_high_order_stays_finite(tmp_path):
+    # 672 is the largest usable --s-max at gamma 1/2; the sample moments
+    # there are near 1e217, inside the float range
+    out = tmp_path / "mom"
+    assert run(["moments", "--kind", "random-mp", "--N", "8", "--p", "4",
+                "--count", "3", "--s-max", "672", "--out", str(out)]) == 0
+    rows = (out / "moments.csv").read_text().strip().split("\n")[1:]
+    means = np.array([float(row.split(",")[1]) for row in rows])
+    assert means.size == 672 and np.all(np.isfinite(means))
+    # the eigenvalue power sums of the full solve give 8.035464371684029e+217
+    assert means[-1] == pytest.approx(8.035464371684029e+217, rel=1e-12)
+
+
 def test_moments_law_overflow_exit_2_before_output(tmp_path, capsys):
     # the MP(1/2) moment of order 673 is beyond the float range
     out = tmp_path / "out"

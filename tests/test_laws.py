@@ -195,6 +195,16 @@ def test_mp_moment_recurrence_matches_narayana_sum():
             assert laws.mp_moment(s, gamma) == oracles.mp_moment(s, gamma), (s, gamma)
 
 
+def test_law_moments_one_pass_match_per_order():
+    for gamma in GAMMAS:
+        expected = [laws.mp_moment(s, gamma) for s in range(1, 61)]
+        assert list(laws.mp_moments(60, gamma)) == expected, gamma
+        assert list(laws.MarchenkoPasturLaw(gamma).moments(60)) == expected, gamma
+    expected = [laws.semicircle_moment(s) for s in range(1, 61)]
+    assert list(laws.semicircle_moments(60)) == expected
+    assert list(laws.SemicircleLaw().moments(60)) == expected
+
+
 def test_gamma_validation():
     for bad in (0.0, -0.1, 1.5, math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidInputError):

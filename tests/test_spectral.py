@@ -237,27 +237,89 @@ def test_esd_cdf_examples():
 # --- trace moments ---------------------------------------------------------------
 
 def test_trace_moment_identity_examples():
-    assert spectral.symmetric_eigen(np.eye(5)).trace_moment(3) == pytest.approx(1.0)
+    assert spectral.trace_moments_unchecked(np.eye(5), 3)[2] == pytest.approx(1.0)
     spec = ensembles.ensemble_spec("random-wigner", N=2)
     M = ensembles.pack(spec, np.array([1, 0, 1]))
-    assert spectral.symmetric_eigen(M).trace_moment(2) == pytest.approx(0.25, abs=1e-15)
+    assert spectral.trace_moments_unchecked(M, 2)[1] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_trace_moment_matches_power_trace():
     rng = np.random.default_rng(26)
     for _ in range(10):
         M = random_symmetric(20, rng)
-        summary = spectral.symmetric_eigen(M)
+        moments = spectral.trace_moments_unchecked(M.copy(), 4)
         for s in (1, 2, 3, 4):
             direct = np.trace(np.linalg.matrix_power(M, s)) / 20
-            assert summary.trace_moment(s) == pytest.approx(
-                direct, rel=1e-9, abs=1e-9
-            )
+            assert moments[s - 1] == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
 
 def test_trace_moment_validation():
     with pytest.raises(InvalidInputError):
-        spectral.symmetric_eigen(np.eye(2)).trace_moment(0)
+        spectral.trace_moments_unchecked(np.eye(2), 0)
+
+
+def order_n_matrices(N):
+    """Two packed matrices of each kind, all of order N (p = N for MP kinds)."""
+    for kind in ensembles.KINDS:
+        p = N if kind in ensembles.MP_KINDS else None
+        code = {}
+        if kind in ensembles.PSEUDO_KINDS:
+            code = dict(m=15, delta=5) if N == 180 else dict(m=10, delta=15)
+        spec = ensembles.ensemble_spec(kind, N=N, p=p, seed=N, **code)
+        yield from ensembles.matrix_stream(spec, 2)
+
+
+def test_trace_moments_match_power_traces_and_power_sums(norm_route):
+    # oracles: traces of dense powers of M, and power sums of its eigvalsh
+    # eigenvalues; errors are measured against the scale mean(|lambda|^s)
+    for N in (1, 2, 3, 7, 180):
+        top = N + 1  # an s_max above N
+        for M in order_n_matrices(N):
+            assert M.shape == (N, N)
+            eigs = np.linalg.eigvalsh(M)
+            orders = np.arange(1, top + 1)
+            power_sums = np.array([np.mean(eigs**s) for s in orders])
+            scale = np.array([np.mean(np.abs(eigs) ** s) for s in orders])
+            dense, power = [], np.eye(N)
+            for _ in orders:
+                power = power @ M
+                dense.append(np.trace(power) / N)
+            for s_max in (1, 2, 5, 16, top):
+                got = spectral.trace_moments_unchecked(M.copy(), s_max)
+                assert got.shape == (s_max,)
+                k = min(s_max, top)
+                if norm_route == "eigvalsh":
+                    assert np.array_equal(got[:k], power_sums[:k])
+                else:
+                    assert np.all(np.abs(got[:k] - power_sums[:k]) <= 1e-12 * scale[:k])
+                assert np.all(np.abs(got[:k] - dense[:k]) <= 1e-12 * scale[:k])
+
+
+def test_trace_moments_input_layouts(norm_route):
+    rng = np.random.default_rng(32)
+    M = random_symmetric(9, rng)
+    expected = spectral.trace_moments_unchecked(M.copy(), 12)
+    frozen = M.copy()
+    frozen.flags.writeable = False
+    assert np.array_equal(spectral.trace_moments_unchecked(frozen, 12), expected)
+    assert np.array_equal(frozen, M)  # copied, not reduced in place
+    assert np.array_equal(
+        spectral.trace_moments_unchecked(np.asfortranarray(M), 12), expected)
+    for bad in (np.zeros((0, 0)), np.ones((2, 3))):
+        with pytest.raises(InvalidInputError):
+            spectral.trace_moments_unchecked(bad, 4)
+    with pytest.raises(InvalidInputError):
+        spectral.trace_moments_unchecked(M.copy(), -1)
+
+
+def test_trace_moments_overflow_reads_inf_not_nan(norm_route):
+    # positive definite, nonnegative entries: Tr(M^s) overflows from s = 4 on,
+    # to +inf; a zero pad times an overflowed entry would make NaN instead
+    M = 1e100 * (3.0 * np.eye(6) + np.eye(6, k=1) + np.eye(6, k=-1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = spectral.trace_moments_unchecked(M, 10)
+    assert np.all(np.isfinite(got[:3]))
+    assert np.all(got[3:] == np.inf)
 
 
 # --- KS distance -----------------------------------------------------------------
