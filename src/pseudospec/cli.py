@@ -60,13 +60,6 @@ def iter_summaries(spec: ensembles.EnsembleSpec, count: int, solve=None):
         yield solve(M)
 
 
-def scaled_norm(spec: ensembles.EnsembleSpec, norm: float) -> float:
-    """The norm statistic expected to concentrate at 1 for this kind."""
-    if spec.kind in ensembles.WIGNER_KINDS:
-        return norm
-    return norm / (1.0 + math.sqrt(spec.gamma)) ** 2
-
-
 def _log_divisor(N: int, epsilon: float) -> float:
     """log^(1+epsilon) N, natural log, rejected unless positive and finite."""
     if N < 2:
@@ -94,6 +87,7 @@ def norm_deviation(spec: ensembles.EnsembleSpec, norm: float, epsilon: float) ->
 
 
 def law_for(spec: ensembles.EnsembleSpec):
+    """The limit law of this kind: semicircle for Wigner, MP(p/N) for SCM."""
     if spec.kind in ensembles.WIGNER_KINDS:
         return laws.SemicircleLaw()
     return laws.MarchenkoPasturLaw(spec.gamma)
@@ -193,13 +187,14 @@ def cmd_sample(args) -> int:
 def cmd_norms(args) -> int:
     spec = _spec_from_args(args)
     _log_divisor(spec.N, args.epsilon)  # reject N and epsilon before any output
+    edge = law_for(spec).support[1]  # the scaled norm concentrates at 1
     outdir = _prepare_outdir(args.out)
     norms: list[float] = []
     with open(outdir / "norms.csv", "w") as fh:
         fh.write("norm\n")
         for i, norm in enumerate(iter_summaries(spec, args.count,
                                                 spectral.norm_unchecked)):
-            v = scaled_norm(spec, norm)
+            v = norm / edge
             norms.append(v)
             fh.write(repr(v) + "\n")
             if (i + 1) % CHECKPOINT_EVERY == 0:

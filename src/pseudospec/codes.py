@@ -24,7 +24,7 @@ Batch file format (``save_codewords``): an 8-byte header of two uint32
 little-endian fields (n, count), then ``count`` records of ceil(n/8) bytes
 each, coefficient of x^0 first (bit j of byte i is the coefficient of
 x^(8i+j)).  ``load_codewords`` rejects a file whose length does not match
-its header.
+its header, and a record wider than n bits.
 """
 
 from __future__ import annotations
@@ -314,8 +314,9 @@ def save_codewords(path, words: list[int], n: int) -> None:
 def load_codewords(path) -> tuple[int, list[int]]:
     """Read a codeword batch; returns (n, words).
 
-    Raises InvalidInputError when the header is short or the body is not
-    exactly count records long.
+    Raises InvalidInputError when the header is short or gives n < 1, when
+    the body is not exactly count records long, and when a record has a
+    bit set at or above x^n.
     """
     with open(path, "rb") as fh:
         header = fh.read(8)
@@ -324,6 +325,8 @@ def load_codewords(path) -> tuple[int, list[int]]:
                 f"codeword file has {len(header)} bytes, header needs 8"
             )
         n, count = struct.unpack("<II", header)
+        if n < 1:
+            raise InvalidInputError(f"codeword file header gives length n={n}")
         nbytes = (n + 7) // 8
         body = os.fstat(fh.fileno()).st_size - 8
         if body != count * nbytes:
@@ -334,4 +337,7 @@ def load_codewords(path) -> tuple[int, list[int]]:
         words = [
             int.from_bytes(fh.read(nbytes), "little") for _ in range(count)
         ]
+    for i, word in enumerate(words):
+        if word >> n:
+            raise InvalidInputError(f"codeword {i} has a bit set at or above x^{n}")
     return n, words

@@ -68,12 +68,16 @@ class SpectralSummary:
     norm: float              # max(|smallest|, |largest|)
 
 
-def _check_symmetric(M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=np.float64)
+def _check_square(M: np.ndarray) -> None:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {M.shape}")
     if M.size == 0:
         raise InvalidInputError("empty matrix")
+
+
+def _check_symmetric(M: np.ndarray) -> np.ndarray:
+    M = np.asarray(M, dtype=np.float64)
+    _check_square(M)
     scale = np.abs(M).max()
     if not np.isfinite(scale):
         raise InvalidInputError("matrix has non-finite entries")
@@ -195,11 +199,8 @@ def _tridiagonal(M: np.ndarray):
     reduced in place; any other M is copied first.  A LAPACK failure
     raises NumericalFailureError.
     """
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {M.shape}")
+    _check_square(M)
     n = M.shape[0]
-    if n == 0:
-        raise InvalidInputError("empty matrix")
     if _LAPACK is None:
         return None
     dsytrd = _LAPACK[0]

@@ -16,10 +16,12 @@ code under test:
   GF(2^m) arithmetic by carry-less multiply and reduction, the root check
   of ``gf2m.minimal_polynomial``.
 - ``semicircle_pdf`` / ``mp_pdf``: the densities whose quadrature checks
-  the closed-form CDFs and the exact moments.
+  the law objects' closed-form CDFs and exact moments.
+- ``catalan``: the closed form C(2k, k) / (k + 1), against which the
+  Catalan recurrence of ``laws.SemicircleLaw.moments`` is checked.
 - ``narayana`` / ``mp_moment``: the Marchenko-Pastur moment as the
   Narayana sum, in ``Fraction`` arithmetic, against which the integer
-  recurrence of ``laws.mp_moment`` is checked.
+  recurrence of ``laws.MarchenkoPasturLaw.moments`` is checked.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from pseudospec.gf2m import (
     poly_mod,
     poly_mul,
 )
-from pseudospec.laws import _check_gamma, mp_support
+from pseudospec.laws import MarchenkoPasturLaw
 from pseudospec.spectral import _check_symmetric
 
 
@@ -172,8 +174,8 @@ def semicircle_pdf(x):
 
 def mp_pdf(x, gamma: float):
     """Density sqrt((b - x)(x - a)) / (2 pi gamma x) on [a, b], zero outside."""
-    gamma = _check_gamma(gamma)
-    a, b = mp_support(gamma)
+    a, b = MarchenkoPasturLaw(gamma).support
+    gamma = float(gamma)
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros_like(x)
     inside = (x >= a) & (x <= b) & (x > 0)
@@ -182,6 +184,11 @@ def mp_pdf(x, gamma: float):
         2.0 * np.pi * gamma * xi
     )
     return out if out.ndim else float(out)
+
+
+def catalan(k: int) -> int:
+    """Catalan number C_k = C(2k, k) / (k + 1)."""
+    return math.comb(2 * k, k) // (k + 1)
 
 
 def narayana(s: int, k: int) -> Fraction:

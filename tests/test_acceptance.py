@@ -37,9 +37,9 @@ def _report(num, name, ok, detail=""):
 
 def _norms(kind, count, seed, **kw):
     spec = ensembles.ensemble_spec(kind, seed=seed, **kw)
+    edge = cli.law_for(spec).support[1]
     return spec, np.array(
-        [cli.scaled_norm(spec, v)
-         for v in cli.iter_summaries(spec, count, spectral.norm_unchecked)]
+        [v / edge for v in cli.iter_summaries(spec, count, spectral.norm_unchecked)]
     )
 
 
@@ -251,8 +251,9 @@ def test_criterion_6_moment_asymptotics(n1024_traces):
 def test_pseudo_matches_random_moments(n1024_traces):
     """Unnumbered supplement: the substantive mimicry claim, exact-law scale."""
     worst = 0.0
+    law_moments = list(laws.SemicircleLaw().moments(max(CRIT6_EVEN)))
     for s in CRIT6_EVEN:
-        exact = float(laws.semicircle_moment(s)) * 1024.0
+        exact = float(law_moments[s - 1]) * 1024.0
         for kind in n1024_traces:
             worst = max(worst, abs(n1024_traces[kind][s].mean() / exact - 1.0))
         rel = abs(
@@ -334,13 +335,14 @@ def test_criterion_8_law_evaluators():
     worst_mom = 0.0
     worst_mass = 0.0
     for gamma in gammas:
-        a, b = laws.mp_support(gamma)
-        for s in range(1, 9):
+        law = laws.MarchenkoPasturLaw(gamma)
+        a, b = law.support
+        for s, moment in enumerate(law.moments(8), start=1):
             quad_val, _ = integrate.quad(
                 lambda x: x**s * oracles.mp_pdf(x, gamma), a, b,
                 epsabs=1e-12, limit=200,
             )
-            worst_mom = max(worst_mom, abs(float(laws.mp_moment(s, gamma)) - quad_val))
+            worst_mom = max(worst_mom, abs(float(moment) - quad_val))
         mass, _ = integrate.quad(
             lambda x: oracles.mp_pdf(x, gamma), a, b, epsabs=1e-12, limit=200
         )
@@ -349,7 +351,7 @@ def test_criterion_8_law_evaluators():
     worst_mass = max(worst_mass, abs(sc_mass - 1.0))
     ok = (
         worst_mom <= 1e-8
-        and laws.semicircle_cdf(0.0) == 0.5
+        and laws.SemicircleLaw().cdf(0.0) == 0.5
         and worst_mass <= 1e-8
     )
     _report(8, "law moments vs quadrature, unit mass, cdf(0)", ok,

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -165,14 +166,25 @@ def test_norms_csv_matches_full_solve(tmp_path, capsys, norm_route, kind):
     rows = (tmp_path / "norms.csv").read_text().splitlines()[1:]
     spec = cli.ensembles.ensemble_spec(kind, N=180, p=p, seed=5, **code)
     mats = cli.ensembles.matrix_stream(spec, 4)
+    edge = cli.law_for(spec).support[1]
     for row, M in zip(rows, mats, strict=True):
-        expected = cli.scaled_norm(spec, cli.spectral.symmetric_eigen(M).norm)
+        expected = cli.spectral.symmetric_eigen(M).norm / edge
         if norm_route == "eigvalsh":
             assert float(row) == expected
         else:
             assert abs(float(row) - expected) <= 1e-13 * expected
     config = json.loads((tmp_path / "config.json").read_text())
     assert config["environment"]["norm_route"] == norm_route
+
+
+def test_norms_random_mp_rows_divide_by_mp_edge(tmp_path, capsys):
+    # each row is the norm of its packed matrix over (1 + sqrt(p/N))^2, bit for bit
+    assert run(["norms", "--kind", "random-mp", "--N", "40", "--p", "12", "--count", "5",
+                "--seed", "3", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "norms.csv").read_text().splitlines()[1:]
+    spec = cli.ensembles.ensemble_spec("random-mp", N=40, p=12, seed=3)
+    for row, M in zip(rows, cli.ensembles.matrix_stream(spec, 5), strict=True):
+        assert float(row) == cli.spectral.norm_unchecked(M) / (1 + math.sqrt(12 / 40)) ** 2
 
 
 def test_norms_infeasible_packing_exit_2(tmp_path, capsys):
@@ -373,10 +385,10 @@ def test_moments_law_overflow_exit_2_before_output(tmp_path, capsys):
     assert err.startswith("error: ") and "largest usable --s-max is 672" in err
     assert not (out / "moments.csv").exists()
     assert not out.exists()
-    law = cli.laws.MarchenkoPasturLaw(0.5)
-    assert float(law.moment(672)) < float("inf")
+    *_, moment_672, moment_673 = cli.laws.MarchenkoPasturLaw(0.5).moments(673)
+    assert float(moment_672) < float("inf")
     with pytest.raises(OverflowError):
-        float(law.moment(673))
+        float(moment_673)
 
 
 # --- plumbing ---------------------------------------------------------------------------

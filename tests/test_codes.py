@@ -1,6 +1,7 @@
 """BCH construction, duals, encoding, sampling, exact distances."""
 
 import itertools
+import struct
 import warnings
 
 import numpy as np
@@ -333,6 +334,20 @@ def test_codeword_file_length_checked(tmp_path):
         path.write_bytes(bad)
         with pytest.raises(InvalidInputError):
             codes.load_codewords(path)
+
+
+def test_codeword_file_zero_length_rejected(tmp_path):
+    path = tmp_path / "words.bin"
+    path.write_bytes(struct.pack("<II", 0, 3))  # n = 0: zero-byte records
+    with pytest.raises(InvalidInputError):
+        codes.load_codewords(path)
+
+
+def test_codeword_file_record_wider_than_n_rejected(tmp_path):
+    path = tmp_path / "words.bin"
+    path.write_bytes(struct.pack("<II", 3, 1) + b"\xff")  # x^3..x^7 set at n = 3
+    with pytest.raises(InvalidInputError):
+        codes.load_codewords(path)
 
 
 def test_json_dict_fields(bch_15_7):

@@ -14,6 +14,8 @@ from pseudospec import laws
 from pseudospec.errors import InvalidInputError
 
 GAMMAS = (0.25, 0.5, 0.625, 1.0)
+SC = laws.SemicircleLaw()
+MP = laws.MarchenkoPasturLaw
 
 
 # --- semicircle --------------------------------------------------------------
@@ -26,11 +28,11 @@ def test_semicircle_pdf_values():
 
 
 def test_semicircle_cdf_values():
-    assert laws.semicircle_cdf(0.0) == 0.5
-    assert laws.semicircle_cdf(1.0) == 1.0
-    assert laws.semicircle_cdf(-1.0) == 0.0
-    assert laws.semicircle_cdf(5.0) == 1.0
-    assert laws.semicircle_cdf(-5.0) == 0.0
+    assert SC.cdf(0.0) == 0.5
+    assert SC.cdf(1.0) == 1.0
+    assert SC.cdf(-1.0) == 0.0
+    assert SC.cdf(5.0) == 1.0
+    assert SC.cdf(-5.0) == 0.0
 
 
 def test_semicircle_pdf_integrates_to_one():
@@ -41,58 +43,56 @@ def test_semicircle_pdf_integrates_to_one():
 def test_semicircle_cdf_matches_pdf_integral():
     for x in (-0.9, -0.3, 0.2, 0.7):
         val, _ = integrate.quad(oracles.semicircle_pdf, -1, x, epsabs=1e-12)
-        assert laws.semicircle_cdf(x) == pytest.approx(val, abs=1e-10)
+        assert SC.cdf(x) == pytest.approx(val, abs=1e-10)
 
 
 def test_semicircle_moments_exact_values():
-    assert laws.semicircle_moment(0) == 1
-    assert laws.semicircle_moment(2) == Fraction(1, 4)
-    assert laws.semicircle_moment(4) == Fraction(1, 8)
-    assert laws.semicircle_moment(3) == 0
-    assert laws.semicircle_moment(1) == 0
+    assert list(SC.moments(4)) == [0, Fraction(1, 4), 0, Fraction(1, 8)]
 
 
 def test_semicircle_moments_vs_quadrature():
-    for s in range(13):
+    # order 0 is the total mass, 1 by definition
+    for s, moment in enumerate([1, *SC.moments(12)]):
         val, _ = integrate.quad(
             lambda x: x**s * oracles.semicircle_pdf(x), -1, 1, epsabs=1e-13
         )
-        assert abs(float(laws.semicircle_moment(s)) - val) <= 1e-10
+        assert abs(float(moment) - val) <= 1e-10
 
 
 def test_semicircle_moment_stirling_sanity():
     # even moments approach sqrt(8 / (pi s^3)); at s = 60 within 5%
     s = 60
-    ratio = float(laws.semicircle_moment(s)) * math.sqrt(math.pi * s**3 / 8.0)
+    *_, moment = SC.moments(s)
+    ratio = float(moment) * math.sqrt(math.pi * s**3 / 8.0)
     assert abs(ratio - 1.0) <= 0.05
 
 
 def test_catalan_values():
-    assert [laws.catalan(k) for k in range(6)] == [1, 1, 2, 5, 14, 42]
-    assert laws.catalan(30) == 3814986502092304
+    assert [oracles.catalan(k) for k in range(6)] == [1, 1, 2, 5, 14, 42]
+    assert oracles.catalan(30) == 3814986502092304
 
 
 # --- Marchenko-Pastur ---------------------------------------------------------
 
 def test_mp_support_values():
-    a, b = laws.mp_support(0.625)
+    a, b = MP(0.625).support
     # frozen from the defining formulas (1 -+ sqrt(gamma))^2
     assert a == pytest.approx(0.04386116991581031, abs=1e-15)
     assert b == pytest.approx(3.20613883008419, abs=1e-14)
-    assert laws.mp_support(1.0) == (0.0, 4.0)
+    assert MP(1.0).support == (0.0, 4.0)
 
 
 def test_mp_pdf_values():
     # at gamma=1: f(x) = sqrt(x (4 - x)) / (2 pi x); f(2) = 1/(2 pi)
     assert oracles.mp_pdf(2.0, 1.0) == pytest.approx(1.0 / (2 * math.pi), abs=1e-15)
-    a, b = laws.mp_support(0.5)
+    a, b = MP(0.5).support
     assert oracles.mp_pdf(a - 1e-9, 0.5) == 0.0
     assert oracles.mp_pdf(b + 1e-9, 0.5) == 0.0
 
 
 def test_mp_pdf_integrates_to_one():
     for gamma in GAMMAS:
-        a, b = laws.mp_support(gamma)
+        a, b = MP(gamma).support
         val, _ = integrate.quad(
             lambda x: oracles.mp_pdf(x, gamma), a, b, epsabs=1e-12, limit=200
         )
@@ -101,12 +101,13 @@ def test_mp_pdf_integrates_to_one():
 
 def test_mp_cdf_endpoints_and_monotone():
     for gamma in GAMMAS + (1 / 40,):
-        a, b = laws.mp_support(gamma)
-        assert laws.mp_cdf(a, gamma) == 0.0
-        assert laws.mp_cdf(b, gamma) == 1.0
+        law = MP(gamma)
+        a, b = law.support
+        assert law.cdf(a) == 0.0
+        assert law.cdf(b) == 1.0
         near_b = b - np.logspace(-14, -2, 25)
         xs = np.sort(np.concatenate([np.linspace(a - 0.2, b + 0.2, 400), near_b]))
-        vals = laws.mp_cdf(xs, gamma)
+        vals = law.cdf(xs)
         assert np.all(np.diff(vals) >= 0.0)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
         assert np.all(vals[xs <= a] == 0.0) and np.all(vals[xs >= b] == 1.0)
@@ -114,28 +115,29 @@ def test_mp_cdf_endpoints_and_monotone():
 
 def test_mp_cdf_monotone_dense_grid():
     xs = np.linspace(-0.5, 4.5, 10_000)
-    vals = laws.mp_cdf(xs, 0.625)
+    vals = MP(0.625).cdf(xs)
     assert np.all(np.diff(vals) >= 0.0)
-    sc = laws.semicircle_cdf(np.linspace(-1.2, 1.2, 10_000))
+    sc = SC.cdf(np.linspace(-1.2, 1.2, 10_000))
     assert np.all(np.diff(sc) >= 0.0)
 
 
 def test_mp_cdf_vector_matches_scalar():
     edge = np.array([0.0, 1e-12, 1e-6, 1e-3])
     for gamma in GAMMAS:
-        a, b = laws.mp_support(gamma)
+        law = MP(gamma)
+        a, b = law.support
         xs = np.concatenate(
             [[0.3, 1.0, 2.5, 0.1, 0.509], a + edge, b - edge, [a - 0.1, b + 0.1]]
         )
         xs = np.random.default_rng(7).permutation(xs)
-        vec = laws.mp_cdf(xs, gamma)
+        vec = law.cdf(xs)
         for x, v in zip(xs, vec):
-            assert laws.mp_cdf(float(x), gamma) == pytest.approx(v, abs=1e-10), (gamma, x)
+            assert law.cdf(float(x)) == pytest.approx(v, abs=1e-10), (gamma, x)
 
 
 def _quad_mp_cdf(x, gamma):
     # split at the midpoint so each quad call has one square-root edge
-    a, b = laws.mp_support(gamma)
+    a, b = MP(gamma).support
     mid = 0.5 * (a + b)
     total = 0.0
     with warnings.catch_warnings():
@@ -153,56 +155,55 @@ def _quad_mp_cdf(x, gamma):
 def test_mp_cdf_matches_quadrature():
     offsets = np.logspace(-14, -2, 7)
     for gamma in GAMMAS + (1 / 40,):
-        a, b = laws.mp_support(gamma)
+        a, b = MP(gamma).support
         xs = np.concatenate([np.linspace(a, b, 9)[1:-1], a + offsets, b - offsets])
-        vals = laws.mp_cdf(xs, gamma)
+        vals = MP(gamma).cdf(xs)
         for x, v in zip(xs, vals):
             assert abs(v - _quad_mp_cdf(x, gamma)) <= 1e-12, (gamma, x)
 
 
 def test_mp_moments_exact_values():
-    assert laws.mp_moment(1, 0.3) == 1
-    assert laws.mp_moment(2, 1.0) == 2       # Catalan C_2: MP(1) is squared-semicircle
-    assert laws.mp_moment(2, 0.5) == Fraction(3, 2)
-    assert laws.mp_moment(2, Fraction(5, 8)) == 1 + Fraction(5, 8)
+    assert next(MP(0.3).moments(1)) == 1
+    assert list(MP(1.0).moments(2))[1] == 2   # Catalan C_2: MP(1) is squared-semicircle
+    assert list(MP(0.5).moments(2))[1] == Fraction(3, 2)
+    assert list(MP(Fraction(5, 8)).moments(2))[1] == 1 + Fraction(5, 8)
 
 
 def test_mp_moments_vs_quadrature():
     for gamma in GAMMAS:
-        a, b = laws.mp_support(gamma)
-        for s in range(1, 9):
+        law = MP(gamma)
+        a, b = law.support
+        for s, moment in enumerate(law.moments(8), start=1):
             val, _ = integrate.quad(
                 lambda x: x**s * oracles.mp_pdf(x, gamma), a, b,
                 epsabs=1e-12, limit=200,
             )
-            exact = float(laws.mp_moment(s, gamma))
+            exact = float(moment)
             assert abs(exact - val) <= 1e-8, f"s={s} gamma={gamma}"
 
 
 def test_mp_gamma_one_moments_are_catalan():
-    for s in range(1, 8):
-        assert laws.mp_moment(s, 1) == laws.catalan(s)
+    assert list(MP(1).moments(7)) == [oracles.catalan(s) for s in range(1, 8)]
 
 
 def test_narayana_values():
     assert oracles.narayana(4, 2) == 6
-    assert sum(oracles.narayana(4, k) for k in range(1, 5)) == laws.catalan(4)
+    assert sum(oracles.narayana(4, k) for k in range(1, 5)) == oracles.catalan(4)
 
 
 def test_mp_moment_recurrence_matches_narayana_sum():
     for gamma in (1, 0.5, 0.625, 1 / 3, Fraction(1, 3), 0.3, 1e-3):
-        for s in range(1, 61):
-            assert laws.mp_moment(s, gamma) == oracles.mp_moment(s, gamma), (s, gamma)
+        for s, moment in enumerate(MP(gamma).moments(60), start=1):
+            assert moment == oracles.mp_moment(s, gamma), (s, gamma)
 
 
-def test_law_moments_one_pass_match_per_order():
-    for gamma in GAMMAS:
-        expected = [laws.mp_moment(s, gamma) for s in range(1, 61)]
-        assert list(laws.mp_moments(60, gamma)) == expected, gamma
-        assert list(laws.MarchenkoPasturLaw(gamma).moments(60)) == expected, gamma
-    expected = [laws.semicircle_moment(s) for s in range(1, 61)]
-    assert list(laws.semicircle_moments(60)) == expected
-    assert list(laws.SemicircleLaw().moments(60)) == expected
+def test_law_moments_match_closed_form():
+    expected = [0 if s % 2 else Fraction(oracles.catalan(s // 2), 2**s)
+                for s in range(1, 61)]
+    assert list(SC.moments(60)) == expected
+    for gamma in GAMMAS + (Fraction(1, 3), 0.3):
+        expected = [oracles.mp_moment(s, gamma) for s in range(1, 61)]
+        assert list(MP(gamma).moments(60)) == expected, gamma
 
 
 def test_gamma_validation():
@@ -210,26 +211,27 @@ def test_gamma_validation():
         with pytest.raises(InvalidInputError):
             oracles.mp_pdf(1.0, bad)
         with pytest.raises(InvalidInputError):
-            laws.mp_moment(2, bad)
+            MP(bad)
     with pytest.raises(InvalidInputError):
-        laws.MarchenkoPasturLaw(gamma=2.0)
+        MP(gamma=2.0)
+    # above 1 exactly, though it rounds to the float 1.0
+    with pytest.raises(InvalidInputError):
+        MP(Fraction(10**20 + 1, 10**20))
 
 
-def test_moment_order_validation():
-    with pytest.raises(InvalidInputError):
-        laws.semicircle_moment(-1)
-    with pytest.raises(InvalidInputError):
-        laws.mp_moment(0, 0.5)
+def test_moments_start_at_order_one():
+    assert list(SC.moments(0)) == [] and list(MP(0.5).moments(0)) == []
+    assert next(SC.moments(1)) == 0 and next(MP(0.5).moments(1)) == 1
 
 
 # --- law objects ---------------------------------------------------------------
 
 def test_law_objects_surface():
-    sc = laws.SemicircleLaw()
-    assert sc.kind == "semicircle"
-    assert sc.support == (-1.0, 1.0)
-    assert sc.cdf(0.0) == 0.5
-    mp = laws.MarchenkoPasturLaw(0.625)
+    assert SC.kind == "semicircle"
+    assert SC.support == (-1.0, 1.0)
+    assert SC.cdf(0.0) == 0.5
+    mp = MP(0.625)
     assert mp.kind == "marchenko-pastur"
-    assert mp.support == laws.mp_support(0.625)
-    assert mp.moment(1) == 1
+    sq = math.sqrt(0.625)
+    assert mp.support == ((1.0 - sq) ** 2, (1.0 + sq) ** 2)
+    assert next(mp.moments(1)) == 1
