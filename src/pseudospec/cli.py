@@ -6,9 +6,11 @@ the output directory holding the full parameter set, library version and
 BLAS environment, so any run can be replayed; replays at the same BLAS
 thread count produce byte-identical CSV output (samples are processed
 serially in index order, and sample i depends only on (seed, i), so any
-prefix of a batch reproduces).  ``esd`` takes the full spectrum of each
-matrix; ``norms`` and ``moments`` take only its tridiagonal form, from
-which ``norms`` bisects for the two extreme eigenvalues
+prefix of a batch reproduces).  The batch commands build one
+``ensembles.EnsembleSpec`` from their flags, which checks them and names
+the limit law.  ``esd`` takes the full spectrum of each matrix; ``norms``
+and ``moments`` take only its tridiagonal form, from which ``norms``
+bisects for the two extreme eigenvalues
 (``spectral.norm_unchecked``) and ``moments`` forms the traces of powers
 (``spectral.trace_moments_unchecked``).
 
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, codes, ensembles, gf2m, independence, laws, spectral
+from . import __version__, codes, ensembles, gf2m, independence, spectral
 from .errors import (
     ArithmeticCorruptionError,
     InvalidInputError,
@@ -86,13 +88,6 @@ def norm_deviation(spec: ensembles.EnsembleSpec, norm: float, epsilon: float) ->
     return (norm - 1.0) * spec.N**exponent / divisor
 
 
-def law_for(spec: ensembles.EnsembleSpec):
-    """The limit law of this kind: semicircle for Wigner, MP(p/N) for SCM."""
-    if spec.kind in ensembles.WIGNER_KINDS:
-        return laws.SemicircleLaw()
-    return laws.MarchenkoPasturLaw(spec.gamma)
-
-
 def ks_band(spec: ensembles.EnsembleSpec) -> float:
     """max(1/r, 2/sqrt(N)): the independence bound plus a finite-size floor."""
     floor = 2.0 / math.sqrt(spec.N)
@@ -130,7 +125,7 @@ def _spec_from_args(args) -> ensembles.EnsembleSpec:
     # for a command that has already created its output file
     if args.count < 1:
         raise InvalidInputError(f"--count must be >= 1, got {args.count}")
-    return ensembles.ensemble_spec(
+    return ensembles.EnsembleSpec(
         kind=args.kind, N=args.N, p=args.p, m=args.m, delta=args.delta,
         seed=args.seed, gamma=args.gamma,
     )
@@ -187,7 +182,7 @@ def cmd_sample(args) -> int:
 def cmd_norms(args) -> int:
     spec = _spec_from_args(args)
     _log_divisor(spec.N, args.epsilon)  # reject N and epsilon before any output
-    edge = law_for(spec).support[1]  # the scaled norm concentrates at 1
+    edge = spec.law.support[1]  # the scaled norm concentrates at 1
     outdir = _prepare_outdir(args.out)
     norms: list[float] = []
     with open(outdir / "norms.csv", "w") as fh:
@@ -233,7 +228,7 @@ def cmd_norms(args) -> int:
 
 def cmd_esd(args) -> int:
     spec = _spec_from_args(args)
-    law = law_for(spec)
+    law = spec.law
     band = ks_band(spec)
     outdir = _prepare_outdir(args.out)
     ks_values: list[float] = []
@@ -261,17 +256,17 @@ def cmd_esd(args) -> int:
 
 
 def _law_moments(law, s_max: int) -> list[float]:
-    """The law's moments of orders 1..s_max as floats, or InvalidInputError
-    naming the largest order whose moment fits the float range."""
-    moments = []
-    for s, moment in enumerate(law.moments(s_max), start=1):
-        try:
-            moments.append(float(moment))
-        except OverflowError:
-            raise InvalidInputError(
-                f"the {law.kind} moment of order {s} exceeds the float range; "
-                f"the largest usable --s-max is {s - 1}"
-            ) from None
+    """The law's moments of orders 1..s_max, or InvalidInputError naming the
+    largest order whose moment fits the float range."""
+    moments: list[float] = []
+    try:
+        for moment in law.moments(s_max):
+            moments.append(moment)
+    except OverflowError:
+        raise InvalidInputError(
+            f"the {law.kind} moment of order {len(moments) + 1} exceeds the float "
+            f"range; the largest usable --s-max is {len(moments)}"
+        ) from None
     return moments
 
 
@@ -279,9 +274,7 @@ def cmd_moments(args) -> int:
     if args.s_max < 1:
         raise InvalidInputError("--s-max must be >= 1")
     spec = _spec_from_args(args)
-    law = law_for(spec)
-    law_moments = _law_moments(law, args.s_max)
-    wigner = spec.kind in ensembles.WIGNER_KINDS
+    law_moments = _law_moments(spec.law, args.s_max)
     outdir = _prepare_outdir(args.out)
     orders = range(1, args.s_max + 1)
     solve = functools.partial(spectral.trace_moments_unchecked, s_max=args.s_max)
@@ -291,13 +284,13 @@ def cmd_moments(args) -> int:
     means = sums / args.count
     with open(outdir / "moments.csv", "w") as fh:
         header = "s,sample_mean,law_moment"
-        if wigner:
+        if spec.wigner:
             header += ",stirling_ratio"
         fh.write(header + "\n")
         for s, mean, law_moment in zip(orders, means, law_moments):
             mean = float(mean)
             row = f"{s},{mean!r},{law_moment!r}"
-            if wigner:
+            if spec.wigner:
                 row += f",{mean * math.sqrt(math.pi * s**3 / 8.0)!r}"
             fh.write(row + "\n")
     _write_sidecar(outdir, args)
@@ -339,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--N", type=int, required=True, help="matrix order")
         p.add_argument("--p", type=int, default=None, help="columns (MP kinds)")
         p.add_argument("--gamma", type=float, default=None,
-                       help="aspect ratio; p = floor(gamma*N) when --p absent")
+                       help="aspect ratio, for MP kinds without --p: p is the "
+                       "floor of gamma*N, gamma read as the decimal given")
         p.add_argument("--count", type=int, required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output directory")

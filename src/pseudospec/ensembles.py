@@ -1,6 +1,8 @@
 """Sign-matrix ensembles: codeword-packed and truly random.
 
-All four kinds share one path: sample i is
+``EnsembleSpec`` is the one ensemble object: it checks its parameters when
+built and names its bit count, packing, bit source and limit law.  All
+four kinds share one path: sample i is
 ``pack(spec, sample_bits(spec, i, dual))``.  Its bits come from the seeded
 dual-BCH codeword (pseudo kinds), encoded only as far as the packing reads
 it, or from fair coins drawn by a generator seeded by (seed, i) (random
@@ -29,11 +31,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from . import codes
+from . import codes, laws
 from .errors import InvalidInputError
 
 PSEUDO_KINDS = ("pseudo-wigner", "pseudo-mp")
@@ -45,12 +48,19 @@ MP_KINDS = ("pseudo-mp", "random-mp")
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Everything needed to regenerate one matrix batch deterministically.
+    """Everything needed to regenerate one matrix batch deterministically,
+    checked on construction.
 
-    r is the guaranteed independence level of the packed entries: designed
-    distance minus one for the code-based kinds, None (unlimited) for the
-    truly random ones.  rho = log_N(r) is the derived independence
-    exponent used in the norm deviation statistic.
+    MP kinds take exactly one of p and gamma: p = floor(gamma * N), gamma
+    read as the decimal it prints as (0.29 is 29/100, not the float just
+    below), and gamma = p / N is recorded.  Pseudo kinds need (m, delta)
+    that pass ``codes.designed_distance`` and codewords of at least
+    ``bits_used`` bits.  Other kinds take none of these.
+
+    r is the guaranteed independence level of the packed entries: the
+    promoted designed distance minus one for the code-based kinds, None
+    (unlimited) for the truly random ones.  rho = log_N(r) is the derived
+    independence exponent used in the norm deviation statistic.
     """
 
     kind: str
@@ -60,90 +70,84 @@ class EnsembleSpec:
     delta: int | None = None
     seed: int = 0
     gamma: float | None = None
-    r: int | None = None
-    rho: float | None = None
+    r: int | None = field(default=None, init=False)
+    rho: float | None = field(default=None, init=False)
+
+    def __post_init__(self) -> None:
+        kind, N, p, gamma = self.kind, self.N, self.p, self.gamma
+        if kind not in KINDS:
+            raise InvalidInputError(f"kind must be one of {KINDS}, got {kind!r}")
+        if N < 1:
+            raise InvalidInputError("N must be >= 1")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be a nonnegative integer")
+        if gamma is not None and not math.isfinite(gamma):
+            raise InvalidInputError(f"gamma must be finite, got {gamma}")
+
+        if not self.wigner:
+            if (p is None) == (gamma is None):
+                raise InvalidInputError("MP kinds need exactly one of p and gamma")
+            if p is None:
+                p = math.floor(Fraction(str(gamma)) * N)
+            if not 1 <= p <= N:
+                raise InvalidInputError(f"need 1 <= p <= N, got p={p}, N={N}")
+            object.__setattr__(self, "p", p)
+            object.__setattr__(self, "gamma", p / N)
+        elif p is not None or gamma is not None:
+            raise InvalidInputError(f"{kind} takes neither p nor gamma")
+
+        if self.pseudo:
+            if self.m is None or self.delta is None:
+                raise InvalidInputError(f"{kind} needs m and delta")
+            r = codes.designed_distance(self.m, self.delta) - 1
+            n = (1 << self.m) - 1
+            if self.bits_used > n:
+                raise InvalidInputError(
+                    f"packing needs {self.bits_used} bits but codewords have n={n}"
+                )
+            rho = math.log(r) / math.log(N) if N > 1 else None
+            object.__setattr__(self, "r", r)
+            object.__setattr__(self, "rho", rho)
+        elif self.m is not None or self.delta is not None:
+            raise InvalidInputError(f"{kind} does not take m or delta")
+
+    @property
+    def wigner(self) -> bool:
+        """Symmetric N x N packing (else the N x p sample covariance)."""
+        return self.kind in WIGNER_KINDS
+
+    @property
+    def pseudo(self) -> bool:
+        """Bits from a seeded dual-BCH codeword (else fair coins)."""
+        return self.kind in PSEUDO_KINDS
+
+    @property
+    def bits_used(self) -> int:
+        """Bits one matrix takes: N(N+1)/2 symmetric, N*p rectangular."""
+        return self.N * (self.N + 1) // 2 if self.wigner else self.N * self.p
+
+    @property
+    def law(self) -> laws.SemicircleLaw | laws.MarchenkoPasturLaw:
+        """The limit law: the semicircle for Wigner kinds, MP(p/N) for SCM."""
+        if self.wigner:
+            return laws.SemicircleLaw()
+        return laws.MarchenkoPasturLaw(self.gamma)
 
     def to_json_dict(self) -> dict:
         return asdict(self)
 
 
-def ensemble_spec(
-    kind: str,
-    N: int,
-    p: int | None = None,
-    m: int | None = None,
-    delta: int | None = None,
-    seed: int = 0,
-    gamma: float | None = None,
-) -> EnsembleSpec:
-    """Validate parameters and fill in the derived fields (gamma, r, rho).
-
-    MP kinds take exactly one of p and gamma, with p = floor(gamma * N);
-    Wigner kinds take neither.
-    For pseudo kinds (m, delta) must pass ``codes.designed_distance``, whose
-    promoted delta gives r = delta - 1, and the underlying codeword must be
-    long enough for the packing: N(N+1)/2 bits symmetric, N*p rectangular.
-    """
-    if kind not in KINDS:
-        raise InvalidInputError(f"kind must be one of {KINDS}, got {kind!r}")
-    if N < 1:
-        raise InvalidInputError("N must be >= 1")
-    if seed < 0:
-        raise InvalidInputError("seed must be a nonnegative integer")
-    if gamma is not None and not math.isfinite(gamma):
-        raise InvalidInputError(f"gamma must be finite, got {gamma}")
-
-    if kind in MP_KINDS:
-        if (p is None) == (gamma is None):
-            raise InvalidInputError("MP kinds need exactly one of p and gamma")
-        if p is None:
-            p = int(math.floor(gamma * N))
-        if not 1 <= p <= N:
-            raise InvalidInputError(f"need 1 <= p <= N, got p={p}, N={N}")
-        gamma = p / N
-    elif p is not None or gamma is not None:
-        raise InvalidInputError(f"{kind} takes neither p nor gamma")
-
-    r = rho = None
-    if kind in PSEUDO_KINDS:
-        if m is None or delta is None:
-            raise InvalidInputError(f"{kind} needs m and delta")
-        r = codes.designed_distance(m, delta) - 1
-        n = (1 << m) - 1
-        needed = _bits_used(kind, N, p)
-        if needed > n:
-            raise InvalidInputError(
-                f"packing needs {needed} bits but codewords have n={n}"
-            )
-        rho = math.log(r) / math.log(N) if N > 1 else None
-    else:
-        if m is not None or delta is not None:
-            raise InvalidInputError(f"{kind} does not take m or delta")
-
-    return EnsembleSpec(
-        kind=kind, N=N, p=p, m=m, delta=delta, seed=seed,
-        gamma=gamma, r=r, rho=rho,
-    )
-
-
-def _bits_used(kind: str, N: int, p: int | None) -> int:
-    """Bits one matrix takes: N(N+1)/2 symmetric, N*p rectangular."""
-    return N * (N + 1) // 2 if kind in WIGNER_KINDS else N * p
-
-
 def sample_bits(
     spec: EnsembleSpec, index: int, dual: codes.DualCode | None = None
 ) -> np.ndarray:
-    """The uint8 bits of sample `index`: exactly the ones `pack` uses.
-
-    That is N(N+1)/2 bits for Wigner kinds and N*p for MP kinds.  Pseudo
-    kinds need `dual`, the dual of the spec's BCH code, and give the leading
-    bits of its seeded codeword, encoded only that far (the tail the packing
-    would discard is never computed); random kinds give fair coins drawn by
-    ``default_rng((seed, index))``.
+    """The uint8 bits of sample `index`: the ``spec.bits_used`` that `pack`
+    uses.  Pseudo kinds need `dual`, the dual of the spec's BCH code, and
+    give the leading bits of its seeded codeword, encoded only that far (the
+    tail the packing would discard is never computed); random kinds give
+    fair coins drawn by ``default_rng((seed, index))``.
     """
-    used = _bits_used(spec.kind, spec.N, spec.p)
-    if spec.kind in RANDOM_KINDS:
+    used = spec.bits_used
+    if not spec.pseudo:
         rng = np.random.default_rng((spec.seed, index))
         return rng.integers(0, 2, size=used).astype(np.uint8)
     if dual is None:
@@ -171,7 +175,7 @@ def _signs(word_bits: np.ndarray, used: int) -> np.ndarray:
 
 def pack(spec: EnsembleSpec, bits: np.ndarray) -> np.ndarray:
     """The matrix whose spectrum is measured, from one sample's bits."""
-    if spec.kind in WIGNER_KINDS:
+    if spec.wigner:
         return pack_symmetric(bits, spec.N)
     return pack_rect(bits, spec.N, spec.p)
 
@@ -196,7 +200,7 @@ def matrix_stream(spec: EnsembleSpec, count: int):
     """
     if count < 1:
         raise InvalidInputError("count must be >= 1")
-    pseudo = spec.kind in PSEUDO_KINDS
-    dual = codes.dual_code(codes.bch_generator(spec.m, spec.delta)) if pseudo else None
+    dual = (codes.dual_code(codes.bch_generator(spec.m, spec.delta))
+            if spec.pseudo else None)
     for i in range(count):
         yield pack(spec, sample_bits(spec, i, dual))

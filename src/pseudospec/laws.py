@@ -8,10 +8,10 @@ of ``moments``).
 Cumulative distributions are evaluated in float64 in closed form (the
 Marchenko-Pastur one in a half-angle atan2 form that keeps full precision
 at the support edges; see ``MarchenkoPasturLaw.cdf``).  Moments of orders
-1..s_max are exact rationals, yielded from one pass of an integer
-recurrence (Catalan numbers for the semicircle, Narayana polynomials for
-Marchenko-Pastur), since the numbers involved overflow 64 bits well
-before s = 60.
+1..s_max come from one pass of an integer recurrence (Catalan numbers for
+the semicircle, Narayana polynomials for Marchenko-Pastur), each as one
+int true division of two exact integers: a correctly rounded float, or
+OverflowError for an MP moment beyond the float range.
 
 The MP moment of order s at aspect ratio gamma is the Narayana sum
 
@@ -55,17 +55,17 @@ class SemicircleLaw:
         return out if out.ndim else float(out)
 
     def moments(self, s_max: int):
-        """Exact moments of orders 1..s_max: 0 for odd s, C_{s/2} / 2^s for
-        even s, from one pass of the Catalan recurrence
+        """Moments of orders 1..s_max, correctly rounded: 0 for odd s,
+        C_{s/2} / 2^s for even s, from one pass of the Catalan recurrence
         C_k = C_{k-1} (4k - 2) / (k + 1)."""
         catalan_k = 1  # C_0
         for s in range(1, s_max + 1):
             if s % 2 == 1:
-                yield Fraction(0)
+                yield 0.0
             else:
                 k = s // 2
                 catalan_k = catalan_k * (4 * k - 2) // (k + 1)
-                yield Fraction(catalan_k, 1 << s)
+                yield catalan_k / (1 << s)
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,8 @@ class MarchenkoPasturLaw:
         return out
 
     def moments(self, s_max: int):
-        """Exact moments of orders 1..s_max, yielded from one run of the
-        integer recurrence below.
+        """Moments of orders 1..s_max, correctly rounded, yielded from one
+        run of the integer recurrence below.
 
         A float gamma converts exactly (binary rationals such as 0.625 stay
         exact), and a Fraction such as 1/3 is used as it is.  With
@@ -142,7 +142,7 @@ class MarchenkoPasturLaw:
             (j+1) P_j = (2j-1)(a+b) P_{j-1} - (j-2)(b-a)^2 P_{j-2},
 
         in which the division is exact.  That is O(s_max) integer
-        operations, plus one Fraction per order.
+        operations, plus one int true division P_s / b^(s-1) per order.
         """
         a, b = Fraction(self.gamma).as_integer_ratio()
         ab, d2 = a + b, (b - a) ** 2
@@ -152,4 +152,4 @@ class MarchenkoPasturLaw:
             if j > 1:
                 prev, cur = cur, ((2 * j - 1) * ab * cur - (j - 2) * d2 * prev) // (j + 1)
                 scale *= b
-            yield Fraction(cur, scale)
+            yield cur / scale

@@ -36,8 +36,8 @@ def _report(num, name, ok, detail=""):
 
 
 def _norms(kind, count, seed, **kw):
-    spec = ensembles.ensemble_spec(kind, seed=seed, **kw)
-    edge = cli.law_for(spec).support[1]
+    spec = ensembles.EnsembleSpec(kind, seed=seed, **kw)
+    edge = spec.law.support[1]
     return spec, np.array(
         [v / edge for v in cli.iter_summaries(spec, count, spectral.norm_unchecked)]
     )
@@ -96,11 +96,11 @@ def _moments_solver(s_max):
 
 
 def test_criterion_3_exact_moment_identities():
-    spec_w = ensembles.ensemble_spec("pseudo-wigner", N=44, m=10, delta=15, seed=3001)
+    spec_w = ensembles.EnsembleSpec("pseudo-wigner", N=44, m=10, delta=15, seed=3001)
     worst_w = max(
         abs(m[1] - 0.25) for m in cli.iter_summaries(spec_w, 500, _moments_solver(2))
     )
-    spec_g = ensembles.ensemble_spec(
+    spec_g = ensembles.EnsembleSpec(
         "pseudo-mp", N=40, p=25, m=10, delta=15, seed=3002
     )
     worst_g = max(
@@ -123,8 +123,8 @@ def test_criterion_4_ks_band():
         ("pseudo-wigner", dict(N=44, m=10, delta=15), 41),
         ("pseudo-mp", dict(N=40, p=25, m=10, delta=15), 42),
     ]:
-        spec = ensembles.ensemble_spec(kind, seed=seed, **kw)
-        law = cli.law_for(spec)
+        spec = ensembles.EnsembleSpec(kind, seed=seed, **kw)
+        law = spec.law
         band = cli.ks_band(spec)  # max(1/r, 2/sqrt(N)) with r = 14
         ks = np.array(
             [spectral.ks_distance(s, law) for s in cli.iter_summaries(spec, 500)]
@@ -188,7 +188,7 @@ def n1024_traces():
         ("random-wigner", {}, 61),
         ("pseudo-wigner", dict(m=20, delta=33), 62),
     ]:
-        spec = ensembles.ensemble_spec(kind, N=1024, seed=seed, **kw)
+        spec = ensembles.EnsembleSpec(kind, N=1024, seed=seed, **kw)
         traces = {s: [] for s in CRIT6_EVEN + CRIT6_ODD}
         solve = _moments_solver(max(traces))
         for moments in cli.iter_summaries(spec, CRIT6_COUNT, solve):

@@ -13,11 +13,11 @@ from pseudospec.errors import DegenerateCodeError, InvalidInputError
 
 
 def wigner(N):
-    return ensembles.ensemble_spec("random-wigner", N=N)
+    return ensembles.EnsembleSpec("random-wigner", N=N)
 
 
 def mp(N, p):
-    return ensembles.ensemble_spec("random-mp", N=N, p=p)
+    return ensembles.EnsembleSpec("random-mp", N=N, p=p)
 
 
 def signs(W):
@@ -129,7 +129,7 @@ def test_pack_matches_naive_layout(kind, N, surplus, dtype, data):
                            max_size=used + surplus)),
         dtype=dtype,
     )
-    got = ensembles.pack(ensembles.ensemble_spec(kind, N=N, p=p), bits)
+    got = ensembles.pack(ensembles.EnsembleSpec(kind, N=N, p=p), bits)
     assert got.dtype == np.float64
     assert np.array_equal(got, naive_pack(kind, N, p, bits))
     if p is not None:
@@ -139,7 +139,7 @@ def test_pack_matches_naive_layout(kind, N, surplus, dtype, data):
 def test_full_scale_packing_fits():
     # 180 x 180 symmetric needs 16290 of the 16383 codeword bits at m=14
     assert 180 * 181 // 2 == 16290 <= (1 << 14) - 1
-    spec = ensembles.ensemble_spec("pseudo-wigner", N=180, m=14, delta=31, seed=0)
+    spec = ensembles.EnsembleSpec("pseudo-wigner", N=180, m=14, delta=31, seed=0)
     assert spec.r == 30
 
 
@@ -151,21 +151,21 @@ def test_scaled_wigner_values():
     assert np.allclose(np.abs(W), 1 / (2 * math.sqrt(2)))
     # Frobenius norm^2 is exactly N/4 for any sign pattern
     for N in (2, 9, 30):
-        W = sample(ensembles.ensemble_spec("random-wigner", N=N, seed=33))
+        W = sample(ensembles.EnsembleSpec("random-wigner", N=N, seed=33))
         assert (W**2).sum() == pytest.approx(N / 4, rel=1e-12)
 
 
 def test_scm_unit_diagonal_and_trace():
     for N, p in ((2, 1), (10, 7), (40, 25)):
-        G = sample(ensembles.ensemble_spec("random-mp", N=N, p=p, seed=34))
+        G = sample(ensembles.EnsembleSpec("random-mp", N=N, p=p, seed=34))
         assert np.all(np.diag(G) == 1.0)
         assert np.trace(G) == p
         assert np.array_equal(G, G.T)
 
 
 def test_exact_moment_identities_through_eigenvalues():
-    spec_w = ensembles.ensemble_spec("random-wigner", N=24, seed=35)
-    spec_g = ensembles.ensemble_spec("random-mp", N=24, p=15, seed=35)
+    spec_w = ensembles.EnsembleSpec("random-wigner", N=24, seed=35)
+    spec_g = ensembles.EnsembleSpec("random-mp", N=24, p=15, seed=35)
     for i in range(10):
         W = sample(spec_w, i)
         assert np.mean(spectral.symmetric_eigen(W).eigenvalues**2) == pytest.approx(
@@ -180,48 +180,66 @@ def test_exact_moment_identities_through_eigenvalues():
 # --- ensemble specs --------------------------------------------------------------
 
 def test_spec_derived_fields():
-    spec = ensembles.ensemble_spec("pseudo-mp", N=40, p=25, m=10, delta=15, seed=3)
+    spec = ensembles.EnsembleSpec("pseudo-mp", N=40, p=25, m=10, delta=15, seed=3)
     assert spec.gamma == 0.625
     assert spec.r == 14
     assert spec.rho == pytest.approx(math.log(14) / math.log(40))
-    spec = ensembles.ensemble_spec("random-wigner", N=16, seed=1)
+    assert list(spec.to_json_dict()) == [
+        "kind", "N", "p", "m", "delta", "seed", "gamma", "r", "rho"]
+    for derived in ("r", "rho"):  # derived, never passed in
+        with pytest.raises(TypeError):
+            ensembles.EnsembleSpec("random-wigner", N=10, **{derived: 3})
+    spec = ensembles.EnsembleSpec("random-wigner", N=16, seed=1)
     assert spec.r is None and spec.rho is None and spec.gamma is None
 
 
 def test_spec_gamma_to_p():
-    spec = ensembles.ensemble_spec("random-mp", N=40, gamma=0.625)
-    assert spec.p == 25
+    # gamma is read as the decimal given: the floats 0.29 and 0.7 lie just
+    # below 29/100 and 7/10, so floor(gamma * N) in floats gives 28 and 125
+    for gamma, N, p in ((0.625, 40, 25), (0.29, 100, 29), (0.7, 180, 126)):
+        spec = ensembles.EnsembleSpec("random-mp", N=N, gamma=gamma)
+        assert (spec.p, spec.gamma) == (p, p / N), gamma
 
 
 def test_spec_even_delta_guarantee():
-    spec = ensembles.ensemble_spec("pseudo-wigner", N=10, m=6, delta=6, seed=0)
+    spec = ensembles.EnsembleSpec("pseudo-wigner", N=10, m=6, delta=6, seed=0)
     assert spec.r == 6  # promoted designed distance 7, guarantee r = 6
 
 
 def test_spec_validation_errors():
-    with pytest.raises(InvalidInputError):
-        ensembles.ensemble_spec("pseudo-wigner", N=45, m=10, delta=15)  # 1035 > 1023
-    with pytest.raises(InvalidInputError):
-        ensembles.ensemble_spec("pseudo-mp", N=40, p=41, m=10, delta=15)
-    with pytest.raises(InvalidInputError):
-        ensembles.ensemble_spec("random-wigner", N=10, p=5)
-    with pytest.raises(InvalidInputError):
-        ensembles.ensemble_spec("random-mp", N=10)
-    with pytest.raises(InvalidInputError):
-        ensembles.ensemble_spec("ginibre", N=10)
-    with pytest.raises(InvalidInputError):
-        ensembles.ensemble_spec("pseudo-wigner", N=10, m=6, delta=5, seed=-1)
+    cases = [
+        (dict(kind="pseudo-wigner", N=45, m=10, delta=15),  # 1035 > 1023
+         "packing needs 1035 bits but codewords have n=1023"),
+        (dict(kind="pseudo-mp", N=40, p=41, m=10, delta=15),
+         r"need 1 <= p <= N, got p=41, N=40"),
+        (dict(kind="random-wigner", N=10, p=5),
+         "random-wigner takes neither p nor gamma"),
+        (dict(kind="random-wigner", N=10, gamma=0.5), "takes neither p nor gamma"),
+        (dict(kind="random-mp", N=10), "MP kinds need exactly one of p and gamma"),
+        (dict(kind="random-mp", N=10, p=5, gamma=0.5), "exactly one of p and gamma"),
+        (dict(kind="random-mp", N=10, gamma=math.nan), "gamma must be finite, got nan"),
+        (dict(kind="ginibre", N=10), "kind must be one of .* got 'ginibre'"),
+        (dict(kind="random-wigner", N=0), "N must be >= 1"),
+        (dict(kind="pseudo-wigner", N=10, m=6, delta=5, seed=-1),
+         "seed must be a nonnegative integer"),
+        (dict(kind="pseudo-mp", N=10, p=5, m=6), "pseudo-mp needs m and delta"),
+        (dict(kind="random-mp", N=10, p=5, m=6, delta=5),
+         "random-mp does not take m or delta"),
+    ]
+    for params, message in cases:
+        with pytest.raises(InvalidInputError, match=message):
+            ensembles.EnsembleSpec(**params)
     for delta in (-3, 0, 1, 2):
         with pytest.raises(InvalidInputError, match="must be >= 3"):
-            ensembles.ensemble_spec("pseudo-wigner", N=8, m=6, delta=delta)
+            ensembles.EnsembleSpec("pseudo-wigner", N=8, m=6, delta=delta)
     with pytest.raises(DegenerateCodeError):
-        ensembles.ensemble_spec("pseudo-wigner", N=8, m=6, delta=200)
+        ensembles.EnsembleSpec("pseudo-wigner", N=8, m=6, delta=200)
 
 
 # --- random baselines --------------------------------------------------------------
 
 def test_random_baseline_deterministic():
-    spec = ensembles.ensemble_spec("random-wigner", N=12, seed=9)
+    spec = ensembles.EnsembleSpec("random-wigner", N=12, seed=9)
     A = sample(spec, index=4)
     B = sample(spec, index=4)
     assert np.array_equal(A, B)
@@ -243,7 +261,7 @@ PINNED_SIGN_STREAMS = [
 
 @pytest.mark.parametrize("params, index, prefix", PINNED_SIGN_STREAMS)
 def test_random_baseline_pinned_sign_streams(params, index, prefix):
-    spec = ensembles.ensemble_spec(**params)
+    spec = ensembles.EnsembleSpec(**params)
     if spec.kind in ensembles.WIGNER_KINDS:
         M = signs(sample(spec, index))
     else:  # the N x p row fill of the sample's bits
@@ -253,7 +271,7 @@ def test_random_baseline_pinned_sign_streams(params, index, prefix):
 
 
 def test_random_baseline_kind_check():
-    spec = ensembles.ensemble_spec("pseudo-wigner", N=10, m=6, delta=5)
+    spec = ensembles.EnsembleSpec("pseudo-wigner", N=10, m=6, delta=5)
     with pytest.raises(InvalidInputError):
         ensembles.sample_bits(spec, 0)
 
@@ -261,14 +279,14 @@ def test_random_baseline_kind_check():
 def test_random_entries_mean_concentrates():
     # binomial 3-sigma band on the upper-triangle mean at N = 2000
     N = 2000
-    spec = ensembles.ensemble_spec("random-wigner", N=N, seed=81)
+    spec = ensembles.EnsembleSpec("random-wigner", N=N, seed=81)
     bits = ensembles.sample_bits(spec, 0)
     mean = np.where(bits == 1, -1.0, 1.0).mean()
     assert abs(mean) <= 3.0 / math.sqrt(N * (N + 1) / 2)
 
 
 def test_random_wigner_esd_close_to_semicircle():
-    W = sample(ensembles.ensemble_spec("random-wigner", N=1024, seed=17))
+    W = sample(ensembles.EnsembleSpec("random-wigner", N=1024, seed=17))
     summary = spectral.symmetric_eigen(W)
     assert spectral.ks_distance(summary, laws.SemicircleLaw()) < 0.05
 
@@ -276,7 +294,7 @@ def test_random_wigner_esd_close_to_semicircle():
 # --- batch streams ------------------------------------------------------------------
 
 def test_matrix_stream_pseudo_wigner_deterministic():
-    spec = ensembles.ensemble_spec("pseudo-wigner", N=12, m=8, delta=7, seed=5)
+    spec = ensembles.EnsembleSpec("pseudo-wigner", N=12, m=8, delta=7, seed=5)
     batch1 = list(ensembles.matrix_stream(spec, 4))
     batch2 = list(ensembles.matrix_stream(spec, 4))
     assert all(np.array_equal(a, b) for a, b in zip(batch1, batch2))
@@ -285,7 +303,7 @@ def test_matrix_stream_pseudo_wigner_deterministic():
 
 
 def test_matrix_stream_matches_manual_packing():
-    spec = ensembles.ensemble_spec("pseudo-mp", N=10, p=6, m=8, delta=7, seed=6)
+    spec = ensembles.EnsembleSpec("pseudo-mp", N=10, p=6, m=8, delta=7, seed=6)
     got = next(iter(ensembles.matrix_stream(spec, 1)))
     dual = codes.dual_code(codes.bch_generator(8, 7))
     word = codes.sample_codewords(dual, 1, seed=6)[0]
@@ -294,7 +312,7 @@ def test_matrix_stream_matches_manual_packing():
 
 
 def test_matrix_stream_random_kinds():
-    spec = ensembles.ensemble_spec("random-mp", N=14, p=9, seed=2)
+    spec = ensembles.EnsembleSpec("random-mp", N=14, p=9, seed=2)
     mats = list(ensembles.matrix_stream(spec, 3))
     assert all(m.shape == (9, 9) for m in mats)
     assert all(np.all(np.diag(m) == 1.0) for m in mats)
@@ -306,9 +324,9 @@ def test_sample_bits_lengths():
     assert ensembles.sample_bits(mp(6, 4), 0).size == 24
     # pseudo kinds too give only the bits pack uses, not the whole codeword
     dual = codes.dual_code(codes.bch_generator(6, 5))
-    spec = ensembles.ensemble_spec("pseudo-wigner", N=10, m=6, delta=5)
+    spec = ensembles.EnsembleSpec("pseudo-wigner", N=10, m=6, delta=5)
     assert ensembles.sample_bits(spec, 0, dual).size == 55 < dual.n
-    spec = ensembles.ensemble_spec("pseudo-mp", N=7, p=5, m=6, delta=5)
+    spec = ensembles.EnsembleSpec("pseudo-mp", N=7, p=5, m=6, delta=5)
     assert ensembles.sample_bits(spec, 0, dual).size == 35
 
 
@@ -327,7 +345,7 @@ def test_pseudo_sample_bits_are_codeword_prefix(data):
         p = data.draw(st.integers(1, min(N, n // N)), label="p")
     seed = data.draw(st.integers(0, 2**32), label="seed")
     index = data.draw(st.integers(0, 1000), label="index")
-    spec = ensembles.ensemble_spec(kind, N=N, p=p, m=m, delta=delta, seed=seed)
+    spec = ensembles.EnsembleSpec(kind, N=N, p=p, m=m, delta=delta, seed=seed)
     dual = codes.dual_code(codes.bch_generator(m, delta))
     used = N * (N + 1) // 2 if p is None else N * p
     word = codes.encode(dual, codes.message_for_index(dual.k_dual, seed, index))
@@ -348,7 +366,7 @@ STREAM_SHAPES = [
 def test_matrix_stream_exactly_symmetric_and_finite(kind, N, p):
     # the batch runner relies on this instead of re-checking every matrix
     code = dict(m=6, delta=5) if kind in ensembles.PSEUDO_KINDS else {}
-    spec = ensembles.ensemble_spec(kind, N=N, p=p, seed=21, **code)
+    spec = ensembles.EnsembleSpec(kind, N=N, p=p, seed=21, **code)
     for M in ensembles.matrix_stream(spec, 5):
         assert M.dtype == np.float64
         assert np.array_equal(M, M.T)
@@ -359,7 +377,7 @@ def test_matrix_stream_exactly_symmetric_and_finite(kind, N, p):
 def test_matrix_stream_prefix_reproduces(kind):
     p = 4 if kind in ensembles.MP_KINDS else None
     code = dict(m=6, delta=5) if kind in ensembles.PSEUDO_KINDS else {}
-    spec = ensembles.ensemble_spec(kind, N=7, p=p, seed=12, **code)
+    spec = ensembles.EnsembleSpec(kind, N=7, p=p, seed=12, **code)
     batch = list(ensembles.matrix_stream(spec, 4))
     assert len({M.tobytes() for M in batch}) == 4
     for i, M in enumerate(batch):

@@ -163,7 +163,7 @@ def packed_matrices():
             code = {}
             if kind in ensembles.PSEUDO_KINDS:
                 code = dict(m=14, delta=31) if N == 180 else dict(m=10, delta=15)
-            spec = ensembles.ensemble_spec(kind, N=N, p=p, seed=N, **code)
+            spec = ensembles.EnsembleSpec(kind, N=N, p=p, seed=N, **code)
             yield from ensembles.matrix_stream(spec, 3)
 
 
@@ -238,7 +238,7 @@ def test_esd_cdf_examples():
 
 def test_trace_moment_identity_examples():
     assert spectral.trace_moments_unchecked(np.eye(5), 3)[2] == pytest.approx(1.0)
-    spec = ensembles.ensemble_spec("random-wigner", N=2)
+    spec = ensembles.EnsembleSpec("random-wigner", N=2)
     M = ensembles.pack(spec, np.array([1, 0, 1]))
     assert spectral.trace_moments_unchecked(M, 2)[1] == pytest.approx(0.25, abs=1e-15)
 
@@ -265,7 +265,7 @@ def order_n_matrices(N):
         code = {}
         if kind in ensembles.PSEUDO_KINDS:
             code = dict(m=15, delta=5) if N == 180 else dict(m=10, delta=15)
-        spec = ensembles.ensemble_spec(kind, N=N, p=p, seed=N, **code)
+        spec = ensembles.EnsembleSpec(kind, N=N, p=p, seed=N, **code)
         yield from ensembles.matrix_stream(spec, 2)
 
 
@@ -370,7 +370,7 @@ def test_ks_two_sample():
 
 
 def test_scm_eigenvalues_nonnegative():
-    spec = ensembles.ensemble_spec("random-mp", N=30, p=18, seed=29)
+    spec = ensembles.EnsembleSpec("random-mp", N=30, p=18, seed=29)
     for i in range(20):
         G = ensembles.pack(spec, ensembles.sample_bits(spec, i))
         eigs = spectral.symmetric_eigen(G).eigenvalues
