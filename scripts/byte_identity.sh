@@ -1,0 +1,64 @@
+#!/usr/bin/env bash
+# Byte-identity check: run the README's CLI commands, plus the full-scale
+# norms order at a reduced count, on a git ref and on the working tree, and
+# compare their standard output, exit codes and every file they write
+# (config.json included).  Standard error is kept apart and not compared.
+#
+# Usage: scripts/byte_identity.sh REF
+#
+# Exits 0 when everything matches, 1 on any difference (printed as a diff),
+# 2 on bad usage.  REF is exported with `git archive` into a temporary
+# directory, removed on exit.  Each tree runs from its own source,
+# `PYTHONPATH=<tree>/src python3 -m pseudospec.cli`, at
+# OPENBLAS_NUM_THREADS=1: spectra from N ~ 180 up differ in their last
+# digits between BLAS thread counts.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 REF" >&2
+    exit 2
+fi
+ROOT="$(git rev-parse --show-toplevel)"
+if ! SHA="$(git -C "$ROOT" rev-parse --verify --quiet "$1^{commit}")"; then
+    echo "error: $1 names no commit" >&2
+    exit 2
+fi
+
+WORK="$(mktemp -d)"
+trap 'rm -rf "$WORK"' EXIT
+mkdir "$WORK/ref-src"
+git -C "$ROOT" archive "$SHA" | tar -x -C "$WORK/ref-src"
+
+# Output directories are relative, so both sides print the same paths.
+COMMANDS=(
+    "genpoly --m 4 --delta 5"
+    "genpoly --m 14 --k 16173"
+    "verify-indep --m 4 --delta 5 --r 4"
+    "norms --kind pseudo-wigner --m 10 --delta 15 --N 44 --count 2000 --seed 1 --out runs/wig44"
+    "esd --kind pseudo-mp --m 10 --delta 15 --N 40 --p 25 --count 500 --seed 2 --out runs/mp40"
+    "moments --kind random-wigner --N 256 --count 100 --s-max 8 --out runs/mom256"
+    "norms --kind pseudo-wigner --m 14 --delta 31 --N 180 --count 300 --seed 1 --out runs/wig180"
+)
+
+run_side() {  # run_side NAME TREE: every command, outputs under $WORK/NAME
+    local out="$WORK/$1" i=0 rc
+    mkdir -p "$out" "$WORK/stderr-$1"
+    for cmd in "${COMMANDS[@]}"; do
+        i=$((i + 1))
+        rc=0
+        # shellcheck disable=SC2086  # each command is a list of words
+        (cd "$out" && OPENBLAS_NUM_THREADS=1 PYTHONPATH="$2/src" \
+            python3 -m pseudospec.cli $cmd >"stdout.$i" 2>"$WORK/stderr-$1/$i") || rc=$?
+        echo "$rc" >"$out/exit.$i"
+    done
+}
+
+run_side ref "$WORK/ref-src"
+run_side tree "$ROOT"
+
+if diff -r "$WORK/ref" "$WORK/tree"; then
+    echo "byte-identical to ${SHA:0:12}: ${#COMMANDS[@]} commands"
+else
+    echo "outputs differ from ${SHA:0:12} (ref < > working tree)" >&2
+    exit 1
+fi

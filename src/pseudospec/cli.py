@@ -54,12 +54,12 @@ def iter_summaries(spec: ensembles.EnsembleSpec, count: int, solve=None):
     the array of trace moments.  Packed
     matrices are symmetric and finite by construction, so they go to the
     solver without ``symmetric_eigen``'s input check, and each is fresh,
-    so the solver may overwrite it.
+    so the solver may overwrite it.  No matrix is held between yields, so
+    each is freed before the next is packed.
     """
     if solve is None:
         solve = spectral.symmetric_eigen_unchecked
-    for M in ensembles.matrix_stream(spec, count):
-        yield solve(M)
+    yield from map(solve, ensembles.matrix_stream(spec, count))
 
 
 def _log_divisor(N: int, epsilon: float) -> float:

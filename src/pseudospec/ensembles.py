@@ -24,7 +24,10 @@ bottom, same sign map.  One codeword always yields exactly one matrix.
 Scaling: a symmetric sign matrix is scaled by 1/(2 sqrt(N)) so the bulk
 spectrum lands on [-1, 1]; a rectangular one Y by 1/sqrt(N), whose Gram
 product Y^T Y is the p x p sample covariance matrix with exact unit
-diagonal.
+diagonal.  The symmetric scaling multiplies by the rounded reciprocal
+instead of dividing: for a sign s = +-1, s * fl(1/x) = fl(s/x), since
+rounding to nearest is symmetric about zero, so the entries are the
+quotients bit for bit.
 """
 
 from __future__ import annotations
@@ -158,10 +161,14 @@ def sample_bits(
 
 @functools.lru_cache(maxsize=1)
 def _upper_map(N: int) -> np.ndarray:
-    """N x N int32 map from (i, j) to the bit filling (min, max) of the pair."""
+    """N x N map from (i, j) to the bit filling (min, max) of the pair.
+
+    Its dtype is intp, numpy's index type: ``take`` with any other index
+    type first converts it, a full N x N copy per call.
+    """
     rows, cols = np.triu_indices(N)
-    idx = np.empty((N, N), dtype=np.int32)
-    idx[rows, cols] = idx[cols, rows] = np.arange(rows.size, dtype=np.int32)
+    idx = np.empty((N, N), dtype=np.intp)
+    idx[rows, cols] = idx[cols, rows] = np.arange(rows.size, dtype=np.intp)
     idx.flags.writeable = False
     return idx
 
@@ -181,9 +188,10 @@ def pack(spec: EnsembleSpec, bits: np.ndarray) -> np.ndarray:
 
 
 def pack_symmetric(word_bits: np.ndarray, N: int) -> np.ndarray:
-    """Symmetric sign matrix scaled by 1/(2 sqrt(N))."""
+    """Symmetric sign matrix scaled by 1/(2 sqrt(N)): one gather, one multiply."""
     signs = _signs(word_bits, N * (N + 1) // 2)
-    return signs[_upper_map(N)] / (2.0 * math.sqrt(N))
+    scale = 1.0 / (2.0 * math.sqrt(N))
+    return np.multiply(signs.take(_upper_map(N)), scale, dtype=np.float64)
 
 
 def pack_rect(word_bits: np.ndarray, N: int, p: int) -> np.ndarray:

@@ -14,7 +14,8 @@ brute-force ``esd_cdf`` there.  ARPACK is needed only by that oracle, so
 its package is a test dependency, not a runtime one.
 
 The ``norms`` command needs only the norm, max(|lambda_min|, |lambda_max|),
-so it takes a second route, ``norm_unchecked``: one blocked Householder
+so it takes a second route, ``norm_unchecked``, the larger magnitude of
+the two ends that ``extremes_unchecked`` finds: one blocked Householder
 reduction to tridiagonal form (LAPACK ``dsytrd``, workspace from an
 ``lwork = -1`` query; ``_tridiagonal``) and two bisections (``dstebz``)
 for the extreme eigenvalues of the tridiagonal matrix, to an absolute
@@ -30,6 +31,17 @@ LAPACK is not exported under a known spelling (a conda or MKL build, say)
 gets the ``eigvalsh`` norm instead, chosen once at import;
 ``environment()`` says which route is in effect, with the BLAS build and
 thread count read from the same handle.
+
+Everything those LAPACK calls take but the matrix -- the arrays d, e, tau,
+the workspaces, the output w, the ``ctypes`` scalars and the argument
+tuples of all three calls -- is built once per order and cached
+(``_workspace``), so a call costs its three foreign calls and little
+else.  Every call shares those buffers, and ``ctypes`` lets other threads
+run during a foreign call, so one lock, ``_LAPACK_LOCK``, is held from a
+reduction until its results are read out: threads take the route in turn
+and never read each other's d, e or w.  INFO and the found count are reset
+before every call, so a call that fails to write them cannot pass for the
+previous call's success.
 
 The ``moments`` command needs the traces (1/N) Tr(M^s), s = 1..s_max, and
 no eigenvalue, so ``trace_moments_unchecked`` takes them from the same
@@ -50,6 +62,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,86 +188,119 @@ def environment() -> dict:
     }
 
 
-@functools.lru_cache(maxsize=1)
-def _dsytrd_lwork(n: int) -> int:
-    """dsytrd's optimal (blocked) workspace length at order n."""
-    dsytrd = _LAPACK[0]
-    order, query, info = ctypes.c_int64(n), ctypes.c_int64(-1), ctypes.c_int64()
-    work = np.zeros(1)
-    unused = work.ctypes.data  # the query reads neither A nor D, E and TAU
-    ref = ctypes.byref
-    dsytrd(b"L", ref(order), unused, ref(order), unused, unused, unused,
-           work.ctypes.data, ref(query), ref(info), 1)
-    if info.value != 0:
-        raise NumericalFailureError(f"dsytrd workspace query failed, INFO={info.value}")
-    return max(int(work[0]), 1)
+_UNSET = np.iinfo(np.int64).min  # INFO before a call; LAPACK writes 0 or a code
 
 
-def _tridiagonal(M: np.ndarray):
-    """Diagonal d and off-diagonal e (n - 1 entries) of T = Q^T M Q.
+class _Workspace:
+    """The arrays and by-reference arguments of ``dsytrd`` and of the two
+    ``dstebz`` calls at one order n, built once, so a call passes only its
+    matrix.
 
-    One blocked Householder reduction, LAPACK ``dsytrd``, in numpy's own
-    LAPACK; None when that LAPACK is not reachable.  Non-square and empty
-    M raise InvalidInputError.  A float64, C-contiguous, writeable M is
-    reduced in place; any other M is copied first.  A LAPACK failure
-    raises NumericalFailureError.
+    dsytrd's workspace length comes from an ``lwork = -1`` query.  Every
+    call at this order shares the buffers: d and e are overwritten by the
+    next reduction, so its callers hold ``_LAPACK_LOCK`` while they use them.
+    """
+
+    def __init__(self, n: int):
+        ref = ctypes.byref
+        self.n = n
+        self.info, self.found = ctypes.c_int64(_UNSET), ctypes.c_int64()
+        order, query, size = ctypes.c_int64(n), ctypes.c_int64(-1), np.zeros(1)
+        unused = size.ctypes.data  # the query reads neither A nor D, E and TAU
+        _LAPACK[0](b"L", ref(order), unused, ref(order), unused, unused, unused,
+                   unused, ref(query), ref(self.info), 1)
+        if self.info.value != 0:
+            raise NumericalFailureError(
+                f"dsytrd workspace query failed, INFO={self.info.value}")
+        lwork = ctypes.c_int64(max(int(size[0]), 1))
+        self.d, self.e, self.w = np.empty(n), np.empty(n), np.empty(n)
+        tau, work, scratch = np.empty(n), np.empty(lwork.value), np.empty(4 * n)
+        iblock, isplit = np.empty(n, np.int64), np.empty(n, np.int64)
+        iwork = np.empty(3 * n, np.int64)
+        # ctypes keeps no reference to a buffer passed by address
+        self._keep = (tau, work, scratch, iblock, isplit, iwork)
+        bound, abstol = ctypes.c_double(0.0), ctypes.c_double(_ABSTOL)
+        lowest, highest, nsplit = ctypes.c_int64(1), ctypes.c_int64(n), ctypes.c_int64()
+        d, e = self.d.ctypes.data, self.e.ctypes.data
+        # dsytrd's arguments before and after A
+        self.head = (b"L", ref(order))
+        self.tail = (ref(order), d, e, tau.ctypes.data, work.ctypes.data, ref(lwork),
+                     ref(self.info), 1)
+        # dstebz's arguments for eigenvalue k of T, IL = IU = k
+        self.bisections = tuple(
+            (b"I", b"E", ref(order), ref(bound), ref(bound), ref(k), ref(k),
+             ref(abstol), d, e, ref(self.found), ref(nsplit), self.w.ctypes.data,
+             iblock.ctypes.data, isplit.ctypes.data, scratch.ctypes.data,
+             iwork.ctypes.data, ref(self.info), 1, 1)
+            for k in (lowest, highest))
+
+
+_workspace = functools.lru_cache(maxsize=1)(_Workspace)
+_LAPACK_LOCK = threading.Lock()  # held while a workspace is in use
+
+
+def _tridiagonal(M: np.ndarray) -> _Workspace | None:
+    """T = Q^T M Q by one blocked Householder reduction, LAPACK ``dsytrd``,
+    in numpy's own LAPACK; None when that LAPACK is not reachable.
+
+    The result is the order's workspace: T's diagonal is its d and T's
+    off-diagonal the first n - 1 entries of its e, valid until the next
+    reduction at the same order; the caller holds ``_LAPACK_LOCK`` until
+    it has read them.  Non-square and empty M raise
+    InvalidInputError.  A float64, C-contiguous, writeable M is reduced in
+    place; any other M is copied first.  A LAPACK failure raises
+    NumericalFailureError.
     """
     _check_square(M)
-    n = M.shape[0]
     if _LAPACK is None:
         return None
-    dsytrd = _LAPACK[0]
     a = np.require(M, np.float64, ("C", "W"))
-    lwork = _dsytrd_lwork(n)
-    d, e = np.empty(n), np.empty(n)
-    tau, work = np.empty(n), np.empty(lwork)
-    order, length, info = ctypes.c_int64(n), ctypes.c_int64(lwork), ctypes.c_int64()
-    ref = ctypes.byref
-    dsytrd(b"L", ref(order), a.ctypes.data, ref(order), d.ctypes.data, e.ctypes.data,
-           tau.ctypes.data, work.ctypes.data, ref(length), ref(info), 1)
-    if info.value != 0:
-        raise NumericalFailureError(f"dsytrd failed, INFO={info.value}")
-    return d, e[: n - 1]
+    ws = _workspace(M.shape[0])
+    ws.info.value = _UNSET
+    _LAPACK[0](*ws.head, a.ctypes.data, *ws.tail)
+    if ws.info.value != 0:
+        raise NumericalFailureError(f"dsytrd failed, INFO={ws.info.value}")
+    return ws
+
+
+def extremes_unchecked(M: np.ndarray) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of a symmetric matrix.
+
+    ``_tridiagonal`` and a ``dstebz`` bisection for each extreme eigenvalue
+    of T, in numpy's own LAPACK, or the ends of
+    ``symmetric_eigen_unchecked(M).eigenvalues`` when that LAPACK is not
+    reachable.  Safe to call from several threads; on the LAPACK route
+    they take turns.  Like ``symmetric_eigen_unchecked`` it does not check
+    that M is symmetric and finite.  It may overwrite M: a float64,
+    C-contiguous, writeable M is reduced in place, which suits the fresh
+    matrices of ``ensembles.pack``.  A LAPACK failure raises
+    NumericalFailureError.
+    """
+    with _LAPACK_LOCK:
+        ws = _tridiagonal(M)
+        if ws is not None:
+            dstebz = _LAPACK[1]
+            extremes = []
+            for index, args in zip((1, ws.n), ws.bisections):
+                ws.info.value, ws.found.value = _UNSET, 0
+                dstebz(*args)
+                if ws.info.value != 0 or ws.found.value != 1:
+                    raise NumericalFailureError(
+                        f"dstebz failed for eigenvalue {index} of {ws.n}: "
+                        f"INFO={ws.info.value}, "
+                        f"{ws.found.value} eigenvalues returned"
+                    )
+                extremes.append(float(ws.w[0]))
+            return extremes[0], extremes[1]
+    eigs = symmetric_eigen_unchecked(M).eigenvalues
+    return float(eigs[0]), float(eigs[-1])
 
 
 def norm_unchecked(M: np.ndarray) -> float:
-    """Spectral norm max(|lambda_min|, |lambda_max|) of a symmetric matrix.
-
-    The norm-only route: ``_tridiagonal`` and a ``dstebz`` bisection for
-    each extreme eigenvalue of T, in numpy's own LAPACK, or
-    ``symmetric_eigen_unchecked(M).norm`` when that LAPACK is not reachable.
-    Like ``symmetric_eigen_unchecked`` it does not check that M is
-    symmetric and finite.  It may overwrite M: a float64, C-contiguous,
-    writeable M is reduced in place, which suits the fresh matrices of
-    ``ensembles.pack``.  A LAPACK failure raises NumericalFailureError.
-    """
-    tridiagonal = _tridiagonal(M)
-    if tridiagonal is None:
-        return symmetric_eigen_unchecked(M).norm
-    d, e = tridiagonal
-    dstebz = _LAPACK[1]
-    n = d.size
-    order, info = ctypes.c_int64(n), ctypes.c_int64()
-    ref = ctypes.byref
-    bound, abstol = ctypes.c_double(0.0), ctypes.c_double(_ABSTOL)
-    found, nsplit = ctypes.c_int64(), ctypes.c_int64()
-    w, scratch = np.empty(n), np.empty(4 * n)
-    iblock, isplit = np.empty(n, np.int64), np.empty(n, np.int64)
-    iwork = np.empty(3 * n, np.int64)
-    extremes = []
-    for index in (1, n):
-        k = ctypes.c_int64(index)
-        dstebz(b"I", b"E", ref(order), ref(bound), ref(bound), ref(k), ref(k),
-               ref(abstol), d.ctypes.data, e.ctypes.data, ref(found), ref(nsplit),
-               w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data,
-               scratch.ctypes.data, iwork.ctypes.data, ref(info), 1, 1)
-        if info.value != 0 or found.value != 1:
-            raise NumericalFailureError(
-                f"dstebz failed for eigenvalue {index} of {n}: "
-                f"INFO={info.value}, {found.value} eigenvalues returned"
-            )
-        extremes.append(w[0])
-    return float(max(abs(extremes[0]), abs(extremes[1])))
+    """Spectral norm max(|lambda_min|, |lambda_max|) of a symmetric matrix,
+    from ``extremes_unchecked``, whose contract it shares."""
+    lo, hi = extremes_unchecked(M)
+    return max(abs(lo), abs(hi))
 
 
 def trace_moments_unchecked(M: np.ndarray, s_max: int) -> np.ndarray:
@@ -268,18 +314,20 @@ def trace_moments_unchecked(M: np.ndarray, s_max: int) -> np.ndarray:
     at a = floor(s/2): O(N s_max^2) flops in all.  Orders whose traces
     leave the float range read inf or nan.  When numpy's LAPACK is not
     reachable, the moments are power sums of the ``eigvalsh`` eigenvalues.
-    The input contract is ``norm_unchecked``'s: M is not checked for
-    symmetry or finiteness and may be overwritten.  s_max < 1 raises
+    The input and thread contract is ``norm_unchecked``'s: M is not checked
+    for symmetry or finiteness and may be overwritten.  s_max < 1 raises
     InvalidInputError.
     """
     if s_max < 1:
         raise InvalidInputError(f"moment order must be >= 1, got s_max={s_max}")
-    tridiagonal = _tridiagonal(M)
-    if tridiagonal is None:
+    with _LAPACK_LOCK:
+        ws = _tridiagonal(M)
+        if ws is not None:
+            n = ws.n
+            d, e = ws.d.copy(), ws.e[: n - 1].copy()
+    if ws is None:
         eigs = symmetric_eigen_unchecked(M).eigenvalues
         return np.array([np.mean(eigs**s) for s in range(1, s_max + 1)])
-    d, e = tridiagonal
-    n = d.size
     top = (s_max + 1) // 2  # the highest power formed
     w = min(top, n - 1)
     # Column w + 1 + k of row i holds entry (i, i + k).  Columns 0 and

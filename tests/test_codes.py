@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudospec import codes, gf2m
 from pseudospec.errors import (
@@ -215,6 +217,31 @@ def test_encode_length_gives_codeword_prefix():
             codes.encode(dual, 1, length)
     with pytest.raises(InvalidInputError):  # the message range check stays
         codes.encode(dual, 1 << dual.k_dual, 8)
+
+
+@pytest.fixture(scope="module")
+def windowed_duals():
+    """Duals at m = 4, 10 and 14, the last the full-scale m=14 code."""
+    return {m: codes.dual_code(codes.bch_generator(m, delta))
+            for m, delta in ((4, 5), (10, 15), (14, 31))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_windowed_encode_matches_serial_product(windowed_duals, data):
+    # the 4-bit windowed prefix, and at length n the whole codeword, against
+    # the bit-serial product, masked
+    dual = windowed_duals[data.draw(st.sampled_from([4, 10, 14]), label="m")]
+    k, n = dual.k_dual, dual.n
+    message = data.draw(st.one_of(st.just(0), st.just((1 << k) - 1),
+                                  st.integers(0, (1 << k) - 1)), label="message")
+    length = data.draw(st.one_of(st.just(n), st.integers(1, 8),
+                                 st.integers(1, n)), label="length")
+    mask = (1 << length) - 1
+    expected = gf2m.poly_mul(message, dual.generator & mask) & mask
+    assert codes.encode(dual, message, length) == expected
+    if length == n:
+        assert codes.encode(dual, message) == expected
 
 
 def test_encode_linearity_and_uniqueness(bch_15_7):

@@ -136,6 +136,19 @@ def test_pack_matches_naive_layout(kind, N, surplus, dtype, data):
         assert np.all(np.diag(got) == 1.0)
 
 
+def test_pack_symmetric_equals_quotient_bit_for_bit():
+    # one gather times the reciprocal against the gathered signs divided by
+    # 2 sqrt(N), compared as raw float64 bit patterns
+    rng = np.random.default_rng(35)
+    for N in [*range(1, 71), 180]:
+        bits = rng.integers(0, 2, N * (N + 1) // 2 + 3, dtype=np.uint8)
+        signs = 1 - 2 * bits[: N * (N + 1) // 2].astype(np.int8)
+        quotient = signs[ensembles._upper_map(N)] / (2.0 * math.sqrt(N))
+        got = ensembles.pack_symmetric(bits, N)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), quotient.view(np.int64))
+
+
 def test_full_scale_packing_fits():
     # 180 x 180 symmetric needs 16290 of the 16383 codeword bits at m=14
     assert 180 * 181 // 2 == 16290 <= (1 << 14) - 1

@@ -1,6 +1,10 @@
 """Eigensolver contracts, ESD, trace moments, KS distances."""
 
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -208,6 +212,100 @@ def test_norm_route_failure_raises(monkeypatch):
     monkeypatch.setattr(spectral, "_LAPACK", (dsytrd, finds_nothing))
     with pytest.raises(NumericalFailureError, match="0 eigenvalues"):
         spectral.norm_unchecked(np.eye(3))
+
+
+def test_norm_route_failure_raises_after_success_at_same_order(monkeypatch):
+    # the workspace of an order is reused, INFO and the found count with it;
+    # a LAPACK call that writes nothing must not pass for the previous result
+    if spectral._LAPACK is None:
+        pytest.skip("numpy exports no dsytrd/dstebz under a known name")
+    dsytrd, dstebz = spectral._LAPACK
+
+    def does_nothing(*args):
+        pass
+
+    assert spectral.norm_unchecked(2.0 * np.eye(3)) == 2.0
+    monkeypatch.setattr(spectral, "_LAPACK", (dsytrd, does_nothing))
+    with pytest.raises(NumericalFailureError, match="0 eigenvalues"):
+        spectral.norm_unchecked(np.eye(3))
+    monkeypatch.setattr(spectral, "_LAPACK", (does_nothing, dstebz))
+    with pytest.raises(NumericalFailureError, match="dsytrd failed"):
+        spectral.norm_unchecked(np.eye(3))
+    monkeypatch.setattr(spectral, "_LAPACK", (dsytrd, dstebz))
+    assert spectral.norm_unchecked(np.eye(3)) == 1.0
+
+
+def first_packed(N: int) -> np.ndarray:
+    return next(ensembles.matrix_stream(
+        ensembles.EnsembleSpec("random-wigner", N=N, seed=N), 1))
+
+
+def test_norm_route_orders_in_turn_match_fresh_processes():
+    # 44, 180, 44 in one process: each norm equals the norm a fresh
+    # interpreter computes at that order, bit for bit
+    src = os.path.dirname(os.path.dirname(spectral.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = {}
+    for N in (44, 180):
+        code = ("from pseudospec import ensembles, spectral\n"
+                "M = next(ensembles.matrix_stream(ensembles.EnsembleSpec(\n"
+                f"    'random-wigner', N={N}, seed={N}), 1))\n"
+                "print(spectral.norm_unchecked(M).hex())\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        fresh[N] = float.fromhex(out.strip())
+    for N in (44, 180, 44):
+        assert spectral.norm_unchecked(first_packed(N)) == fresh[N]
+
+
+def test_trace_moments_after_norm_at_same_order(norm_route):
+    # both read the order's shared d and e; neither may disturb the other
+    rng = np.random.default_rng(33)
+    M, other = random_symmetric(44, rng), random_symmetric(44, rng)
+    spectral.norm_unchecked(random_symmetric(45, rng))  # evict the order
+    expected = spectral.trace_moments_unchecked(M.copy(), 12)
+    expected_norm = spectral.norm_unchecked(other.copy())
+    assert np.array_equal(spectral.trace_moments_unchecked(M.copy(), 12), expected)
+    assert spectral.norm_unchecked(other.copy()) == expected_norm
+
+
+def test_norm_route_threads_take_turns(norm_route):
+    # threads at one order share its workspace; each must still get its own
+    # matrix's norm and moments, the same as one thread computing them
+    rng = np.random.default_rng(35)
+    mats = [random_symmetric(64, rng) for _ in range(64)]
+    expected = [(spectral.norm_unchecked(M.copy()),
+                 spectral.trace_moments_unchecked(M.copy(), 8)) for M in mats]
+
+    def both(M):
+        return (spectral.norm_unchecked(M.copy()),
+                spectral.trace_moments_unchecked(M.copy(), 8))
+
+    for _ in range(3):
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(both, mats))
+        for (norm, moments), (norm_1, moments_1) in zip(got, expected):
+            assert norm == norm_1
+            assert np.array_equal(moments, moments_1)
+
+
+def test_extremes_match_full_solve(norm_route):
+    # eigvalsh's ends are the oracle: 1e-13 of the norm on the LAPACK route,
+    # bit for bit on the fallback, which is that same solve
+    edges = [np.zeros((4, 4)), np.eye(5), np.ones((3, 3)), np.diag([-3.0, 0.5, 2.0])]
+    rng = np.random.default_rng(34)
+    for M in [*packed_matrices(), *edges, random_symmetric(60, rng)]:
+        eigs = spectral.symmetric_eigen(M).eigenvalues
+        lo, hi = spectral.extremes_unchecked(M.copy())
+        assert isinstance(lo, float) and isinstance(hi, float)
+        assert spectral.norm_unchecked(M.copy()) == max(abs(lo), abs(hi))
+        if norm_route == "eigvalsh":
+            assert (lo, hi) == (eigs[0], eigs[-1])
+        else:
+            scale = max(abs(eigs[0]), abs(eigs[-1]))
+            assert abs(lo - eigs[0]) <= 1e-13 * scale
+            assert abs(hi - eigs[-1]) <= 1e-13 * scale
 
 
 def test_environment_names_the_route():
