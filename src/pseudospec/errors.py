@@ -17,10 +17,6 @@ class DegenerateCodeError(InvalidInputError):
     """The requested code collapses to dimension zero."""
 
 
-class ResourceLimitError(RuntimeError):
-    """An exact computation would exceed its enumeration budget."""
-
-
 class ArithmeticCorruptionError(RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 

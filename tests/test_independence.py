@@ -194,6 +194,26 @@ def test_sampled_mode_smoke():
     assert report.max_total_variation <= report.threshold
 
 
+@pytest.mark.parametrize("r, budget, seed", [(3, 40, 4), (5, 30, 9)])
+def test_sampled_counts_match_scalar_histograms(monkeypatch, r, budget, seed):
+    # 4096 + 37 words: one full batch and a 37-word tail
+    words = 4096 + 37
+    monkeypatch.setattr(independence, "SAMPLE_WORDS", words)
+    dual = codes.dual_code(codes.bch_generator(6, 5))  # n = 63, k_dual = 12
+    subsets, _, _ = independence._iter_subsets(dual.n, r, budget, seed)
+    subsets = list(subsets)
+    counts = np.zeros((len(subsets), 1 << r), dtype=np.int64)
+    for i in range(words):
+        word = codes.encode(dual, codes.message_for_index(dual.k_dual, seed, i))
+        for j, S in enumerate(subsets):
+            counts[j, sum(((word >> c) & 1) << b for b, c in enumerate(S))] += 1
+    tvs = 0.5 * np.abs(counts / float(words) - 1.0 / (1 << r)).sum(axis=1)
+    tv, nsub, _, worst = independence._sampled_level(dual, r, budget, seed)
+    assert nsub == len(subsets)
+    assert tv == tvs.max()
+    assert worst == subsets[int(np.argmax(tvs))]
+
+
 def test_sampled_mode_detects_dependence(simplex):
     # force sampled mode on the simplex at r=3: dependent triples have TV
     # near 1/2, far above the threshold
