@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Byte-identity check: run the README's CLI commands, plus the full-scale
-# norms order at a reduced count, the benchmark's sampled verify-indep and a
-# `sample` whose seed has two 32-bit words, on a git ref and on the working
-# tree, and compare their standard output, exit codes and every file they
-# write (config.json included).  Standard error is kept apart and not
-# compared.
+# Byte-identity check: run the README's CLI commands, plus `norms` and `esd`
+# at the full-scale order N = 180 at reduced counts, the benchmark's sampled
+# verify-indep and a `sample` whose seed has two 32-bit words, on a git ref
+# and on the working tree, and compare their standard output, exit codes and
+# every file they write (config.json included).  Standard error is kept
+# apart and not compared.
 #
 # Usage: scripts/byte_identity.sh REF
 #
@@ -40,6 +40,8 @@ COMMANDS=(
     "esd --kind pseudo-mp --m 10 --delta 15 --N 40 --p 25 --count 500 --seed 2 --out runs/mp40"
     "moments --kind random-wigner --N 256 --count 100 --s-max 8 --out runs/mom256"
     "norms --kind pseudo-wigner --m 14 --delta 31 --N 180 --count 300 --seed 1 --out runs/wig180"
+    # above dsytrd's blocking crossover, unlike the 25x25 esd above
+    "esd --kind pseudo-wigner --m 14 --delta 31 --N 180 --count 100 --seed 1 --out runs/esd180"
     "verify-indep --m 14 --delta 31 --r 4 --mode sampled --budget 200"
     "sample --m 14 --delta 31 --count 3000 --seed 4294967296 --out runs/sample14"
 )

@@ -8,10 +8,11 @@ thread count produce byte-identical CSV output (samples are processed
 serially in index order, and sample i depends only on (seed, i), so any
 prefix of a batch reproduces).  The batch commands build one
 ``ensembles.EnsembleSpec`` from their flags, which checks them and names
-the limit law.  ``esd`` takes the full spectrum of each matrix; ``norms``
-and ``moments`` take only its tridiagonal form, from which ``norms``
-bisects for the two extreme eigenvalues
-(``spectral.norm_unchecked``) and ``moments`` forms the traces of powers
+the limit law.  Each passes its own reader of ``spectral``: ``esd`` takes
+every eigenvalue (``spectral.eigenvalues_unchecked``); ``norms`` and
+``moments`` take only the tridiagonal form, from which ``norms`` bisects
+for the two extreme eigenvalues (``spectral.norm_unchecked``) and
+``moments`` forms the traces of powers
 (``spectral.trace_moments_unchecked``).
 
 Exit codes: 0 success / verification pass, 1 verification fail, 2 invalid
@@ -44,21 +45,19 @@ CHECKPOINT_EVERY = 1000
 # batch engine (also used directly by the verification suite)
 # ---------------------------------------------------------------------------
 
-def iter_summaries(spec: ensembles.EnsembleSpec, count: int, solve=None):
-    """``solve`` of each matrix of a batch, in sample-index order.
+def iter_summaries(spec: ensembles.EnsembleSpec, count: int, solve):
+    """``solve`` of each matrix of a batch, one yield per sample, in
+    sample-index order.
 
-    ``solve`` defaults to ``spectral.symmetric_eigen_unchecked`` (a
-    SpectralSummary per sample); ``norms`` passes
-    ``spectral.norm_unchecked``, which yields the norm alone, and
-    ``moments`` passes ``spectral.trace_moments_unchecked``, which yields
-    the array of trace moments.  Packed
-    matrices are symmetric and finite by construction, so they go to the
-    solver without ``symmetric_eigen``'s input check, and each is fresh,
-    so the solver may overwrite it.  No matrix is held between yields, so
-    each is freed before the next is packed.
+    ``solve`` is one of the readers of ``spectral``: ``esd`` passes
+    ``eigenvalues_unchecked`` (the ascending eigenvalues), ``norms``
+    ``norm_unchecked`` (the norm) and ``moments`` a partial of
+    ``trace_moments_unchecked`` (the array of trace moments).  Packed
+    matrices are symmetric and finite by construction, so the readers need
+    not check them, and each is fresh, so the reader may overwrite it.  No
+    matrix is held between yields, so each is freed before the next is
+    packed.
     """
-    if solve is None:
-        solve = spectral.symmetric_eigen_unchecked
     yield from map(solve, ensembles.matrix_stream(spec, count))
 
 
@@ -111,7 +110,7 @@ def _write_sidecar(outdir: Path, args) -> None:
 
     Its ``environment`` block records the BLAS build, the BLAS thread count
     in effect (spectra from N ~ 180 up differ in the last digits between
-    thread counts) and the route ``norms`` takes to the norm.
+    thread counts) and the route ``norms`` and ``moments`` take.
     """
     params = {k: v for k, v in vars(args).items()
               if k not in ("command", "func", "out")}
@@ -233,9 +232,9 @@ def cmd_esd(args) -> int:
     outdir = _prepare_outdir(args.out)
     ks_values: list[float] = []
     with open(outdir / "eigenvalues.csv", "w") as fh:
-        for summary in iter_summaries(spec, args.count):
-            fh.write(",".join(map(repr, summary.eigenvalues.tolist())) + "\n")
-            ks_values.append(spectral.ks_distance(summary, law))
+        for eigs in iter_summaries(spec, args.count, spectral.eigenvalues_unchecked):
+            fh.write(",".join(map(repr, eigs.tolist())) + "\n")
+            ks_values.append(spectral.ks_distance(eigs, law))
     ks_arr = np.asarray(ks_values)
     payload = {
         "law": law.kind,

@@ -10,7 +10,8 @@ kinds).  ``pack`` lays them out as below, through ``pack_symmetric`` for
 Wigner kinds and ``pack_rect`` for MP kinds.  Every packed matrix is
 finite and exactly symmetric (a mirrored sign matrix, or Y^T Y / N with
 Y of +-1 entries, whose products sum exactly), so the batch runner
-(``cli.iter_summaries``) hands it to the eigensolver without re-checking.
+(``cli.iter_summaries``) hands it to a reader of ``spectral`` without
+re-checking.
 
 Packing convention (ours, fixed once so every run is auditable): the first
 N(N+1)/2 bits fill the upper triangle of a symmetric N x N matrix in

@@ -1,36 +1,40 @@
 """Dense symmetric spectra and the statistics derived from them.
 
-The direct eigensolver is LAPACK's symmetric driver via numpy (Householder
-tridiagonalization plus implicit-shift iterations under the hood), exposed
-behind a validated interface, ``symmetric_eigen``: inputs must be nonempty,
-finite and symmetric to 1e-12 relative, outputs are ascending.  Its core,
-``symmetric_eigen_unchecked``, skips the validation; the batch runner calls
-it on the matrices of ``ensembles.pack``, which are exactly symmetric and
-finite by construction, so there the check would be one more pass over
-every matrix that can never fail.  The test suite checks the norm against
-an independent route, the Lanczos (ARPACK) ``lanczos_norm`` of
-``tests/oracles.py``, to 1e-8 relative, and the KS distance against the
-brute-force ``esd_cdf`` there.  ARPACK is needed only by that oracle, so
-its package is a test dependency, not a runtime one.
+Three readers, one per batch command.  None of them checks that M is
+symmetric and finite: the matrices of ``ensembles.pack`` are so by
+construction, and a check would be one more pass over every matrix that
+can never fail.
 
-The ``norms`` command needs only the norm, max(|lambda_min|, |lambda_max|),
-so it takes a second route, ``norm_unchecked``, the larger magnitude of
-the two ends that ``extremes_unchecked`` finds: one blocked Householder
-reduction to tridiagonal form (LAPACK ``dsytrd``, workspace from an
-``lwork = -1`` query; ``_tridiagonal``) and two bisections (``dstebz``)
-for the extreme eigenvalues of the tridiagonal matrix, to an absolute
-tolerance of twice the safe minimum (Anderson et al., *LAPACK Users'
-Guide*, 3rd ed., 1999, sec. 2.4.4).  It skips the implicit-shift
-iterations over every other eigenvalue, and agrees with the ``eigvalsh``
-norm to about 1e-14 relative (1e-13 is enforced by the tests), not bit for
-bit: ``norms.csv`` changed once in its last digits, from the change after
-commit d0e4931 on.  The two routines are called through ``ctypes`` in the
-OpenBLAS that numpy itself links, found by ``dlsym`` on the handle of
-numpy's linalg extension, so no second LAPACK is loaded.  A numpy whose
-LAPACK is not exported under a known spelling (a conda or MKL build, say)
-gets the ``eigvalsh`` norm instead, chosen once at import;
-``environment()`` says which route is in effect, with the BLAS build and
-thread count read from the same handle.
+- ``esd`` takes every eigenvalue, ascending, from ``eigenvalues_unchecked``,
+  numpy's ``eigvalsh`` (LAPACK ``dsyevd`` without vectors).  It is the one
+  place that calls ``eigvalsh``, and the fallback of the other two.
+- ``norms`` takes the norm, max(|lambda_min|, |lambda_max|), from
+  ``norm_unchecked``, the larger magnitude of the two ends that
+  ``extremes_unchecked`` finds: one blocked Householder reduction to
+  tridiagonal form T = Q^T M Q (LAPACK ``dsytrd``, workspace from an
+  ``lwork = -1`` query; ``_tridiagonal``) and two bisections (``dstebz``)
+  for the extreme eigenvalues of T, to an absolute tolerance of twice the
+  safe minimum (Anderson et al., *LAPACK Users' Guide*, 3rd ed., 1999,
+  sec. 2.4.4).  It skips the iterations over every other eigenvalue, and
+  agrees with the ``eigvalsh`` norm to about 1e-14 relative (1e-13 is
+  enforced by the tests), not bit for bit: ``norms.csv`` changed once in
+  its last digits, from the change after commit d0e4931 on.
+- ``moments`` takes the traces (1/N) Tr(M^s), s = 1..s_max, from
+  ``trace_moments_unchecked``: the same tridiagonal form and no
+  eigenvalue at all (below).
+
+``dsytrd`` and ``dstebz`` are called through ``ctypes`` in the OpenBLAS
+that numpy itself links, found by ``dlsym`` on the handle of numpy's
+linalg extension, so no second LAPACK is loaded.  A numpy whose LAPACK is
+not exported under a known spelling (a conda or MKL build, say) gets the
+ends or the power sums of ``eigenvalues_unchecked``'s eigenvalues
+instead, chosen once at import; ``environment()`` says which route is in
+effect, with the BLAS build and thread count read from the same handle.
+The test suite checks the norm against an independent route, the Lanczos
+(ARPACK) ``lanczos_norm`` of ``tests/oracles.py``, to 1e-8 relative, and
+the KS distance against the brute-force ``esd_cdf`` there.  ARPACK is
+needed only by that oracle, so its package is a test dependency, not a
+runtime one.
 
 Everything those LAPACK calls take but the matrix -- the arrays d, e, tau,
 the workspaces, the output w, the ``ctypes`` scalars and the argument
@@ -43,42 +47,29 @@ and never read each other's d, e or w.  INFO and the found count are reset
 before every call, so a call that fails to write them cannot pass for the
 previous call's success.
 
-The ``moments`` command needs the traces (1/N) Tr(M^s), s = 1..s_max, and
-no eigenvalue, so ``trace_moments_unchecked`` takes them from the same
-tridiagonal form T = Q^T M Q: traces are invariant under the similarity
+The traces need no eigenvalue: traces are invariant under the similarity
 (Golub & Van Loan, *Matrix Computations*, sec. 8.3), and the banded powers
-of T cost O(N s_max^2) flops, against the O(N^2) implicit-shift sweep that
-finds every eigenvalue.  Powers of the tridiagonal T, not of the dense M,
+of T cost O(N s_max^2) flops, against the O(N^2) iterations that
+find every eigenvalue.  Powers of the tridiagonal T, not of the dense M,
 are multiplied: an entry of T^a is off by about a u ||T||^a, u the unit
 roundoff, as the power lambda^s of an eigenvalue from the full solve is
 off by about s u ||T||^s.  The two routes agree to within 2.3e-13 of
 mean(|lambda|^s), measured up to s = 60 at N = 180 and s = 16 at N = 1024
 (the tests enforce 1e-12).  This changed ``moments.csv`` once in its last
-digits, from the change after commit d25428d on.  Without numpy's LAPACK
-the moments are power sums of the ``eigvalsh`` eigenvalues, as before.
+digits, from the change after commit d25428d on.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError, NumericalFailureError
-
-SYMMETRY_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Sorted spectrum of one symmetric matrix."""
-
-    eigenvalues: np.ndarray  # ascending
-    norm: float              # max(|smallest|, |largest|)
 
 
 def _check_square(M: np.ndarray) -> None:
@@ -86,46 +77,6 @@ def _check_square(M: np.ndarray) -> None:
         raise InvalidInputError(f"expected a square matrix, got shape {M.shape}")
     if M.size == 0:
         raise InvalidInputError("empty matrix")
-
-
-def _check_symmetric(M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=np.float64)
-    _check_square(M)
-    scale = np.abs(M).max()
-    if not np.isfinite(scale):
-        raise InvalidInputError("matrix has non-finite entries")
-    if np.abs(M - M.T).max() > SYMMETRY_RTOL * max(scale, 1e-300):
-        raise InvalidInputError("matrix is not symmetric within 1e-12 relative")
-    return M
-
-
-def symmetric_eigen(M, want_vectors: bool = False):
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns a SpectralSummary, or (summary, Q) with orthonormal columns
-    when vectors are requested.  Empty, non-square, asymmetric and
-    non-finite input is rejected with InvalidInputError; non-convergence
-    of the underlying iteration surfaces as NumericalFailureError.
-    """
-    return symmetric_eigen_unchecked(_check_symmetric(M), want_vectors)
-
-
-def symmetric_eigen_unchecked(M: np.ndarray, want_vectors: bool = False):
-    """``symmetric_eigen`` without the input check.
-
-    M must already be a square, exactly symmetric, finite float64 array;
-    what LAPACK makes of anything else is undefined.
-    """
-    try:
-        if want_vectors:
-            eigs, vecs = np.linalg.eigh(M)
-        else:
-            eigs = np.linalg.eigvalsh(M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
-    norm = float(max(abs(eigs[0]), abs(eigs[-1]))) if eigs.size else 0.0
-    summary = SpectralSummary(eigenvalues=eigs, norm=norm)
-    return (summary, vecs) if want_vectors else summary
 
 
 def _numpy_blas():
@@ -174,7 +125,8 @@ _ABSTOL = 2.0 * np.finfo(np.float64).tiny  # LAPACK's safe minimum, twice
 
 
 def environment() -> dict:
-    """The BLAS build, its thread count and the norm route in this process."""
+    """The BLAS build, its thread count and the route that ``norms`` and
+    ``moments`` take in this process (``norm_route``)."""
     get_config = _blas_symbol("openblas_get_config64_")
     get_threads = _blas_symbol("openblas_get_num_threads64_")
     if get_config is not None:
@@ -263,17 +215,31 @@ def _tridiagonal(M: np.ndarray) -> _Workspace | None:
     return ws
 
 
+def eigenvalues_unchecked(M: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of a symmetric matrix, ascending, by numpy's
+    ``eigvalsh``: the reader of ``esd`` and the fallback of the other two.
+
+    M is not checked for symmetry or finiteness.  Non-square and empty M
+    raise InvalidInputError; an ``eigvalsh`` that does not converge raises
+    NumericalFailureError.
+    """
+    _check_square(M)
+    try:
+        return np.linalg.eigvalsh(M)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
+
+
 def extremes_unchecked(M: np.ndarray) -> tuple[float, float]:
     """(lambda_min, lambda_max) of a symmetric matrix.
 
     ``_tridiagonal`` and a ``dstebz`` bisection for each extreme eigenvalue
-    of T, in numpy's own LAPACK, or the ends of
-    ``symmetric_eigen_unchecked(M).eigenvalues`` when that LAPACK is not
-    reachable.  Safe to call from several threads; on the LAPACK route
-    they take turns.  Like ``symmetric_eigen_unchecked`` it does not check
-    that M is symmetric and finite.  It may overwrite M: a float64,
-    C-contiguous, writeable M is reduced in place, which suits the fresh
-    matrices of ``ensembles.pack``.  A LAPACK failure raises
+    of T, in numpy's own LAPACK, or the ends of ``eigenvalues_unchecked(M)``
+    when that LAPACK is not reachable.  Safe to call from several threads;
+    on the LAPACK route they take turns.  Like ``eigenvalues_unchecked`` it
+    does not check that M is symmetric and finite.  It may overwrite M: a
+    float64, C-contiguous, writeable M is reduced in place, which suits the
+    fresh matrices of ``ensembles.pack``.  A LAPACK failure raises
     NumericalFailureError.
     """
     with _LAPACK_LOCK:
@@ -292,7 +258,7 @@ def extremes_unchecked(M: np.ndarray) -> tuple[float, float]:
                     )
                 extremes.append(float(ws.w[0]))
             return extremes[0], extremes[1]
-    eigs = symmetric_eigen_unchecked(M).eigenvalues
+    eigs = eigenvalues_unchecked(M)
     return float(eigs[0]), float(eigs[-1])
 
 
@@ -313,7 +279,7 @@ def trace_moments_unchecked(M: np.ndarray, s_max: int) -> np.ndarray:
     N - 1), and Tr(T^s) = <T^a, T^(s-a)>, the elementwise inner product
     at a = floor(s/2): O(N s_max^2) flops in all.  Orders whose traces
     leave the float range read inf or nan.  When numpy's LAPACK is not
-    reachable, the moments are power sums of the ``eigvalsh`` eigenvalues.
+    reachable, the moments are power sums of ``eigenvalues_unchecked(M)``.
     The input and thread contract is ``norm_unchecked``'s: M is not checked
     for symmetry or finiteness and may be overwritten.  s_max < 1 raises
     InvalidInputError.
@@ -326,7 +292,7 @@ def trace_moments_unchecked(M: np.ndarray, s_max: int) -> np.ndarray:
             n = ws.n
             d, e = ws.d.copy(), ws.e[: n - 1].copy()
     if ws is None:
-        eigs = symmetric_eigen_unchecked(M).eigenvalues
+        eigs = eigenvalues_unchecked(M)
         return np.array([np.mean(eigs**s) for s in range(1, s_max + 1)])
     top = (s_max + 1) // 2  # the highest power formed
     w = min(top, n - 1)
@@ -366,7 +332,8 @@ def trace_moments_unchecked(M: np.ndarray, s_max: int) -> np.ndarray:
 def _sorted_finite(values) -> np.ndarray:
     """values as an ascending float64 array; NaN and +-inf are rejected."""
     x = np.sort(np.asarray(values, dtype=np.float64))
-    if not np.isfinite(x).all():
+    # sorting puts -inf first and +inf and NaN last, so the ends decide
+    if x.size and not (math.isfinite(x[0]) and math.isfinite(x[-1])):
         raise InvalidInputError("sample has non-finite values")
     return x
 
@@ -376,14 +343,10 @@ def ks_distance(eigenvalues, law) -> float:
 
     The supremum of |step function - continuous CDF| is attained at the
     jump points, so it suffices to compare law.cdf(lambda_i) against the
-    ESD values i/N and (i-1)/N.  A SpectralSummary's eigenvalues are used
-    as they are, being ascending and finite by contract; a raw array is
-    sorted, and rejected if any value is not finite.
+    ESD values i/N and (i-1)/N.  The eigenvalues are sorted, and rejected
+    if any is not finite.
     """
-    if isinstance(eigenvalues, SpectralSummary):
-        eigs = eigenvalues.eigenvalues
-    else:
-        eigs = _sorted_finite(eigenvalues)
+    eigs = _sorted_finite(eigenvalues)
     n = eigs.size
     if n == 0:
         raise InvalidInputError("empty spectrum")

@@ -5,6 +5,10 @@ independent route to something the program computes, kept naive or kept
 in its textbook form so that it shares as little as possible with the
 code under test:
 
+- ``symmetric_eigen`` / ``dense_norm``: numpy's full symmetric solve
+  behind an input check (nonempty, finite, symmetric to 1e-12 relative),
+  the reference for eigenvalues, eigenvectors and the norm that the
+  readers of ``spectral`` are checked against.
 - ``lanczos_norm``: the spectral norm by Lanczos iteration (scipy's
   ARPACK), against the dense solver and the norm-only route.  scipy is a
   test-only dependency, and this is its only user outside the tests.
@@ -45,18 +49,52 @@ from pseudospec.gf2m import (
     poly_mul,
 )
 from pseudospec.laws import MarchenkoPasturLaw
-from pseudospec.spectral import _check_symmetric
+from pseudospec.spectral import _check_square
+
+SYMMETRY_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
 # spectra
 # ---------------------------------------------------------------------------
 
+def _check_symmetric(M: np.ndarray) -> np.ndarray:
+    M = np.asarray(M, dtype=np.float64)
+    _check_square(M)
+    scale = np.abs(M).max()
+    if not np.isfinite(scale):
+        raise InvalidInputError("matrix has non-finite entries")
+    if np.abs(M - M.T).max() > SYMMETRY_RTOL * max(scale, 1e-300):
+        raise InvalidInputError("matrix is not symmetric within 1e-12 relative")
+    return M
+
+
+def symmetric_eigen(M, want_vectors: bool = False):
+    """Ascending eigenvalues of a symmetric matrix, by numpy's full solve.
+
+    Returns the eigenvalues, or (eigenvalues, Q) with orthonormal columns
+    when vectors are requested.  Empty, non-square, asymmetric and
+    non-finite input is rejected with InvalidInputError; non-convergence
+    of the underlying iteration surfaces as NumericalFailureError.
+    """
+    M = _check_symmetric(M)
+    try:
+        return tuple(np.linalg.eigh(M)) if want_vectors else np.linalg.eigvalsh(M)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
+
+
+def dense_norm(M) -> float:
+    """max(|lambda_min|, |lambda_max|) from ``symmetric_eigen``."""
+    eigs = symmetric_eigen(M)
+    return float(max(abs(eigs[0]), abs(eigs[-1])))
+
+
 def lanczos_norm(M) -> float:
     """Largest absolute eigenvalue by Lanczos, with a fixed start vector.
 
     A route to the norm independent of the dense solver, so each can check
-    the other: it must agree with ``symmetric_eigen(M).norm`` to 1e-8
+    the other: it must agree with ``dense_norm(M)`` to 1e-8
     relative.  Orders 1 and 2 use closed forms.
     """
     M = _check_symmetric(M)

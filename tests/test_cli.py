@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
+
 import pseudospec
 from pseudospec import cli, codes, laws
 
@@ -168,7 +170,7 @@ def test_norms_csv_matches_full_solve(tmp_path, capsys, norm_route, kind):
     mats = cli.ensembles.matrix_stream(spec, 4)
     edge = spec.law.support[1]
     for row, M in zip(rows, mats, strict=True):
-        expected = cli.spectral.symmetric_eigen(M).norm / edge
+        expected = oracles.dense_norm(M) / edge
         if norm_route == "eigvalsh":
             assert float(row) == expected
         else:
@@ -292,15 +294,23 @@ def test_verify_indep_exact_at_paper_scale(capsys):
 
 @pytest.mark.parametrize("kind", cli.ensembles.KINDS)
 def test_iter_summaries_match_validated_eigen(kind):
-    # the runner skips symmetric_eigen's input check, not any of its results
-    p = 5 if kind in cli.ensembles.MP_KINDS else None
-    code = dict(m=6, delta=5) if kind in cli.ensembles.PSEUDO_KINDS else {}
-    spec = cli.ensembles.EnsembleSpec(kind, N=9, p=p, seed=3, **code)
-    mats = cli.ensembles.matrix_stream(spec, 3)
-    for summary, M in zip(cli.iter_summaries(spec, 3), mats, strict=True):
-        checked = cli.spectral.symmetric_eigen(M)
-        assert np.array_equal(summary.eigenvalues, checked.eigenvalues)
-        assert summary.norm == checked.norm
+    # the runner skips the oracle's input check, not any of its results:
+    # eigvalsh's eigenvalues bit for bit, from N = 1 to the paper's N = 180;
+    # all yields are compared after the last, so a later call at the same
+    # order must not have changed an earlier array
+    if kind in cli.ensembles.MP_KINDS:
+        orders = [dict(N=9, p=5), dict(N=40, p=25)]
+    else:
+        orders = [dict(N=N) for N in (1, 2, 9, 44, 180)]
+    for order in orders:
+        code = {}
+        if kind in cli.ensembles.PSEUDO_KINDS:
+            code = dict(m=14, delta=31) if order["N"] == 180 else dict(m=10, delta=15)
+        spec = cli.ensembles.EnsembleSpec(kind, seed=3, **order, **code)
+        mats = cli.ensembles.matrix_stream(spec, 3)
+        eigs = list(cli.iter_summaries(spec, 3, cli.spectral.eigenvalues_unchecked))
+        for got, M in zip(eigs, mats, strict=True):
+            assert np.array_equal(got, np.linalg.eigvalsh(M)), order
 
 
 # --- esd --------------------------------------------------------------------------
@@ -323,9 +333,21 @@ def test_esd_random_mp_monte_carlo_sanity():
     spec = cli.ensembles.EnsembleSpec("random-mp", N=400, p=250, seed=13)
     law = spec.law
     ks = [
-        cli.spectral.ks_distance(s, law) for s in cli.iter_summaries(spec, 20)
+        cli.spectral.ks_distance(s, law)
+        for s in cli.iter_summaries(spec, 20, cli.spectral.eigenvalues_unchecked)
     ]
     assert max(ks) < 0.05
+
+
+def test_esd_eigensolver_failure_exit_3(tmp_path, capsys, monkeypatch):
+    def fails(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+    assert run(["esd", "--kind", "random-wigner", "--N", "16", "--count", "2",
+                "--out", str(tmp_path)]) == 3
+    assert "eigensolver did not converge" in capsys.readouterr().err
+    assert not (tmp_path / "ks.json").exists()
 
 
 def test_esd_mp_kind(tmp_path):
