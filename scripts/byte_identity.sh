@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Byte-identity check: run the README's CLI commands, plus `norms` and `esd`
 # at the full-scale order N = 180 at reduced counts, the benchmark's sampled
-# verify-indep and a `sample` whose seed has two 32-bit words, on a git ref
+# verify-indep, a failing exact and a failing sampled verify-indep (exit 1)
+# and a `sample` whose seed has two 32-bit words, on a git ref
 # and on the working tree, and compare their standard output, exit codes and
 # every file they write (config.json included).  Standard error is kept
 # apart and not compared.
@@ -36,6 +37,9 @@ COMMANDS=(
     "genpoly --m 4 --delta 5"
     "genpoly --m 14 --k 16173"
     "verify-indep --m 4 --delta 5 --r 4"
+    "verify-indep --m 14 --delta 31 --r 30 --budget 200"
+    "verify-indep --m 4 --delta 5 --r 5"
+    "verify-indep --m 3 --delta 3 --r 3 --mode sampled"
     "norms --kind pseudo-wigner --m 10 --delta 15 --N 44 --count 2000 --seed 1 --out runs/wig44"
     "esd --kind pseudo-mp --m 10 --delta 15 --N 40 --p 25 --count 500 --seed 2 --out runs/mp40"
     "moments --kind random-wigner --N 256 --count 100 --s-max 8 --out runs/mom256"

@@ -25,6 +25,8 @@ below 4 are tabulated once per (generator, length), and the message is
 consumed 4 bits per step, so a k-bit message costs k/4 shifted XORs
 instead of one per set bit.  A 4-bit window keeps the table at 16 words of
 `length` bits; an 8-bit one would hold 255, 16 MB at N = 1024.
+``column_reader``, the one reader of the generator matrix (row i = x^i g),
+gives its columns as k-bit integers for ``independence``.
 
 Message i of a seed is drawn by ``default_rng((seed, i))``, so it depends
 only on (seed, i).  Two paths give the same bits.  ``message_for_index``
@@ -424,15 +426,24 @@ def sample_codewords(dual: DualCode, count: int, seed: int) -> list[int]:
     return words
 
 
-def generator_matrix(code: Union[CyclicCode, DualCode]) -> np.ndarray:
-    """k x n basis matrix over GF(2); row j is x^j * g(x)."""
+def column_reader(code: Union[CyclicCode, DualCode]):
+    """Column j of the k x n generator matrix (row i = x^i g) as a k-bit int.
+
+    Bit i is entry (i, j), the coefficient of x^(j-i) in g.  With R the
+    reciprocal of g, of degree n - k, that is the k-bit window of
+    R(x) x^(k-1) at bit n-1-j, read from bytes built once: O(k) per column.
+    """
     k, n = code.dimension, code.n
-    rows = np.zeros((k, n), dtype=np.uint8)
-    g_bits = word_to_bits(code.generator, n)
-    deg = gf2m.degree(code.generator)
-    for j in range(k):
-        rows[j, j : j + deg + 1] = g_bits[: deg + 1]
-    return rows
+    source = gf2m.reciprocal(code.generator) << (k - 1)
+    source = source.to_bytes((n + 7) // 8, "little")
+    mask = (1 << k) - 1
+
+    def column(j: int) -> int:
+        low = n - 1 - j
+        window = int.from_bytes(source[low >> 3 : (low + k + 7) >> 3], "little")
+        return (window >> (low & 7)) & mask
+
+    return column
 
 
 def word_to_bits(word: int, n: int) -> np.ndarray:

@@ -49,25 +49,6 @@ class IndependenceReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _column_reader(dual):
-    """Column j of the generator basis (row i = x^i g) as a k-bit integer.
-
-    Entry (i, j) is the coefficient of x^(j-i) in g, so column j is the
-    k-bit window at bit j of g(x) x^(k-1), with row i at window bit
-    k-1-i.  That fixed reordering of rows leaves every rank unchanged, so
-    the window is read as it is, from bytes built once: O(k) per column.
-    """
-    k = dual.dimension
-    source = (dual.generator << (k - 1)).to_bytes((dual.n + 7) // 8, "little")
-    mask = (1 << k) - 1
-
-    def column(j: int) -> int:
-        window = int.from_bytes(source[j >> 3 : (j + k + 7) >> 3], "little")
-        return (window >> (j & 7)) & mask
-
-    return column
-
-
 def _rank_gf2(vectors) -> int:
     pivot: dict[int, int] = {}
     rank = 0
@@ -83,54 +64,38 @@ def _rank_gf2(vectors) -> int:
     return rank
 
 
-def _subset_tv(column, subset) -> float:
-    """Exact TV of the projection onto `subset`: 1 - 2^(rank - r)."""
-    return 1.0 - 2.0 ** (_rank_gf2(map(column, subset)) - len(subset))
-
-
 def _iter_subsets(n: int, r: int, budget: int, seed: int):
-    """All C(n, r) subsets if they fit the budget, else a seeded sample.
-
-    Returns (iterator of sorted tuples, count, exhaustive_flag).
-    """
-    total = math.comb(n, r)
-    if total <= budget:
-        return itertools.combinations(range(n), r), total, True
+    """All C(n, r) subsets if they fit the budget, else a seeded sample of
+    `budget`: (sorted list of tuples, whether the list is exhaustive)."""
+    if math.comb(n, r) <= budget:
+        return list(itertools.combinations(range(n), r)), True
     rng = np.random.default_rng((int(seed), int(r)))
     chosen: set[tuple[int, ...]] = set()
     while len(chosen) < budget:
         chosen.add(tuple(sorted(int(v) for v in rng.choice(n, size=r, replace=False))))
-    return iter(sorted(chosen)), budget, False
+    return sorted(chosen), False
 
 
-def _exact_level(column, n: int, r: int, budget: int, seed: int):
-    """(max TV, subsets checked, exhaustive?, worst subset) at one level."""
-    subsets, count, exhaustive = _iter_subsets(n, r, budget, seed)
-    worst_tv = 0.0
-    worst_subset = None
-    for S in subsets:
-        tv = _subset_tv(column, S)
-        if tv > worst_tv:
-            worst_tv, worst_subset = tv, tuple(S)
-    return worst_tv, count, exhaustive, worst_subset
+def _exact_tvs(column, subsets, r: int) -> np.ndarray:
+    """Exact TV of each subset's projection: 1 - 2^(rank - r)."""
+    ranks = np.array([_rank_gf2(map(column, S)) for S in subsets])
+    return 1.0 - 2.0 ** (ranks - r)
 
 
-def _sampled_level(dual, r: int, budget: int, seed: int):
-    """Empirical max TV over `budget` subsets from 2^16 seeded codewords.
+def _sampled_tvs(column, k: int, subsets, r: int, seed: int) -> np.ndarray:
+    """Empirical TV of each subset's projection over 2^16 seeded codewords.
 
     Projections are computed directly as message-bits times the restricted
     generator matrix, so full codewords are never materialized.  Each batch
     of messages comes from ``codes.message_bits``; subset s's pattern on a
     word, offset by s << r, indexes one histogram of every subset at once.
     """
-    k = dual.dimension
-    n = dual.n
-    subsets, count, exhaustive = _iter_subsets(n, r, budget, seed)
-    subsets = list(subsets)
-    needed = sorted({c for S in subsets for c in S})
-    col_of = {c: i for i, c in enumerate(needed)}
-    G = codes.generator_matrix(dual)[:, needed].astype(np.float32)
-    columns = np.array([[col_of[c] for c in S] for S in subsets]).T  # (r, nsub)
+    needed, columns = np.unique(subsets, return_inverse=True)
+    nbytes = (k + 7) // 8
+    packed = b"".join(column(c).to_bytes(nbytes, "little") for c in needed.tolist())
+    G = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(-1, nbytes), axis=1,
+                      count=k, bitorder="little").astype(np.float32)  # (needed, k)
+    columns = columns.reshape(len(subsets), r).T  # (r, nsub): rows of G
     offsets = np.arange(len(subsets), dtype=np.intp)[:, None] << r
 
     counts = np.zeros(len(subsets) << r, dtype=np.int64)
@@ -139,7 +104,7 @@ def _sampled_level(dual, r: int, budget: int, seed: int):
         stop = min(start + batch, SAMPLE_WORDS)
         msgs = codes.message_bits(k, seed, start, stop).astype(np.float32)
         # (needed, batch) weights below 2^24, exact in float32 and in int32
-        parity = (G.T @ msgs.T).astype(np.int32)
+        parity = (G @ msgs.T).astype(np.int32)
         parity &= 1
         patterns = np.repeat(offsets, stop - start, axis=1)
         for bit, cols in enumerate(columns):
@@ -148,11 +113,8 @@ def _sampled_level(dual, r: int, budget: int, seed: int):
             patterns += projected
         counts += np.bincount(patterns.ravel(), minlength=counts.size)
 
-    counts = counts.reshape(len(subsets), 1 << r)
-    freqs = counts / float(SAMPLE_WORDS)
-    tvs = 0.5 * np.abs(freqs - 1.0 / (1 << r)).sum(axis=1)
-    worst = int(np.argmax(tvs))
-    return float(tvs[worst]), count, exhaustive, tuple(subsets[worst])
+    freqs = counts.reshape(len(subsets), 1 << r) / float(SAMPLE_WORDS)
+    return 0.5 * np.abs(freqs - 1.0 / (1 << r)).sum(axis=1)
 
 
 def verify_r_independence(
@@ -169,9 +131,10 @@ def verify_r_independence(
     Sampled mode estimates it from 2^16 codewords with a loose threshold,
     and rejects r >= 12, where that threshold is at least 1.
 
-    On every exact run the lower levels r-1, ..., 1 are re-verified:
-    marginals of uniform distributions are uniform, so a pass at r with a
-    fail below it is mathematically impossible and reported as corruption.
+    On an exact pass over every r-subset, each lower level r-1, ..., 1
+    whose subsets all fit the budget is re-verified: marginals of uniform
+    distributions are uniform, so a pass at r with a fail below it is
+    mathematically impossible and reported as corruption.
     """
     if not 1 <= r <= dual.n:
         raise InvalidInputError(f"need 1 <= r <= n={dual.n}, got {r}")
@@ -188,33 +151,34 @@ def verify_r_independence(
             f"4 sqrt(2^r / {SAMPLE_WORDS}) is at least 1"
         )
 
+    column = codes.column_reader(dual)
+    subsets, exhaustive = _iter_subsets(dual.n, r, budget, seed)
     if mode == "exact":
-        column = _column_reader(dual)
-        tv, nsub, exhaustive, worst = _exact_level(column, dual.n, r, budget, seed)
-        verdict = "pass" if tv == 0.0 else "fail"
-        if verdict == "pass" and exhaustive:
-            for r_lower in range(r - 1, 0, -1):
-                tv_low, _, ex_low, sub_low = _exact_level(
-                    column, dual.n, r_lower, budget, seed
-                )
-                if ex_low and tv_low > 0.0:
-                    raise ArithmeticCorruptionError(
-                        f"monotonicity violated: pass at r={r} but "
-                        f"TV={tv_low} at r={r_lower} on subset {sub_low}"
-                    )
-        return IndependenceReport(
-            r_tested=r, mode="exact", subsets_checked=nsub,
-            max_total_variation=tv, verdict=verdict, threshold=0.0,
-            failing_subset=worst if verdict == "fail" else None,
-            exhaustive=exhaustive,
-        )
-
-    threshold = 4.0 * math.sqrt((1 << r) / SAMPLE_WORDS)
-    tv, nsub, exhaustive, worst = _sampled_level(dual, r, budget, seed)
+        threshold = 0.0
+        tvs = _exact_tvs(column, subsets, r)
+    else:
+        threshold = 4.0 * math.sqrt((1 << r) / SAMPLE_WORDS)
+        tvs = _sampled_tvs(column, dual.dimension, subsets, r, seed)
+    worst = int(np.argmax(tvs))  # the first of the worst subsets
+    tv = float(tvs[worst])
     verdict = "pass" if tv <= threshold else "fail"
+
+    if mode == "exact" and verdict == "pass" and exhaustive:
+        for r_lower in range(r - 1, 0, -1):
+            if math.comb(dual.n, r_lower) > budget:
+                continue  # only exhaustive lower levels are re-checked
+            lower, _ = _iter_subsets(dual.n, r_lower, budget, seed)
+            tvs_low = _exact_tvs(column, lower, r_lower)
+            low = int(np.argmax(tvs_low))
+            if tvs_low[low] > 0.0:
+                raise ArithmeticCorruptionError(
+                    f"monotonicity violated: pass at r={r} but TV={float(tvs_low[low])}"
+                    f" at r={r_lower} on subset {lower[low]}"
+                )
+
     return IndependenceReport(
-        r_tested=r, mode="sampled", subsets_checked=nsub,
+        r_tested=r, mode=mode, subsets_checked=len(subsets),
         max_total_variation=tv, verdict=verdict, threshold=threshold,
-        failing_subset=worst if verdict == "fail" else None,
+        failing_subset=subsets[worst] if verdict == "fail" else None,
         exhaustive=exhaustive,
     )

@@ -28,6 +28,9 @@ code under test:
   recurrence of ``laws.MarchenkoPasturLaw.moments`` is checked.
 - ``min_distance_exact``: a code's minimum distance by enumerating its
   codewords, against the designed distance (criterion 1).
+- ``generator_matrix``: a code's dense k x n generator matrix, row j the
+  shift x^j g, against which ``codes.column_reader`` and the GF(2) ranks of
+  ``independence`` are checked.
 - ``poly_from_hex``: the inverse of ``gf2m.poly_to_hex``.
 """
 
@@ -39,7 +42,7 @@ from typing import Union
 
 import numpy as np
 
-from pseudospec.codes import CyclicCode, DualCode
+from pseudospec.codes import CyclicCode, DualCode, word_to_bits
 from pseudospec.errors import InvalidInputError, NumericalFailureError
 from pseudospec.gf2m import (
     _x_pow_mod,
@@ -288,6 +291,17 @@ def min_distance_exact(code: Union[CyclicCode, DualCode]) -> int:
         if w < best:
             best = w
     return best
+
+
+def generator_matrix(code: Union[CyclicCode, DualCode]) -> np.ndarray:
+    """k x n basis matrix over GF(2); row j is x^j * g(x)."""
+    k, n = code.dimension, code.n
+    rows = np.zeros((k, n), dtype=np.uint8)
+    g_bits = word_to_bits(code.generator, n)
+    deg = degree(code.generator)
+    for j in range(k):
+        rows[j, j : j + deg + 1] = g_bits[: deg + 1]
+    return rows
 
 
 def poly_from_hex(s: str) -> int:

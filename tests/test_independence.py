@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+
 from pseudospec import codes, gf2m, independence
-from pseudospec.errors import InvalidInputError
+from pseudospec.errors import ArithmeticCorruptionError, InvalidInputError
 
 
 @pytest.fixture(scope="module")
@@ -128,18 +130,27 @@ def test_histogram_and_rank_engines_agree(simplex, dual_15_7):
 
 def test_rank_engine_matches_generator_matrix_elimination():
     dual = codes.dual_code(codes.bch_generator(10, 15))  # k_dual = 70
-    G = codes.generator_matrix(dual)
-    column = independence._column_reader(dual)
+    G = oracles.generator_matrix(dual)
+    column = codes.column_reader(dual)
     rng = np.random.default_rng(8)
     for r in (1, 2, 14, 15, 40, 70, 71, 90):
         for _ in range(6):
             S = sorted(int(c) for c in rng.choice(dual.n, size=r, replace=False))
             q = rank_by_elimination(G[:, S])
-            assert independence._subset_tv(column, S) == 1.0 - 2.0 ** (q - r), (r, S)
+            tv = independence._exact_tvs(column, [S], r)[0]
+            assert tv == 1.0 - 2.0 ** (q - r), (r, S)
     # both ends of the window source: the x^(k-1) padding and bit n - 1
-    for S in (list(range(6)), list(range(dual.n - 6, dual.n))):
+    ends = list(range(6)), list(range(dual.n - 6, dual.n))
+    for S in ends:
         q = rank_by_elimination(G[:, S])
-        assert independence._subset_tv(column, S) == 1.0 - 2.0 ** (q - 6), S
+        assert independence._exact_tvs(column, [S], 6)[0] == 1.0 - 2.0 ** (q - 6), S
+    # the reader is the oracle's matrix column for column there, for the
+    # dual and for a base code (k = 953)
+    for code in (dual, dual.base):
+        G, column = oracles.generator_matrix(code), codes.column_reader(code)
+        for j in ends[0] + ends[1]:
+            packed = np.packbits(G[:, j], bitorder="little").tobytes()
+            assert column(j) == int.from_bytes(packed, "little"), (code.dimension, j)
 
 
 def test_rank_engine_used_for_mid_dimensions():
@@ -200,18 +211,74 @@ def test_sampled_counts_match_scalar_histograms(monkeypatch, r, budget, seed):
     words = 4096 + 37
     monkeypatch.setattr(independence, "SAMPLE_WORDS", words)
     dual = codes.dual_code(codes.bch_generator(6, 5))  # n = 63, k_dual = 12
-    subsets, _, _ = independence._iter_subsets(dual.n, r, budget, seed)
-    subsets = list(subsets)
+    subsets, _ = independence._iter_subsets(dual.n, r, budget, seed)
     counts = np.zeros((len(subsets), 1 << r), dtype=np.int64)
     for i in range(words):
         word = codes.encode(dual, codes.message_for_index(dual.k_dual, seed, i))
         for j, S in enumerate(subsets):
             counts[j, sum(((word >> c) & 1) << b for b, c in enumerate(S))] += 1
     tvs = 0.5 * np.abs(counts / float(words) - 1.0 / (1 << r)).sum(axis=1)
-    tv, nsub, _, worst = independence._sampled_level(dual, r, budget, seed)
-    assert nsub == len(subsets)
-    assert tv == tvs.max()
-    assert worst == subsets[int(np.argmax(tvs))]
+    report = independence.verify_r_independence(
+        dual, r, mode="sampled", budget=budget, seed=seed
+    )
+    assert report.subsets_checked == len(subsets)
+    assert report.max_total_variation == tvs.max()
+    # a pass names no subset, so the worst one is read from every subset's TV
+    engine = independence._sampled_tvs(
+        codes.column_reader(dual), dual.k_dual, subsets, r, seed
+    )
+    assert np.array_equal(engine, tvs)
+    assert subsets[int(np.argmax(engine))] == subsets[int(np.argmax(tvs))]
+
+
+# (m, delta, r, budget, seed) -> sampled report JSON: an exhaustive fail, an
+# exhaustive pass and a pass over sampled subsets
+PINNED_SAMPLED_REPORTS = {
+    (3, 3, 2, 2000, 0): '{"exhaustive": true, "failing_subset": null, '
+    '"max_total_variation": 0.0067138671875, "mode": "sampled", "r_tested": 2, '
+    '"subsets_checked": 21, "threshold": 0.03125, "verdict": "pass"}',
+    (3, 3, 3, 2000, 0): '{"exhaustive": true, "failing_subset": [0, 1, 3], '
+    '"max_total_variation": 0.5, "mode": "sampled", "r_tested": 3, '
+    '"subsets_checked": 35, "threshold": 0.04419417382415922, "verdict": "fail"}',
+    (4, 5, 4, 50, 0): '{"exhaustive": false, "failing_subset": null, '
+    '"max_total_variation": 0.0102691650390625, "mode": "sampled", "r_tested": 4, '
+    '"subsets_checked": 50, "threshold": 0.0625, "verdict": "pass"}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SAMPLED_REPORTS))
+def test_sampled_reports_pinned(case):
+    m, delta, r, budget, seed = case
+    dual = codes.dual_code(codes.bch_generator(m, delta))
+    report = independence.verify_r_independence(
+        dual, r, mode="sampled", budget=budget, seed=seed
+    )
+    assert report.to_json() == PINNED_SAMPLED_REPORTS[case]
+
+
+def test_monotonicity_recheck_covers_exhaustive_lower_levels(monkeypatch):
+    # the [7, 6] even-weight code: any 6 coordinates are independent.  With
+    # budget 7, r = 6 (C(7, 6) = 7) and r = 1 are the exhaustive levels
+    dual = codes.dual_code(codes.bch_generator(3, 7))
+    assert dual.dimension == 6
+    levels = []
+    exact_tvs = independence._exact_tvs
+
+    def spy(column, subsets, r):
+        levels.append(r)
+        return exact_tvs(column, subsets, r)
+
+    monkeypatch.setattr(independence, "_exact_tvs", spy)
+    report = independence.verify_r_independence(dual, 6, budget=7)
+    assert (report.verdict, report.exhaustive) == ("pass", True)
+    assert levels == [6, 1]
+    # a fail below a pass cannot happen, so it is reported as corruption
+    monkeypatch.setattr(
+        independence, "_exact_tvs",
+        lambda column, subsets, r: np.full(len(subsets), float(r == 1)),
+    )
+    with pytest.raises(ArithmeticCorruptionError, match="at r=1 on subset"):
+        independence.verify_r_independence(dual, 6, budget=7)
 
 
 def test_sampled_mode_detects_dependence(simplex):
