@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Byte-identity check: run the README's CLI commands, plus `norms` and `esd`
+# Byte-identity check: run the README's CLI commands, plus `genpoly` and
+# `dual` by target dimension (one found at delta = 513, one for a dimension
+# no BCH code has, exit 2), `norms` and `esd`
 # at the full-scale order N = 180 at reduced counts, the benchmark's sampled
 # verify-indep, a failing exact and a failing sampled verify-indep (exit 1)
 # and a `sample` whose seed has two 32-bit words, on a git ref
@@ -36,6 +38,9 @@ git -C "$ROOT" archive "$SHA" | tar -x -C "$WORK/ref-src"
 COMMANDS=(
     "genpoly --m 4 --delta 5"
     "genpoly --m 14 --k 16173"
+    "genpoly --m 10 --k 1"
+    "dual --m 6 --k 16"
+    "genpoly --m 4 --k 10"
     "verify-indep --m 4 --delta 5 --r 4"
     "verify-indep --m 14 --delta 31 --r 30 --budget 200"
     "verify-indep --m 4 --delta 5 --r 5"

@@ -16,7 +16,7 @@ for the two extreme eigenvalues (``spectral.norm_unchecked``) and
 (``spectral.trace_moments_unchecked``).
 
 Exit codes: 0 success / verification pass, 1 verification fail, 2 invalid
-input, 3 numerical failure.
+input or an output path that cannot be written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -372,7 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--mode", default="exact", choices=["exact", "sampled"])
-    p.add_argument("--budget", type=int, default=2000)
+    p.add_argument("--budget", type=int, default=2000,
+                   help="most r-subsets checked; below C(n, r) a seeded sample "
+                   "of them, drawn slowly when the budget is just under C(n, r)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify_indep)
 
@@ -384,8 +386,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidInputError as exc:
-        # covers the degenerate/unsupported subtypes
+    except (InvalidInputError, OSError) as exc:
+        # covers the degenerate/unsupported subtypes, and an --out that is a
+        # file or lies below one
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalFailureError, ArithmeticCorruptionError) as exc:

@@ -13,6 +13,8 @@ be at least 3, an even delta is promoted to delta + 1 (the same code, by
 conjugacy), and the promoted delta must not exceed n, or the roots would
 include alpha^n = alpha^0 and leave no code.  Every caller that takes a
 designed distance, the ensemble specs included, goes through it.
+``bch_generator`` checks that k is exactly n minus the sizes of the
+cosets of its roots.
 
 Codewords are GF(2) polynomials in the integer representation of
 :mod:`.gf2m` (bit i = coefficient of x^i).  ``word_to_bits`` converts one
@@ -163,7 +165,9 @@ def bch_generator(m: int, delta: int) -> CyclicCode:
     """Construct the BCH code of length 2^m - 1 and designed distance delta.
 
     The distance is checked and promoted by ``designed_distance``; an even
-    delta is promoted with a warning.
+    delta is promoted with a warning.  g is the product of the minimal
+    polynomials of alpha^e for each coset leader e < delta (the least
+    element of its cyclotomic coset), so k is n minus their coset sizes.
     """
     promoted = designed_distance(m, delta)
     if promoted != delta:
@@ -173,20 +177,16 @@ def bch_generator(m: int, delta: int) -> CyclicCode:
             stacklevel=2,
         )
     n = (1 << m) - 1
-    reps_seen: set[int] = set()
-    g = 1
+    g, deg = 1, 0
     for e in range(1, promoted):
-        rep = min(gf2m.cyclotomic_coset(e, n))
-        if rep in reps_seen:
-            continue
-        reps_seen.add(rep)
-        g = gf2m.poly_mul(g, gf2m.minimal_polynomial(e, m))
-
+        coset = gf2m.cyclotomic_coset(e, n)
+        if e == min(coset):
+            g = gf2m.poly_mul(g, gf2m.minimal_polynomial(e, m))
+            deg += len(coset)
     code = CyclicCode(m=m, generator=g, delta=promoted)
-    t = (promoted - 1) // 2
-    if code.k < n - m * t:
+    if code.k != n - deg:
         raise ArithmeticCorruptionError(
-            f"dimension {code.k} below the n - m*t = {n - m * t} bound"
+            f"dimension {code.k}, but the cosets of the roots leave {n - deg}"
         )
     return code
 
@@ -194,31 +194,27 @@ def bch_generator(m: int, delta: int) -> CyclicCode:
 def delta_for_dimension(m: int, k: int) -> int:
     """Smallest designed distance whose BCH code has dimension exactly k.
 
-    Walks odd designed distances upward (dimension is non-increasing in
-    delta) until the target dimension is hit; raises if it is skipped over,
-    since not every k is a BCH dimension.
+    Each coset leader e, upward, drops the dimension by its coset's size;
+    leaders are odd, so e + 2 is the least odd delta with root alpha^e.
+    Raises if k is skipped over, since not every k is a BCH dimension.
     """
     gf2m.default_primitive_poly(m)
     n = (1 << m) - 1
     if not 1 <= k < n:
         raise InvalidInputError(f"target dimension {k} outside [1, {n})")
-    deg = 0
-    reps_seen: set[int] = set()
-    delta = 3
-    while True:
-        for e in (delta - 2, delta - 1):
-            rep = min(gf2m.cyclotomic_coset(e % n, n))
-            if rep not in reps_seen:
-                reps_seen.add(rep)
-                deg += len(gf2m.cyclotomic_coset(rep, n))
-        if n - deg == k:
-            return delta
-        if n - deg < k:
+    dim = n
+    for e in range(1, n):
+        coset = gf2m.cyclotomic_coset(e, n)
+        if e != min(coset):
+            continue
+        dim -= len(coset)
+        if dim == k:
+            return e + 2
+        if dim < k:
             raise InvalidInputError(
                 f"no BCH code of length {n} has dimension {k} "
-                f"(nearest from above has k={n - deg} at delta={delta})"
+                f"(nearest from above has k={dim} at delta={e + 2})"
             )
-        delta += 2
 
 
 def dual_code(code: CyclicCode) -> DualCode:
@@ -416,8 +412,6 @@ def sample_codewords(dual: DualCode, count: int, seed: int) -> list[int]:
     """
     if count < 1:
         raise InvalidInputError("count must be >= 1")
-    if seed < 0:
-        raise InvalidInputError("seed must be a nonnegative integer")
     words = []
     for start in range(0, count, 4096):
         bits = message_bits(dual.k_dual, seed, start, min(start + 4096, count))

@@ -17,8 +17,7 @@ can never fail.
   safe minimum (Anderson et al., *LAPACK Users' Guide*, 3rd ed., 1999,
   sec. 2.4.4).  It skips the iterations over every other eigenvalue, and
   agrees with the ``eigvalsh`` norm to about 1e-14 relative (1e-13 is
-  enforced by the tests), not bit for bit: ``norms.csv`` changed once in
-  its last digits, from the change after commit d0e4931 on.
+  enforced by the tests), not bit for bit.
 - ``moments`` takes the traces (1/N) Tr(M^s), s = 1..s_max, from
   ``trace_moments_unchecked``: the same tridiagonal form and no
   eigenvalue at all (below).
@@ -55,8 +54,7 @@ are multiplied: an entry of T^a is off by about a u ||T||^a, u the unit
 roundoff, as the power lambda^s of an eigenvalue from the full solve is
 off by about s u ||T||^s.  The two routes agree to within 2.3e-13 of
 mean(|lambda|^s), measured up to s = 60 at N = 180 and s = 16 at N = 1024
-(the tests enforce 1e-12).  This changed ``moments.csv`` once in its last
-digits, from the change after commit d25428d on.
+(the tests enforce 1e-12).
 """
 
 from __future__ import annotations

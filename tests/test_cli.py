@@ -270,6 +270,24 @@ def test_bad_designed_distance_exit_2_before_output(tmp_path, capsys, argv, delt
     assert not out.exists()
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("argv", [
+    ["norms", "--kind", "pseudo-wigner", *BATCH],
+    ["esd", "--kind", "pseudo-mp", "--p", "4", *BATCH],
+    ["moments", "--kind", "pseudo-wigner", *BATCH],
+    ["sample", "--m", "4", "--delta", "5", "--count", "3"],
+], ids=["norms", "esd", "moments", "sample"])
+def test_unusable_out_exit_2(tmp_path, capsys, argv, below):
+    # an --out that is an existing file, or a path below one, is bad input,
+    # not a failed verification, and the file is left as it was
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "out" if below else taken
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_text() == "kept\n"
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("epsilon", ["1000", "-1000", "-532"])
 def test_norms_extreme_epsilon_exit_2(tmp_path, capsys, epsilon):

@@ -13,6 +13,7 @@ import oracles
 
 from pseudospec import codes, gf2m
 from pseudospec.errors import (
+    ArithmeticCorruptionError,
     DegenerateCodeError,
     InvalidInputError,
     UnsupportedDegreeError,
@@ -78,6 +79,33 @@ def test_delta_for_dimension_small():
     assert codes.delta_for_dimension(4, 11) == 3
     with pytest.raises(InvalidInputError):
         codes.delta_for_dimension(4, 10)  # no such dimension
+
+
+def test_delta_for_dimension_is_least_odd_delta():
+    # against a search over every code: the least odd delta of dimension k,
+    # or an error exactly when no BCH code has that dimension
+    for m in range(2, 9):
+        n = (1 << m) - 1
+        first = {}
+        for delta in range(n, 2, -2):
+            first[codes.bch_generator(m, delta).k] = delta
+        for k in range(1, n):
+            if k in first:
+                assert codes.delta_for_dimension(m, k) == first[k], (m, k)
+            else:
+                with pytest.raises(InvalidInputError, match="no BCH code"):
+                    codes.delta_for_dimension(m, k)
+
+
+def test_wrong_degree_minimal_polynomial_rejected(monkeypatch):
+    # alpha^21 has a coset of size 2 at m = 6, so a generator built from its
+    # minimal polynomial in place of alpha^3's still divides x^63 + 1, and
+    # has dimension 55 where the cosets {1, ..} and {3, ..} leave 51
+    real = gf2m.minimal_polynomial
+    monkeypatch.setattr(gf2m, "minimal_polynomial",
+                        lambda e, m: real(21 if (e, m) == (3, 6) else e, m))
+    with pytest.raises(ArithmeticCorruptionError, match="51"):
+        codes.bch_generator(6, 5)
 
 
 def test_even_delta_promoted():
