@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Byte-identity check: run the README's CLI commands, plus `genpoly` and
 # `dual` by target dimension (one found at delta = 513, one for a dimension
-# no BCH code has, exit 2), `norms` and `esd`
+# no BCH code has, exit 2), `genpoly` for the largest codes built anywhere
+# (m = 16 at delta = 361, and the benchmark's m = 20 code), `norms` and `esd`
 # at the full-scale order N = 180 at reduced counts, the benchmark's sampled
 # verify-indep, a failing exact and a failing sampled verify-indep (exit 1)
 # and a `sample` whose seed has two 32-bit words, on a git ref
@@ -41,6 +42,8 @@ COMMANDS=(
     "genpoly --m 10 --k 1"
     "dual --m 6 --k 16"
     "genpoly --m 4 --k 10"
+    "genpoly --m 16 --delta 361"
+    "genpoly --m 20 --delta 33"
     "verify-indep --m 4 --delta 5 --r 4"
     "verify-indep --m 14 --delta 31 --r 30 --budget 200"
     "verify-indep --m 4 --delta 5 --r 5"

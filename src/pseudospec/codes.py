@@ -202,7 +202,7 @@ def delta_for_dimension(m: int, k: int) -> int:
     n = (1 << m) - 1
     if not 1 <= k < n:
         raise InvalidInputError(f"target dimension {k} outside [1, {n})")
-    dim = n
+    dim, above = n, ""
     for e in range(1, n):
         coset = gf2m.cyclotomic_coset(e, n)
         if e != min(coset):
@@ -213,8 +213,9 @@ def delta_for_dimension(m: int, k: int) -> int:
         if dim < k:
             raise InvalidInputError(
                 f"no BCH code of length {n} has dimension {k} "
-                f"(nearest from above has k={dim} at delta={e + 2})"
+                f"(nearest: {above}k={dim} at delta={e + 2} below)"
             )
+        above = f"k={dim} at delta={e + 2} above, "
 
 
 def dual_code(code: CyclicCode) -> DualCode:

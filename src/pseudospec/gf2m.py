@@ -15,15 +15,16 @@ g^-1 mod x^L by Newton iteration, a logarithmic number of multiplications.
 A field is named by its degree alone: ``alpha_pow`` and
 ``minimal_polynomial`` take m and reduce modulo p(x) = PRIMITIVE_POLYS[m],
 so every run, on every machine, works in the same GF(2^m) = GF(2)[x]/(p(x)).
-There is no other modulus to pass, and no table entry is re-checked at run
-time; the test suite certifies each one primitive with the ``is_primitive``
-of ``tests/oracles.py``, which also holds the general field arithmetic
-(``field_mul``, ``field_pow``, ``field_eval``) the tests check roots with.
 A degree outside the table raises UnsupportedDegreeError.  Elements are
-integers below 2^m holding the reduced polynomial representation.  The
-residue class of x (the integer 2) is written alpha throughout; because p
-is primitive, alpha generates the full multiplicative group of order
-n = 2^m - 1.
+integers below 2^m, the reduced polynomials, also m-bit vectors over GF(2).
+The residue class of x (the integer 2) is written alpha throughout; because
+p is primitive, alpha generates the multiplicative group of order 2^m - 1.
+
+Minimal polynomials need only GF(2) linear algebra: that of beta is the
+first relation among 1, beta, beta^2, ..., found by elimination on leading
+bits.  No table entry is re-checked at run time; ``tests/oracles.py``
+certifies each one primitive, and holds the field arithmetic and the
+expansion prod (x + beta^(2^i)) over GF(2^m) that the tests check against.
 
 Serialized form: a polynomial's bytes are its integer value little-endian,
 so byte i carries the coefficients of x^(8i) .. x^(8i+7) with x^(8i) in the
@@ -183,30 +184,28 @@ def cyclotomic_coset(e: int, n: int) -> set[int]:
 def minimal_polynomial(e: int, m: int) -> int:
     """Minimal polynomial of alpha^e over GF(2), for 0 <= e < 2^m - 1.
 
-    Expands prod_{j in coset(e)} (x + alpha^j) with coefficients in GF(2^m)
-    and checks that every coefficient lands in {0, 1}; a wider coefficient
-    means the field arithmetic is broken, which is reported as corruption
-    rather than bad input.  The coset is walked as e, 2e, 4e, ..., so each
-    root is the square of the one before.
+    Reduces each beta^j (beta = alpha^e) against pivots keyed by leading
+    bit and tagged with the powers summed into them, and returns the tag of
+    the first power that reduces to 0.  Any degree but the size of e's
+    cyclotomic coset means broken field arithmetic: corruption, not input.
     """
     modulus = default_primitive_poly(m)
-    root = alpha_pow(e, m)
-    # coeffs[i] is the GF(2^m) coefficient of x^i; every product of two
-    # reduced elements is reduced again, so none is wider than m bits
-    coeffs = [1]
-    for _ in range(len(cyclotomic_coset(e, (1 << m) - 1))):
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] ^= c
-            nxt[i] ^= poly_mod(poly_mul(c, root), modulus)
-        coeffs = nxt
-        root = poly_mod(poly_mul(root, root), modulus)
-    result = 0
-    for i, c in enumerate(coeffs):
-        if c not in (0, 1):
-            raise ArithmeticCorruptionError(
-                f"minimal polynomial of alpha^{e} has non-binary coefficient "
-                f"{c:#x} at x^{i}"
-            )
-        result |= c << i
-    return result
+    size = len(cyclotomic_coset(e, (1 << m) - 1))
+    beta = alpha_pow(e, m)
+    pivot: dict[int, tuple[int, int]] = {}
+    power = 1
+    while True:
+        v, used = power, 1 << len(pivot)  # beta^j, j = len(pivot)
+        while v.bit_length() in pivot:  # 0 has bit length 0, never a key
+            pv, pu = pivot[v.bit_length()]
+            v, used = v ^ pv, used ^ pu
+        if not v:
+            break
+        pivot[v.bit_length()] = (v, used)
+        power = poly_mod(poly_mul(power, beta), modulus)
+    if degree(used) != size:
+        raise ArithmeticCorruptionError(
+            f"minimal polynomial of alpha^{e} has degree {degree(used)}, "
+            f"but its cyclotomic coset has size {size}"
+        )
+    return used

@@ -19,6 +19,9 @@ code under test:
 - ``field_mul``, ``field_pow``, ``field_eval`` and ``_field_modulus``:
   GF(2^m) arithmetic by carry-less multiply and reduction, the root check
   of ``gf2m.minimal_polynomial``.
+- ``minimal_polynomial``: the expansion of prod (x + alpha^j) over the
+  cyclotomic coset of e, with coefficients in GF(2^m), against which the
+  GF(2) elimination of ``gf2m.minimal_polynomial`` is checked.
 - ``semicircle_pdf`` / ``mp_pdf``: the densities whose quadrature checks
   the law objects' closed-form CDFs and exact moments.
 - ``catalan``: the closed form C(2k, k) / (k + 1), against which the
@@ -43,9 +46,15 @@ from typing import Union
 import numpy as np
 
 from pseudospec.codes import CyclicCode, DualCode, word_to_bits
-from pseudospec.errors import InvalidInputError, NumericalFailureError
+from pseudospec.errors import (
+    ArithmeticCorruptionError,
+    InvalidInputError,
+    NumericalFailureError,
+)
 from pseudospec.gf2m import (
     _x_pow_mod,
+    alpha_pow,
+    cyclotomic_coset,
     default_primitive_poly,
     degree,
     poly_mod,
@@ -203,6 +212,38 @@ def field_eval(poly: int, elem: int, m: int) -> int:
     for i in range(poly.bit_length() - 1, -1, -1):
         acc = field_mul(acc, elem, m) ^ ((poly >> i) & 1)
     return acc
+
+
+def minimal_polynomial(e: int, m: int) -> int:
+    """Minimal polynomial of alpha^e over GF(2), for 0 <= e < 2^m - 1.
+
+    Expands prod_{j in coset(e)} (x + alpha^j) with coefficients in GF(2^m)
+    and checks that every coefficient lands in {0, 1}; a wider coefficient
+    means the field arithmetic is broken, which is reported as corruption
+    rather than bad input.  The coset is walked as e, 2e, 4e, ..., so each
+    root is the square of the one before.
+    """
+    modulus = default_primitive_poly(m)
+    root = alpha_pow(e, m)
+    # coeffs[i] is the GF(2^m) coefficient of x^i; every product of two
+    # reduced elements is reduced again, so none is wider than m bits
+    coeffs = [1]
+    for _ in range(len(cyclotomic_coset(e, (1 << m) - 1))):
+        nxt = [0] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] ^= c
+            nxt[i] ^= poly_mod(poly_mul(c, root), modulus)
+        coeffs = nxt
+        root = poly_mod(poly_mul(root, root), modulus)
+    result = 0
+    for i, c in enumerate(coeffs):
+        if c not in (0, 1):
+            raise ArithmeticCorruptionError(
+                f"minimal polynomial of alpha^{e} has non-binary coefficient "
+                f"{c:#x} at x^{i}"
+            )
+        result |= c << i
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,23 @@ def test_delta_for_dimension_small():
         codes.delta_for_dimension(4, 10)  # no such dimension
 
 
+def test_delta_for_dimension_names_nearest_codes():
+    # between two BCH dimensions the message names both; above the largest
+    # (k = 11 at delta = 3) there is only the one below
+    with pytest.raises(InvalidInputError) as info:
+        codes.delta_for_dimension(4, 10)
+    assert str(info.value) == (
+        "no BCH code of length 15 has dimension 10 "
+        "(nearest: k=11 at delta=3 above, k=7 at delta=5 below)"
+    )
+    with pytest.raises(InvalidInputError) as info:
+        codes.delta_for_dimension(4, 12)
+    assert str(info.value) == (
+        "no BCH code of length 15 has dimension 12 "
+        "(nearest: k=11 at delta=3 below)"
+    )
+
+
 def test_delta_for_dimension_is_least_odd_delta():
     # against a search over every code: the least odd delta of dimension k,
     # or an error exactly when no BCH code has that dimension

@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 import oracles
 
 from pseudospec import gf2m
-from pseudospec.errors import InvalidInputError, UnsupportedDegreeError
+from pseudospec.errors import (
+    ArithmeticCorruptionError,
+    InvalidInputError,
+    UnsupportedDegreeError,
+)
 
 
 # --- reference implementations (kept deliberately naive) -------------------
@@ -222,3 +226,36 @@ def test_minimal_polynomial_degree_and_root():
             assert gf2m.degree(mp) == len(gf2m.cyclotomic_coset(e, n))
             root = gf2m.alpha_pow(e, m)
             assert oracles.field_eval(mp, root, m) == 0
+
+
+def _oracle_cases():
+    """Every e at m <= 10; the coset leaders below 200, n - 2 and n - 1 above."""
+    for m in range(1, 21):
+        n = (1 << m) - 1
+        if m <= 10:
+            yield from ((e, m) for e in range(n))
+            continue
+        for e in range(200):
+            if e == min(gf2m.cyclotomic_coset(e, n)):
+                yield e, m
+        yield from ((n - 2, m), (n - 1, m))
+
+
+def test_minimal_polynomial_matches_expansion():
+    # the GF(2) elimination against the root-by-root expansion over GF(2^m)
+    cases = list(_oracle_cases())
+    assert len(cases) == 3048
+    for e, m in cases:
+        expected = oracles.minimal_polynomial(e, m)
+        assert gf2m.minimal_polynomial(e, m) == expected, (e, m)
+
+
+def test_minimal_polynomial_wrong_degree_is_corruption(monkeypatch):
+    # alpha^21 has the coset {21, 42} at m = 6, so its minimal polynomial
+    # x^2 + x + 1 is too short for e = 3, whose coset has 6 elements; the
+    # expansion over GF(2^m) would return (x^2 + x + 1)^3, all binary
+    real = gf2m.alpha_pow
+    monkeypatch.setattr(gf2m, "alpha_pow",
+                        lambda j, m: real(21 if (j, m) == (3, 6) else j, m))
+    with pytest.raises(ArithmeticCorruptionError, match="degree 2.*size 6"):
+        gf2m.minimal_polynomial(3, 6)
