@@ -167,8 +167,6 @@ def cmd_dual(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.delta is None:
-        raise InvalidInputError("sample needs --delta")
     dual = codes.dual_code(codes.bch_generator(args.m, args.delta))
     words = codes.sample_codewords(dual, args.count, args.seed)
     outdir = _prepare_outdir(args.out)
@@ -317,12 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_code_flags(p, with_target_k=True):
+    def add_code_flags(p):
         p.add_argument("--m", type=int, required=True, help="field degree, n = 2^m - 1")
         p.add_argument("--delta", type=int, default=None, help="designed distance")
-        if with_target_k:
-            p.add_argument("--k", type=int, default=None,
-                           help="target dimension (alternative to --delta)")
+        p.add_argument("--k", type=int, default=None,
+                       help="target dimension (alternative to --delta)")
 
     def add_batch_flags(p):
         p.add_argument("--kind", required=True, choices=ensembles.KINDS)
@@ -346,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("sample", help="write a batch of dual codewords")
-    add_code_flags(p, with_target_k=False)
+    p.add_argument("--m", type=int, required=True, help="field degree, n = 2^m - 1")
+    p.add_argument("--delta", type=int, required=True, help="designed distance")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

@@ -32,14 +32,13 @@ gives its columns as k-bit integers for ``independence``.
 
 Message i of a seed is drawn by ``default_rng((seed, i))``, so it depends
 only on (seed, i).  Two paths give the same bits.  ``message_for_index``
-draws one message, in about 20 us; ``ensembles.matrix_stream`` uses it,
-one sample at a time.  ``message_bits`` draws a block of indices at once,
+draws one message, in about 20 us; ``ensembles.sample_bits`` uses it, one
+sample at a time.  ``message_bits`` draws a block of indices at once,
 repeating numpy's SeedSequence and PCG64 arithmetic in numpy over the
 block; ``sample_codewords`` and sampled ``verify-indep`` take their
-messages from it in blocks of 4,096.  A block has a fixed cost, 0.4 ms at
-k = 70 and 0.9 ms at k = 210 however few its messages.  The matrix stream
-keeps the scalar path: its first block would be paid before the first
-sample is yielded, and a run of tens of samples would gain nothing.
+messages from it in blocks of ``MESSAGE_BLOCK``.  A block has a fixed
+cost, 0.4 ms at k = 70 and 0.9 ms at k = 210 however few its messages,
+so a matrix run of tens of samples would gain nothing from blocks.
 
 Batch file format (``save_codewords``): an 8-byte header of two uint32
 little-endian fields (n, count), then ``count`` records of ceil(n/8) bytes
@@ -65,6 +64,8 @@ from .errors import (
     DegenerateCodeError,
     InvalidInputError,
 )
+
+MESSAGE_BLOCK = 4096  # messages per ``message_bits`` call of a bulk draw
 
 
 @dataclass(frozen=True)
@@ -409,13 +410,13 @@ def message_bits(k_bits: int, seed: int, start: int, stop: int) -> np.ndarray:
 def sample_codewords(dual: DualCode, count: int, seed: int) -> list[int]:
     """`count` seeded-uniform dual codewords; word i depends only on (seed, i).
 
-    Messages come from ``message_bits`` in blocks of at most 4,096.
+    Messages come from ``message_bits`` in blocks of at most MESSAGE_BLOCK.
     """
     if count < 1:
         raise InvalidInputError("count must be >= 1")
     words = []
-    for start in range(0, count, 4096):
-        bits = message_bits(dual.k_dual, seed, start, min(start + 4096, count))
+    for start in range(0, count, MESSAGE_BLOCK):
+        bits = message_bits(dual.k_dual, seed, start, min(start + MESSAGE_BLOCK, count))
         for row in np.packbits(bits, axis=1, bitorder="little"):
             words.append(encode(dual, int.from_bytes(row.tobytes(), "little")))
     return words

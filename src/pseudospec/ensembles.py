@@ -1,17 +1,17 @@
 """Sign-matrix ensembles: codeword-packed and truly random.
 
 ``EnsembleSpec`` is the one ensemble object: it checks its parameters when
-built and names its bit count, packing, bit source and limit law.  All
-four kinds share one path: sample i is
-``pack(spec, sample_bits(spec, i, dual))``.  Its bits come from the seeded
-dual-BCH codeword (pseudo kinds), encoded only as far as the packing reads
-it, or from fair coins drawn by a generator seeded by (seed, i) (random
-kinds).  ``pack`` lays them out as below, through ``pack_symmetric`` for
-Wigner kinds and ``pack_rect`` for MP kinds.  Every packed matrix is
-finite and exactly symmetric (a mirrored sign matrix, or Y^T Y / N with
-Y of +-1 entries, whose products sum exactly), so the batch runner
-(``cli.iter_summaries``) hands it to a reader of ``spectral`` without
-re-checking.
+built, names its bit count, packing, bit source and limit law, and owns
+its code, ``spec.dual``, built at first use.  All four kinds share one
+path: sample i is ``pack(spec, sample_bits(spec, i))``.  Its bits come
+from the seeded codeword of ``spec.dual`` (pseudo kinds), encoded only as
+far as the packing reads it, or from fair coins drawn by a generator
+seeded by (seed, i) (random kinds).  ``pack`` lays them out as below,
+through ``pack_symmetric`` for Wigner kinds and ``pack_rect`` for MP
+kinds.  Every packed matrix is finite and exactly symmetric (a mirrored
+sign matrix, or Y^T Y / N with Y of +-1 entries, whose products sum
+exactly), so the batch runner (``cli.iter_summaries``) hands it to a
+reader of ``spectral`` without re-checking.
 
 Packing convention (ours, fixed once so every run is auditable): the first
 N(N+1)/2 bits fill the upper triangle of a symmetric N x N matrix in
@@ -130,6 +130,13 @@ class EnsembleSpec:
         """Bits one matrix takes: N(N+1)/2 symmetric, N*p rectangular."""
         return self.N * (self.N + 1) // 2 if self.wigner else self.N * self.p
 
+    @functools.cached_property
+    def dual(self) -> codes.DualCode | None:
+        """The dual of BCH code (m, delta), built at first use; None if random."""
+        if not self.pseudo:
+            return None
+        return codes.dual_code(codes.bch_generator(self.m, self.delta))
+
     @property
     def law(self) -> laws.SemicircleLaw | laws.MarchenkoPasturLaw:
         """The limit law: the semicircle for Wigner kinds, MP(p/N) for SCM."""
@@ -141,21 +148,18 @@ class EnsembleSpec:
         return asdict(self)
 
 
-def sample_bits(
-    spec: EnsembleSpec, index: int, dual: codes.DualCode | None = None
-) -> np.ndarray:
+def sample_bits(spec: EnsembleSpec, index: int) -> np.ndarray:
     """The uint8 bits of sample `index`: the ``spec.bits_used`` that `pack`
-    uses.  Pseudo kinds need `dual`, the dual of the spec's BCH code, and
-    give the leading bits of its seeded codeword, encoded only that far (the
-    tail the packing would discard is never computed); random kinds give
-    fair coins drawn by ``default_rng((seed, index))``.
+    uses.  Pseudo kinds give the leading bits of the seeded codeword of
+    ``spec.dual``, encoded only that far (the tail the packing would discard
+    is never computed); random kinds give fair coins drawn by
+    ``default_rng((seed, index))``.
     """
     used = spec.bits_used
-    if not spec.pseudo:
+    dual = spec.dual
+    if dual is None:
         rng = np.random.default_rng((spec.seed, index))
         return rng.integers(0, 2, size=used).astype(np.uint8)
-    if dual is None:
-        raise InvalidInputError(f"{spec.kind} needs the dual code")
     message = codes.message_for_index(dual.k_dual, spec.seed, index)
     return codes.word_to_bits(codes.encode(dual, message, used), used)
 
@@ -204,12 +208,10 @@ def pack_rect(word_bits: np.ndarray, N: int, p: int) -> np.ndarray:
 def matrix_stream(spec: EnsembleSpec, count: int):
     """Yield the packed matrices of samples 0 .. count-1.
 
-    Pseudo kinds build the BCH dual once.  Sample i depends only on
-    (seed, i), so every prefix of a batch reproduces identically.
+    Sample i depends only on (seed, i), so every prefix of a batch
+    reproduces identically.
     """
     if count < 1:
         raise InvalidInputError("count must be >= 1")
-    dual = (codes.dual_code(codes.bch_generator(spec.m, spec.delta))
-            if spec.pseudo else None)
     for i in range(count):
-        yield pack(spec, sample_bits(spec, i, dual))
+        yield pack(spec, sample_bits(spec, i))

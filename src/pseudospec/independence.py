@@ -99,9 +99,8 @@ def _sampled_tvs(column, k: int, subsets, r: int, seed: int) -> np.ndarray:
     offsets = np.arange(len(subsets), dtype=np.intp)[:, None] << r
 
     counts = np.zeros(len(subsets) << r, dtype=np.int64)
-    batch = 4096
-    for start in range(0, SAMPLE_WORDS, batch):
-        stop = min(start + batch, SAMPLE_WORDS)
+    for start in range(0, SAMPLE_WORDS, codes.MESSAGE_BLOCK):
+        stop = min(start + codes.MESSAGE_BLOCK, SAMPLE_WORDS)
         msgs = codes.message_bits(k, seed, start, stop).astype(np.float32)
         # (needed, batch) weights below 2^24, exact in float32 and in int32
         parity = (G @ msgs.T).astype(np.int32)

@@ -283,10 +283,20 @@ def test_random_baseline_pinned_sign_streams(params, index, prefix):
     assert hashlib.sha256(M.tobytes()).hexdigest().startswith(prefix)
 
 
-def test_random_baseline_kind_check():
-    spec = ensembles.EnsembleSpec("pseudo-wigner", N=10, m=6, delta=5)
-    with pytest.raises(InvalidInputError):
-        ensembles.sample_bits(spec, 0)
+def test_spec_owns_its_dual_code():
+    # the sample path reads the code from the spec, so it cannot be handed
+    # the dual of some other (m, delta)
+    built = codes.dual_code(codes.bch_generator(6, 5))
+    for kind, N, p in (("pseudo-wigner", 10, None), ("pseudo-mp", 7, 5)):
+        spec = ensembles.EnsembleSpec(kind, N=N, p=p, m=6, delta=5, seed=9)
+        dual = spec.dual
+        assert (dual.generator, dual.k_dual) == (built.generator, built.k_dual)
+        assert spec.dual is dual  # built once, kept for the spec's life
+        for i in (0, 1, 5):
+            word = codes.sample_codewords(dual, i + 1, spec.seed)[i]
+            expected = codes.word_to_bits(word, dual.n)[:spec.bits_used]
+            assert np.array_equal(ensembles.sample_bits(spec, i), expected)
+    assert wigner(5).dual is None and mp(6, 4).dual is None
 
 
 def test_random_entries_mean_concentrates():
@@ -336,11 +346,10 @@ def test_sample_bits_lengths():
     assert bits.dtype == np.uint8 and bits.size == 15
     assert ensembles.sample_bits(mp(6, 4), 0).size == 24
     # pseudo kinds too give only the bits pack uses, not the whole codeword
-    dual = codes.dual_code(codes.bch_generator(6, 5))
     spec = ensembles.EnsembleSpec("pseudo-wigner", N=10, m=6, delta=5)
-    assert ensembles.sample_bits(spec, 0, dual).size == 55 < dual.n
+    assert ensembles.sample_bits(spec, 0).size == 55 < spec.dual.n
     spec = ensembles.EnsembleSpec("pseudo-mp", N=7, p=5, m=6, delta=5)
-    assert ensembles.sample_bits(spec, 0, dual).size == 35
+    assert ensembles.sample_bits(spec, 0).size == 35
 
 
 @settings(max_examples=60, deadline=None)
@@ -363,7 +372,7 @@ def test_pseudo_sample_bits_are_codeword_prefix(data):
     used = N * (N + 1) // 2 if p is None else N * p
     word = codes.encode(dual, codes.message_for_index(dual.k_dual, seed, index))
     expected = codes.word_to_bits(word, n)[:used]
-    assert np.array_equal(ensembles.sample_bits(spec, index, dual), expected)
+    assert np.array_equal(ensembles.sample_bits(spec, index), expected)
 
 
 # odd N, and bit counts N(N+1)/2 or N*p that are not multiples of 8
