@@ -4,12 +4,12 @@
 # no BCH code has, exit 2), `genpoly` for the largest codes built anywhere
 # (m = 16 at delta = 361, and the benchmark's m = 20 code), `norms` and `esd`
 # at the full-scale order N = 180 at reduced counts, pseudo `norms` of an MP
-# kind and pseudo `moments`, the benchmark's sampled verify-indep, a failing
-# exact and a failing sampled verify-indep (exit 1), a `sample` whose seed
-# has two 32-bit words and a `sample` without --delta (exit 2), on a git ref
-# and on the working tree, and compare their standard output, exit codes and
-# every file they write (config.json included).  Standard error is kept
-# apart and not compared.
+# kind and pseudo `moments`, `esd` of random-mp with p set by --gamma, the
+# benchmark's sampled verify-indep, a failing exact and a failing sampled
+# verify-indep (exit 1), a `sample` whose seed has two 32-bit words and a
+# `sample` without --delta (exit 2), on a git ref and on the working tree,
+# and compare their standard output, exit codes and every file they write
+# (config.json included).  Standard error is kept apart and not compared.
 #
 # Usage: scripts/byte_identity.sh REF
 #
@@ -61,6 +61,8 @@ COMMANDS=(
     "norms --kind pseudo-mp --m 10 --delta 15 --N 40 --p 25 --count 200 --seed 3 --out runs/normsmp40"
     "moments --kind pseudo-wigner --m 10 --delta 15 --N 44 --count 50 --s-max 8 --seed 5 --out runs/mom44"
     "sample --m 4 --count 1"
+    # the one kind, and the one way to set p, that nothing above runs
+    "esd --kind random-mp --N 40 --gamma 0.625 --count 50 --seed 4 --out runs/rmp40"
 )
 
 run_side() {  # run_side NAME TREE: every command, outputs under $WORK/NAME

@@ -8,12 +8,13 @@ thread count produce byte-identical CSV output (samples are processed
 serially in index order, and sample i depends only on (seed, i), so any
 prefix of a batch reproduces).  The batch commands build one
 ``ensembles.EnsembleSpec`` from their flags, which checks them and names
-the limit law.  Each passes its own reader of ``spectral``: ``esd`` takes
-every eigenvalue (``spectral.eigenvalues_unchecked``); ``norms`` and
-``moments`` take only the tridiagonal form, from which ``norms`` bisects
-for the two extreme eigenvalues (``spectral.norm_unchecked``) and
-``moments`` forms the traces of powers
-(``spectral.trace_moments_unchecked``).
+the limit law.  Their samples come from ``iter_summaries``, the one loop
+over sample indices, which packs sample i itself and hands the matrix to
+the command's reader of ``spectral``: ``esd`` takes every eigenvalue
+(``spectral.eigenvalues_unchecked``); ``norms`` and ``moments`` take only
+the tridiagonal form, from which ``norms`` bisects for the two extreme
+eigenvalues (``spectral.norm_unchecked``) and ``moments`` forms the traces
+of powers (``spectral.trace_moments_unchecked``).
 
 Exit codes: 0 success / verification pass, 1 verification fail, 2 invalid
 input or an output path that cannot be written, 3 numerical failure.
@@ -46,9 +47,11 @@ CHECKPOINT_EVERY = 1000
 # ---------------------------------------------------------------------------
 
 def iter_summaries(spec: ensembles.EnsembleSpec, count: int, solve):
-    """``solve`` of each matrix of a batch, one yield per sample, in
-    sample-index order.
+    """``solve`` of the matrix of each sample 0 .. count-1, one yield per
+    sample, in index order: the one loop over sample indices.
 
+    Sample i is ``ensembles.pack(spec, ensembles.sample_bits(spec, i))``
+    and depends only on (seed, i), so every prefix of a batch reproduces.
     ``solve`` is one of the readers of ``spectral``: ``esd`` passes
     ``eigenvalues_unchecked`` (the ascending eigenvalues), ``norms``
     ``norm_unchecked`` (the norm) and ``moments`` a partial of
@@ -58,7 +61,8 @@ def iter_summaries(spec: ensembles.EnsembleSpec, count: int, solve):
     matrix is held between yields, so each is freed before the next is
     packed.
     """
-    yield from map(solve, ensembles.matrix_stream(spec, count))
+    for i in range(count):
+        yield solve(ensembles.pack(spec, ensembles.sample_bits(spec, i)))
 
 
 def _log_divisor(N: int, epsilon: float) -> float:
@@ -120,8 +124,6 @@ def _write_sidecar(outdir: Path, args) -> None:
 
 
 def _spec_from_args(args) -> ensembles.EnsembleSpec:
-    # matrix_stream checks the count too, but only once iterated: too late
-    # for a command that has already created its output file
     if args.count < 1:
         raise InvalidInputError(f"--count must be >= 1, got {args.count}")
     return ensembles.EnsembleSpec(
@@ -167,6 +169,13 @@ def cmd_dual(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    # refused before any message is drawn: such a batch could not be saved,
+    # and would draw until memory ran out
+    if args.count > 0xFFFFFFFF:
+        raise InvalidInputError(
+            f"--count must be at most 2^32 - 1 = 4294967295 (a codewords.bin "
+            f"header holds it as a uint32), got {args.count}"
+        )
     dual = codes.dual_code(codes.bch_generator(args.m, args.delta))
     words = codes.sample_codewords(dual, args.count, args.seed)
     outdir = _prepare_outdir(args.out)

@@ -291,6 +291,11 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# the multiplier's 64-bit halves, and the 32-bit halves of its low one
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
+_MULT_LO0 = np.uint64(_PCG_MULT & _MASK32)
+_MULT_LO1 = np.uint64((_PCG_MULT >> 32) & _MASK32)
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -339,29 +344,19 @@ def _seed_state(entropy: np.ndarray) -> list[np.ndarray]:
     return [state[2 * i] | (state[2 * i + 1] << np.uint64(32)) for i in range(4)]
 
 
-def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of the 128-bit products a * b, from 32-bit halves."""
-    a0, a1 = a & np.uint64(_MASK32), a >> np.uint64(32)
-    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
-    low, mid_a, mid_b = a0 * b0, a1 * b0, a0 * b1
-    carry = ((low >> np.uint64(32)) + (mid_a & np.uint64(_MASK32))
-             + (mid_b & np.uint64(_MASK32))) >> np.uint64(32)
-    return (a1 * b1 + (mid_a >> np.uint64(32)) + (mid_b >> np.uint64(32))
-            + carry)
-
-
-def _add128(hi, lo, add_hi, add_lo):
-    """(hi, lo) + (add_hi, add_lo) mod 2^128 on uint64 limbs."""
-    total = lo + add_lo
-    return hi + add_hi + (total < lo).astype(np.uint64), total
-
-
 def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 LCG step, state * multiplier + inc mod 2^128, on limbs."""
-    m_lo, m_hi = _PCG_MULT & _MASK64, _PCG_MULT >> 64
-    prod_hi = (hi * np.uint64(m_lo) + lo * np.uint64(m_hi)
-               + _mulhi64(lo, m_lo))
-    return _add128(prod_hi, lo * np.uint64(m_lo), inc_hi, inc_lo)
+    """One PCG64 LCG step, (hi, lo) * multiplier + (inc_hi, inc_lo) mod
+    2^128, on uint64 limbs.  The high limb of lo * _MULT_LO is formed from
+    32-bit halves, whose partial products fit in 64 bits.
+    """
+    lo0, lo1 = lo & _LOW32, lo >> _SHIFT32
+    low, mid_a, mid_b = lo0 * _MULT_LO0, lo1 * _MULT_LO0, lo0 * _MULT_LO1
+    carry = ((low >> _SHIFT32) + (mid_a & _LOW32) + (mid_b & _LOW32)) >> _SHIFT32
+    prod_lo = lo * _MULT_LO
+    new_lo = prod_lo + inc_lo
+    new_hi = (hi * _MULT_LO + lo * _MULT_HI + lo1 * _MULT_LO1 + (mid_a >> _SHIFT32)
+              + (mid_b >> _SHIFT32) + carry + inc_hi + (new_lo < prod_lo))
+    return new_hi, new_lo
 
 
 def message_bits(k_bits: int, seed: int, start: int, stop: int) -> np.ndarray:
@@ -396,9 +391,9 @@ def message_bits(k_bits: int, seed: int, start: int, stop: int) -> np.ndarray:
     init_hi, init_lo, seq_hi, seq_lo = _seed_state(entropy)
     inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
     inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
-    zero = np.zeros(stop - start, dtype=np.uint64)
-    hi, lo = _pcg_step(zero, zero, inc_hi, inc_lo)
-    hi, lo = _pcg_step(*_add128(hi, lo, init_hi, init_lo), inc_hi, inc_lo)
+    # state 0 steps to inc; initstate is added to it, then one more step
+    lo = inc_lo + init_lo
+    hi, lo = _pcg_step(inc_hi + init_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
     raw = np.empty((stop - start, (k_bits + 7) // 8), dtype="<u8")
     for j in range(raw.shape[1]):
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)

@@ -2,16 +2,17 @@
 
 ``EnsembleSpec`` is the one ensemble object: it checks its parameters when
 built, names its bit count, packing, bit source and limit law, and owns
-its code, ``spec.dual``, built at first use.  All four kinds share one
-path: sample i is ``pack(spec, sample_bits(spec, i))``.  Its bits come
-from the seeded codeword of ``spec.dual`` (pseudo kinds), encoded only as
-far as the packing reads it, or from fair coins drawn by a generator
-seeded by (seed, i) (random kinds).  ``pack`` lays them out as below,
-through ``pack_symmetric`` for Wigner kinds and ``pack_rect`` for MP
-kinds.  Every packed matrix is finite and exactly symmetric (a mirrored
-sign matrix, or Y^T Y / N with Y of +-1 entries, whose products sum
-exactly), so the batch runner (``cli.iter_summaries``) hands it to a
-reader of ``spectral`` without re-checking.
+its code, ``spec.dual``, built at first use.  This module defines what
+sample i is and has no loop over samples: ``cli.iter_summaries`` is the
+one batch loop.  All four kinds share one path: sample i is
+``pack(spec, sample_bits(spec, i))``.  Its bits come from the seeded
+codeword of ``spec.dual`` (pseudo kinds), encoded only as far as the
+packing reads it, or from fair coins drawn by a generator seeded by
+(seed, i) (random kinds).  ``pack`` lays them out as below, through
+``pack_symmetric`` for Wigner kinds and ``pack_rect`` for MP kinds.  Every
+packed matrix is finite and exactly symmetric (a mirrored sign matrix, or
+Y^T Y / N with Y of +-1 entries, whose products sum exactly), so the batch
+loop hands it to a reader of ``spectral`` without re-checking.
 
 Packing convention (ours, fixed once so every run is auditable): the first
 N(N+1)/2 bits fill the upper triangle of a symmetric N x N matrix in
@@ -203,15 +204,3 @@ def pack_rect(word_bits: np.ndarray, N: int, p: int) -> np.ndarray:
     """Sample covariance Y^T Y, Y the row-filled N x p signs over sqrt(N)."""
     Y = _signs(word_bits, N * p).astype(np.float64).reshape(N, p)
     return (Y.T @ Y) / N
-
-
-def matrix_stream(spec: EnsembleSpec, count: int):
-    """Yield the packed matrices of samples 0 .. count-1.
-
-    Sample i depends only on (seed, i), so every prefix of a batch
-    reproduces identically.
-    """
-    if count < 1:
-        raise InvalidInputError("count must be >= 1")
-    for i in range(count):
-        yield pack(spec, sample_bits(spec, i))

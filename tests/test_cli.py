@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, exit codes, replayability."""
 
 import ast
+import inspect
 import json
 import math
 import os
@@ -19,6 +20,12 @@ from pseudospec import cli, codes, laws
 
 def run(argv):
     return cli.main(argv)
+
+
+def packed(spec, count):
+    """The matrices of samples 0 .. count-1, each packed from its own bits."""
+    return [cli.ensembles.pack(spec, cli.ensembles.sample_bits(spec, i))
+            for i in range(count)]
 
 
 def test_cli_import_and_norms_load_no_scipy(tmp_path):
@@ -130,6 +137,22 @@ def test_sample_writes_batch(tmp_path, capsys):
     assert config["params"]["seed"] == 11
 
 
+@pytest.mark.parametrize("count", [2**32, 2**32 + 1])
+def test_sample_count_past_header_exit_2_before_drawing(tmp_path, capsys,
+                                                        monkeypatch, count):
+    # codewords.bin holds the count as a uint32, so a larger one is refused
+    # before any message is drawn, instead of drawing until memory runs out
+    def never(*args):
+        raise AssertionError("a message was drawn")
+
+    monkeypatch.setattr(codes, "message_bits", never)
+    out = tmp_path / "out"
+    assert run(["sample", "--m", "4", "--delta", "5", "--count", str(count),
+                "--out", str(out)]) == 2
+    assert "2^32 - 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- norms ----------------------------------------------------------------------
 
 def test_norms_outputs_and_replay(tmp_path, capsys):
@@ -167,9 +190,8 @@ def test_norms_csv_matches_full_solve(tmp_path, capsys, norm_route, kind):
                 "--seed", "5", "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "norms.csv").read_text().splitlines()[1:]
     spec = cli.ensembles.EnsembleSpec(kind, N=180, p=p, seed=5, **code)
-    mats = cli.ensembles.matrix_stream(spec, 4)
     edge = spec.law.support[1]
-    for row, M in zip(rows, mats, strict=True):
+    for row, M in zip(rows, packed(spec, 4), strict=True):
         expected = oracles.dense_norm(M) / edge
         if norm_route == "eigvalsh":
             assert float(row) == expected
@@ -185,7 +207,7 @@ def test_norms_random_mp_rows_divide_by_mp_edge(tmp_path, capsys):
                 "--seed", "3", "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "norms.csv").read_text().splitlines()[1:]
     spec = cli.ensembles.EnsembleSpec("random-mp", N=40, p=12, seed=3)
-    for row, M in zip(rows, cli.ensembles.matrix_stream(spec, 5), strict=True):
+    for row, M in zip(rows, packed(spec, 5), strict=True):
         assert float(row) == cli.spectral.norm_unchecked(M) / (1 + math.sqrt(12 / 40)) ** 2
 
 
@@ -325,10 +347,24 @@ def test_iter_summaries_match_validated_eigen(kind):
         if kind in cli.ensembles.PSEUDO_KINDS:
             code = dict(m=14, delta=31) if order["N"] == 180 else dict(m=10, delta=15)
         spec = cli.ensembles.EnsembleSpec(kind, seed=3, **order, **code)
-        mats = cli.ensembles.matrix_stream(spec, 3)
         eigs = list(cli.iter_summaries(spec, 3, cli.spectral.eigenvalues_unchecked))
-        for got, M in zip(eigs, mats, strict=True):
+        for got, M in zip(eigs, packed(spec, 3), strict=True):
             assert np.array_equal(got, np.linalg.eigvalsh(M)), order
+
+
+@pytest.mark.parametrize("kind", cli.ensembles.KINDS)
+def test_iter_summaries_yields_each_sample_in_index_order(kind):
+    # the one loop over sample indices: for every count, yield i is solve of
+    # sample i's matrix, so every prefix of a batch reproduces
+    assert inspect.isgeneratorfunction(cli.iter_summaries)
+    p = 4 if kind in cli.ensembles.MP_KINDS else None
+    code = dict(m=6, delta=5) if kind in cli.ensembles.PSEUDO_KINDS else {}
+    spec = cli.ensembles.EnsembleSpec(kind, N=7, p=p, seed=12, **code)
+    expected = [M.tobytes() for M in packed(spec, 4)]
+    assert len(set(expected)) == 4
+    for count in range(1, 5):
+        got = list(cli.iter_summaries(spec, count, np.ndarray.tobytes))
+        assert got == expected[:count]
 
 
 # --- esd --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Packing layout, scaling identities, random baselines, batch streams."""
+"""Packing layout, scaling identities, random baselines, packed samples."""
 
 import hashlib
 import math
@@ -314,29 +314,28 @@ def test_random_wigner_esd_close_to_semicircle():
     assert spectral.ks_distance(eigs, laws.SemicircleLaw()) < 0.05
 
 
-# --- batch streams ------------------------------------------------------------------
+# --- packed samples -----------------------------------------------------------------
 
-def test_matrix_stream_pseudo_wigner_deterministic():
+def test_pseudo_wigner_samples_deterministic():
     spec = ensembles.EnsembleSpec("pseudo-wigner", N=12, m=8, delta=7, seed=5)
-    batch1 = list(ensembles.matrix_stream(spec, 4))
-    batch2 = list(ensembles.matrix_stream(spec, 4))
+    batch1 = [sample(spec, i) for i in range(4)]
+    batch2 = [sample(spec, i) for i in range(4)]
     assert all(np.array_equal(a, b) for a, b in zip(batch1, batch2))
     assert batch1[0].shape == (12, 12)
     assert np.allclose(np.abs(batch1[0]), 1 / (2 * math.sqrt(12)))
 
 
-def test_matrix_stream_matches_manual_packing():
+def test_pseudo_sample_packs_sampled_codeword():
     spec = ensembles.EnsembleSpec("pseudo-mp", N=10, p=6, m=8, delta=7, seed=6)
-    got = next(iter(ensembles.matrix_stream(spec, 1)))
     dual = codes.dual_code(codes.bch_generator(8, 7))
     word = codes.sample_codewords(dual, 1, seed=6)[0]
     expected = ensembles.pack(spec, codes.word_to_bits(word, dual.n))
-    assert np.array_equal(got, expected)
+    assert np.array_equal(sample(spec), expected)
 
 
-def test_matrix_stream_random_kinds():
+def test_random_mp_samples_unit_diagonal():
     spec = ensembles.EnsembleSpec("random-mp", N=14, p=9, seed=2)
-    mats = list(ensembles.matrix_stream(spec, 3))
+    mats = [sample(spec, i) for i in range(3)]
     assert all(m.shape == (9, 9) for m in mats)
     assert all(np.all(np.diag(m) == 1.0) for m in mats)
 
@@ -376,7 +375,7 @@ def test_pseudo_sample_bits_are_codeword_prefix(data):
 
 
 # odd N, and bit counts N(N+1)/2 or N*p that are not multiples of 8
-STREAM_SHAPES = [
+SAMPLE_SHAPES = [
     (kind, N, p)
     for kind in ensembles.KINDS
     for N, p in ([(1, None), (7, None), (9, None)] if kind in ensembles.WIGNER_KINDS
@@ -384,24 +383,13 @@ STREAM_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("kind, N, p", STREAM_SHAPES)
-def test_matrix_stream_exactly_symmetric_and_finite(kind, N, p):
-    # the batch runner relies on this instead of re-checking every matrix
+@pytest.mark.parametrize("kind, N, p", SAMPLE_SHAPES)
+def test_samples_exactly_symmetric_and_finite(kind, N, p):
+    # the batch loop relies on this instead of re-checking every matrix
     code = dict(m=6, delta=5) if kind in ensembles.PSEUDO_KINDS else {}
     spec = ensembles.EnsembleSpec(kind, N=N, p=p, seed=21, **code)
-    for M in ensembles.matrix_stream(spec, 5):
+    for i in range(5):
+        M = sample(spec, i)
         assert M.dtype == np.float64
         assert np.array_equal(M, M.T)
         assert np.isfinite(M).all()
-
-
-@pytest.mark.parametrize("kind", ensembles.KINDS)
-def test_matrix_stream_prefix_reproduces(kind):
-    p = 4 if kind in ensembles.MP_KINDS else None
-    code = dict(m=6, delta=5) if kind in ensembles.PSEUDO_KINDS else {}
-    spec = ensembles.EnsembleSpec(kind, N=7, p=p, seed=12, **code)
-    batch = list(ensembles.matrix_stream(spec, 4))
-    assert len({M.tobytes() for M in batch}) == 4
-    for i, M in enumerate(batch):
-        *_, last = ensembles.matrix_stream(spec, i + 1)
-        assert np.array_equal(last, M)

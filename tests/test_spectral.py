@@ -171,7 +171,8 @@ def packed_matrices():
             if kind in ensembles.PSEUDO_KINDS:
                 code = dict(m=14, delta=31) if N == 180 else dict(m=10, delta=15)
             spec = ensembles.EnsembleSpec(kind, N=N, p=p, seed=N, **code)
-            yield from ensembles.matrix_stream(spec, 3)
+            for i in range(3):
+                yield ensembles.pack(spec, ensembles.sample_bits(spec, i))
 
 
 def test_norm_route_matches_full_solve(norm_route):
@@ -239,8 +240,8 @@ def test_norm_route_failure_raises_after_success_at_same_order(monkeypatch):
 
 
 def first_packed(N: int) -> np.ndarray:
-    return next(ensembles.matrix_stream(
-        ensembles.EnsembleSpec("random-wigner", N=N, seed=N), 1))
+    spec = ensembles.EnsembleSpec("random-wigner", N=N, seed=N)
+    return ensembles.pack(spec, ensembles.sample_bits(spec, 0))
 
 
 def test_norm_route_orders_in_turn_match_fresh_processes():
@@ -252,8 +253,8 @@ def test_norm_route_orders_in_turn_match_fresh_processes():
     fresh = {}
     for N in (44, 180):
         code = ("from pseudospec import ensembles, spectral\n"
-                "M = next(ensembles.matrix_stream(ensembles.EnsembleSpec(\n"
-                f"    'random-wigner', N={N}, seed={N}), 1))\n"
+                f"spec = ensembles.EnsembleSpec('random-wigner', N={N}, seed={N})\n"
+                "M = ensembles.pack(spec, ensembles.sample_bits(spec, 0))\n"
                 "print(spectral.norm_unchecked(M).hex())\n")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True).stdout
@@ -367,7 +368,8 @@ def order_n_matrices(N):
         if kind in ensembles.PSEUDO_KINDS:
             code = dict(m=15, delta=5) if N == 180 else dict(m=10, delta=15)
         spec = ensembles.EnsembleSpec(kind, N=N, p=p, seed=N, **code)
-        yield from ensembles.matrix_stream(spec, 2)
+        for i in range(2):
+            yield ensembles.pack(spec, ensembles.sample_bits(spec, i))
 
 
 def test_trace_moments_match_power_traces_and_power_sums(norm_route):
