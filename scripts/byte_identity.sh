@@ -5,9 +5,11 @@
 # (m = 16 at delta = 361, and the benchmark's m = 20 code), `norms` and `esd`
 # at the full-scale order N = 180 at reduced counts, pseudo `norms` of an MP
 # kind and pseudo `moments`, `esd` of random-mp with p set by --gamma, the
-# benchmark's sampled verify-indep, a failing exact and a failing sampled
-# verify-indep (exit 1), a `sample` whose seed has two 32-bit words and a
-# `sample` without --delta (exit 2), on a git ref and on the working tree,
+# benchmark's sampled verify-indep, sampled verify-indep at the largest r it
+# takes (11) and at k_dual = 8 over every subset, a failing exact and a
+# failing sampled verify-indep (exit 1), a `sample` whose seed has two 32-bit
+# words, a `sample` over three message blocks and a `sample` without
+# --delta (exit 2), on a git ref and on the working tree,
 # and compare their standard output, exit codes and every file they write
 # (config.json included).  Standard error is kept apart and not compared.
 #
@@ -56,7 +58,10 @@ COMMANDS=(
     # above dsytrd's blocking crossover, unlike the 25x25 esd above
     "esd --kind pseudo-wigner --m 14 --delta 31 --N 180 --count 100 --seed 1 --out runs/esd180"
     "verify-indep --m 14 --delta 31 --r 4 --mode sampled --budget 200"
+    "verify-indep --m 10 --delta 15 --r 11 --mode sampled --budget 40"
+    "verify-indep --m 4 --delta 5 --r 4 --mode sampled"
     "sample --m 14 --delta 31 --count 3000 --seed 4294967296 --out runs/sample14"
+    "sample --m 4 --delta 5 --count 10000 --seed 3 --out runs/sample4"
     # the pseudo sample path under the two batch commands not covered above
     "norms --kind pseudo-mp --m 10 --delta 15 --N 40 --p 25 --count 200 --seed 3 --out runs/normsmp40"
     "moments --kind pseudo-wigner --m 10 --delta 15 --N 44 --count 50 --s-max 8 --seed 5 --out runs/mom44"

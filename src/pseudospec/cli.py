@@ -170,7 +170,7 @@ def cmd_dual(args) -> int:
 
 def cmd_sample(args) -> int:
     # refused before any message is drawn: such a batch could not be saved,
-    # and would draw until memory ran out
+    # and would be drawn and written in full before its header failed
     if args.count > 0xFFFFFFFF:
         raise InvalidInputError(
             f"--count must be at most 2^32 - 1 = 4294967295 (a codewords.bin "
@@ -181,7 +181,7 @@ def cmd_sample(args) -> int:
     outdir = _prepare_outdir(args.out)
     codes.save_codewords(outdir / "codewords.bin", words, dual.n)
     _write_sidecar(outdir, args)
-    print(f"wrote {len(words)} codewords of length {dual.n} to {outdir}")
+    print(f"wrote {args.count} codewords of length {dual.n} to {outdir}")
     return 0
 
 

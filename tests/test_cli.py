@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -131,17 +132,36 @@ def test_sample_writes_batch(tmp_path, capsys):
     n, words = codes.load_codewords(tmp_path / "batch" / "codewords.bin")
     assert n == 15 and len(words) == 6
     dual = codes.dual_code(codes.bch_generator(4, 5))
-    assert words == codes.sample_codewords(dual, 6, seed=11)
+    assert words == list(codes.sample_codewords(dual, 6, seed=11))
     config = json.loads((tmp_path / "batch" / "config.json").read_text())
     assert config["command"] == "sample"
     assert config["params"]["seed"] == 11
+
+
+def test_sample_streams_one_block_at_a_time(tmp_path, capsys):
+    # words are drawn and written a block at a time, so the peak Python
+    # allocation at 200,000 words stays near that of one MESSAGE_BLOCK;
+    # the whole batch as a list of ints would need about 10x as much
+    peaks = []
+    for count in (codes.MESSAGE_BLOCK, 200_000):
+        out = tmp_path / str(count)
+        tracemalloc.start()
+        try:
+            assert run(["sample", "--m", "4", "--delta", "5", "--count", str(count),
+                        "--out", str(out)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        n, words = codes.load_codewords(out / "codewords.bin")
+        assert (n, len(words)) == (15, count)
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("count", [2**32, 2**32 + 1])
 def test_sample_count_past_header_exit_2_before_drawing(tmp_path, capsys,
                                                         monkeypatch, count):
     # codewords.bin holds the count as a uint32, so a larger one is refused
-    # before any message is drawn, instead of drawing until memory runs out
+    # before any message is drawn, instead of after the whole batch is written
     def never(*args):
         raise AssertionError("a message was drawn")
 

@@ -235,7 +235,7 @@ def test_dual_of_full_space_degenerate():
 def test_sampled_duality_random_pairs():
     code = codes.bch_generator(6, 7)
     dual = codes.dual_code(code)
-    words = codes.sample_codewords(dual, 50, seed=5)
+    words = list(codes.sample_codewords(dual, 50, seed=5))
     base_words = [gf2m.poly_mul(msg, code.generator) for msg in (1, 0b1011)]
     for w in words:
         for b in base_words:
@@ -312,12 +312,12 @@ def test_codewords_divisible_by_generator(bch_15_7):
 
 def test_sampling_deterministic(bch_15_7):
     dual = codes.dual_code(bch_15_7)
-    a = codes.sample_codewords(dual, 20, seed=7)
-    b = codes.sample_codewords(dual, 20, seed=7)
+    a = list(codes.sample_codewords(dual, 20, seed=7))
+    b = list(codes.sample_codewords(dual, 20, seed=7))
     assert a == b
     # prefix property: the first 5 of a longer run match a shorter run
-    assert codes.sample_codewords(dual, 5, seed=7) == a[:5]
-    assert codes.sample_codewords(dual, 20, seed=8) != a
+    assert list(codes.sample_codewords(dual, 5, seed=7)) == a[:5]
+    assert list(codes.sample_codewords(dual, 20, seed=8)) != a
 
 
 def test_message_for_index_is_per_index():
@@ -362,7 +362,7 @@ def test_message_bits_validation():
 
 def test_sample_codewords_cross_a_block(bch_15_7):
     dual = codes.dual_code(bch_15_7)
-    words = codes.sample_codewords(dual, 4096 + 3, seed=2**32)
+    words = list(codes.sample_codewords(dual, 4096 + 3, seed=2**32))
     for i in (0, 4095, 4096, 4098):
         message = codes.message_for_index(dual.k_dual, 2**32, i)
         assert words[i] == codes.encode(dual, message)
@@ -428,7 +428,7 @@ def test_generator_matrix_rows_are_shifts(bch_15_7):
 
 def test_codeword_file_roundtrip(tmp_path, bch_15_7):
     dual = codes.dual_code(bch_15_7)
-    words = codes.sample_codewords(dual, 7, seed=9)
+    words = list(codes.sample_codewords(dual, 7, seed=9))
     path = tmp_path / "words.bin"
     codes.save_codewords(path, words, dual.n)
     n, back = codes.load_codewords(path)

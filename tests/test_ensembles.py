@@ -293,7 +293,7 @@ def test_spec_owns_its_dual_code():
         assert (dual.generator, dual.k_dual) == (built.generator, built.k_dual)
         assert spec.dual is dual  # built once, kept for the spec's life
         for i in (0, 1, 5):
-            word = codes.sample_codewords(dual, i + 1, spec.seed)[i]
+            word = list(codes.sample_codewords(dual, i + 1, spec.seed))[i]
             expected = codes.word_to_bits(word, dual.n)[:spec.bits_used]
             assert np.array_equal(ensembles.sample_bits(spec, i), expected)
     assert wigner(5).dual is None and mp(6, 4).dual is None
@@ -328,7 +328,7 @@ def test_pseudo_wigner_samples_deterministic():
 def test_pseudo_sample_packs_sampled_codeword():
     spec = ensembles.EnsembleSpec("pseudo-mp", N=10, p=6, m=8, delta=7, seed=6)
     dual = codes.dual_code(codes.bch_generator(8, 7))
-    word = codes.sample_codewords(dual, 1, seed=6)[0]
+    word = next(codes.sample_codewords(dual, 1, seed=6))
     expected = ensembles.pack(spec, codes.word_to_bits(word, dual.n))
     assert np.array_equal(sample(spec), expected)
 

@@ -205,12 +205,26 @@ def test_sampled_mode_smoke():
     assert report.max_total_variation <= report.threshold
 
 
-@pytest.mark.parametrize("r, budget, seed", [(3, 40, 4), (5, 30, 9)])
-def test_sampled_counts_match_scalar_histograms(monkeypatch, r, budget, seed):
+@pytest.mark.parametrize("m, delta, k_dual, r, budget, seed, words", [
     # 4096 + 37 words: one full batch and a 37-word tail
-    words = 4096 + 37
+    pytest.param(6, 5, 12, 3, 40, 4, 4096 + 37, id="3-40-4"),
+    pytest.param(6, 5, 12, 5, 30, 9, 4096 + 37, id="5-30-9"),
+    # k_dual a whole number of bytes: the last table is a full 8 rows
+    pytest.param(4, 5, 8, 4, 30, 2, 600, id="k8"),
+    # k_dual = 30 spans 4 bytes: 4 tables feed each parity, the last of 6 rows
+    pytest.param(10, 7, 30, 5, 20, 3, 1000, id="k30"),
+    # the largest r sampled mode takes, with patterns of 11 bits, at the
+    # fewest words (past 2^15) at which it takes it
+    pytest.param(10, 15, 70, 11, 3, 5, (1 << 15) + 100, id="r11"),
+    # 37 words in one partial uint64 word: its 27 padding bits must not
+    # count as pattern 0
+    pytest.param(6, 5, 12, 3, 40, 6, 37, id="one-word"),
+])
+def test_sampled_counts_match_scalar_histograms(monkeypatch, m, delta, k_dual, r,
+                                                budget, seed, words):
     monkeypatch.setattr(independence, "SAMPLE_WORDS", words)
-    dual = codes.dual_code(codes.bch_generator(6, 5))  # n = 63, k_dual = 12
+    dual = codes.dual_code(codes.bch_generator(m, delta))
+    assert dual.k_dual == k_dual
     subsets, _ = independence._iter_subsets(dual.n, r, budget, seed)
     counts = np.zeros((len(subsets), 1 << r), dtype=np.int64)
     for i in range(words):
@@ -218,17 +232,18 @@ def test_sampled_counts_match_scalar_histograms(monkeypatch, r, budget, seed):
         for j, S in enumerate(subsets):
             counts[j, sum(((word >> c) & 1) << b for b, c in enumerate(S))] += 1
     tvs = 0.5 * np.abs(counts / float(words) - 1.0 / (1 << r)).sum(axis=1)
-    report = independence.verify_r_independence(
-        dual, r, mode="sampled", budget=budget, seed=seed
-    )
-    assert report.subsets_checked == len(subsets)
-    assert report.max_total_variation == tvs.max()
     # a pass names no subset, so the worst one is read from every subset's TV
     engine = independence._sampled_tvs(
         codes.column_reader(dual), dual.k_dual, subsets, r, seed
     )
     assert np.array_equal(engine, tvs)
     assert subsets[int(np.argmax(engine))] == subsets[int(np.argmax(tvs))]
+    if 16 << r < words:  # below that, sampled mode rejects r for so few words
+        report = independence.verify_r_independence(
+            dual, r, mode="sampled", budget=budget, seed=seed
+        )
+        assert report.subsets_checked == len(subsets)
+        assert report.max_total_variation == tvs.max()
 
 
 # (m, delta, r, budget, seed) -> sampled report JSON: an exhaustive fail, an
