@@ -32,20 +32,24 @@ gives its columns as k-bit integers for ``independence``.
 
 Message i of a seed is drawn by ``default_rng((seed, i))``, so it depends
 only on (seed, i).  Two paths give the same bits.  ``message_for_index``
-draws one message, in about 20 us; ``ensembles.sample_bits`` uses it, one
-sample at a time.  ``message_bits`` draws a block of indices at once,
+draws one message, in about 20 us; ``ensembles.sample_bits`` uses it to
+reach any one sample.  ``message_bits`` draws a block of indices at once,
 repeating numpy's SeedSequence and PCG64 arithmetic in numpy over the
-block; ``sample_codewords`` and sampled ``verify-indep`` take their
-messages from it in blocks of ``MESSAGE_BLOCK``, and ``sample_codewords``
-yields a block's words before drawing the next.  A block has a fixed
-cost, 0.4 ms at k = 70 and 0.9 ms at k = 210 however few its messages,
-so a matrix run of tens of samples would gain nothing from blocks.
+block; sampled ``verify-indep`` takes its bits from it, and
+``block_messages`` yields the messages of a range of indices from blocks
+of at most ``MESSAGE_BLOCK``, drawing a block only once the last is used
+up.  ``sample_codewords`` and the batch commands (``cli.iter_summaries``,
+from sample 1 on) take their messages from ``block_messages``.  A block
+has a fixed cost, about 0.35 ms at k = 70 and 0.7 ms at k = 210 however
+few its messages, so the batch commands draw sample 0 alone and the first
+block only after it.
 
 Batch file format (``save_codewords``): an 8-byte header of two uint32
 little-endian fields (n, count), then ``count`` records of ceil(n/8) bytes
 each, coefficient of x^0 first (bit j of byte i is the coefficient of
 x^(8i+j)).  ``load_codewords`` rejects a file whose length does not match
-its header, and a record wider than n bits.
+its header at once, and reads the records lazily, rejecting one wider
+than n bits when iteration reaches it.
 """
 
 from __future__ import annotations
@@ -403,21 +407,36 @@ def message_bits(k_bits: int, seed: int, start: int, stop: int) -> np.ndarray:
     return raw.view(np.uint8)[:, :k_bits] >> 7
 
 
+def block_messages(k_bits: int, seed: int, start: int, stop: int) -> Iterator[int]:
+    """Messages start .. stop-1 as ints, each ``message_for_index(k_bits,
+    seed, i)`` bit for bit, drawn by ``message_bits`` in blocks of at most
+    MESSAGE_BLOCK.
+
+    A generator: no block is drawn before the first message is asked for,
+    and the next only once the last is used up, so memory holds one block
+    however long the range.
+    """
+    width = (k_bits + 7) // 8
+    for low in range(start, stop, MESSAGE_BLOCK):
+        bits = message_bits(k_bits, seed, low, min(low + MESSAGE_BLOCK, stop))
+        raw = np.packbits(bits, axis=1, bitorder="little").tobytes()
+        for j in range(0, len(raw), width):
+            yield int.from_bytes(raw[j : j + width], "little")
+
+
 def sample_codewords(dual: DualCode, count: int, seed: int) -> Iterator[int]:
     """`count` seeded-uniform dual codewords; word i depends only on (seed, i).
 
-    The arguments are checked at once; the words come lazily, drawn by
-    ``message_bits`` in blocks of at most MESSAGE_BLOCK messages, so memory
-    holds one block however large `count` is.
+    The arguments are checked at once; the words come lazily, their
+    messages from ``block_messages``, so memory holds one block however
+    large `count` is.
     """
     if count < 1:
         raise InvalidInputError("count must be >= 1")
     if seed < 0:
         raise InvalidInputError("seed must be a nonnegative integer")
-    blocks = (message_bits(dual.k_dual, seed, start, min(start + MESSAGE_BLOCK, count))
-              for start in range(0, count, MESSAGE_BLOCK))
-    return (encode(dual, int.from_bytes(row.tobytes(), "little"))
-            for bits in blocks for row in np.packbits(bits, axis=1, bitorder="little"))
+    return (encode(dual, message)
+            for message in block_messages(dual.k_dual, seed, 0, count))
 
 
 def column_reader(code: Union[CyclicCode, DualCode]):
@@ -463,12 +482,16 @@ def save_codewords(path, words: Iterable[int], n: int) -> None:
         fh.write(struct.pack("<II", n, count))
 
 
-def load_codewords(path) -> tuple[int, list[int]]:
-    """Read a codeword batch; returns (n, words).
+def load_codewords(path) -> tuple[int, Iterator[int]]:
+    """Read a codeword batch; returns (n, words), `words` an iterator that
+    reads the records in chunks of MESSAGE_BLOCK as it goes, so memory
+    holds one chunk however many records the file has.
 
-    Raises InvalidInputError when the header is short or gives n < 1, when
-    the body is not exactly count records long, and when a record has a
-    bit set at or above x^n.
+    The header and the file's length are checked at once: InvalidInputError
+    when the header is short or gives n < 1, and when the body is not
+    exactly count records long.  A record with a bit set at or above x^n
+    raises InvalidInputError when iteration reaches it, after the records
+    before it have been yielded.
     """
     with open(path, "rb") as fh:
         header = fh.read(8)
@@ -481,15 +504,31 @@ def load_codewords(path) -> tuple[int, list[int]]:
             raise InvalidInputError(f"codeword file header gives length n={n}")
         nbytes = (n + 7) // 8
         body = os.fstat(fh.fileno()).st_size - 8
-        if body != count * nbytes:
-            raise InvalidInputError(
-                f"codeword file body has {body} bytes, header promises "
-                f"{count} records of {nbytes}"
-            )
-        words = [
-            int.from_bytes(fh.read(nbytes), "little") for _ in range(count)
-        ]
-    for i, word in enumerate(words):
-        if word >> n:
-            raise InvalidInputError(f"codeword {i} has a bit set at or above x^{n}")
-    return n, words
+    if body != count * nbytes:
+        raise InvalidInputError(
+            f"codeword file body has {body} bytes, header promises "
+            f"{count} records of {nbytes}"
+        )
+    return n, _read_records(path, n, count)
+
+
+def _read_records(path, n: int, count: int) -> Iterator[int]:
+    """The `count` records after the header of a checked batch file."""
+    nbytes = (n + 7) // 8
+    with open(path, "rb") as fh:
+        fh.seek(8)
+        for first in range(0, count, MESSAGE_BLOCK):
+            size = min(MESSAGE_BLOCK, count - first) * nbytes
+            chunk = fh.read(size)
+            if len(chunk) < size:
+                raise InvalidInputError(
+                    f"codeword file shrank while it was read: record "
+                    f"{first + len(chunk) // nbytes} of {count} is missing"
+                )
+            for j in range(0, size, nbytes):
+                word = int.from_bytes(chunk[j : j + nbytes], "little")
+                if word >> n:
+                    raise InvalidInputError(
+                        f"codeword {first + j // nbytes} has a bit set at or above x^{n}"
+                    )
+                yield word

@@ -8,11 +8,14 @@ one batch loop.  All four kinds share one path: sample i is
 ``pack(spec, sample_bits(spec, i))``.  Its bits come from the seeded
 codeword of ``spec.dual`` (pseudo kinds), encoded only as far as the
 packing reads it, or from fair coins drawn by a generator seeded by
-(seed, i) (random kinds).  ``pack`` lays them out as below, through
-``pack_symmetric`` for Wigner kinds and ``pack_rect`` for MP kinds.  Every
-packed matrix is finite and exactly symmetric (a mirrored sign matrix, or
-Y^T Y / N with Y of +-1 entries, whose products sum exactly), so the batch
-loop hands it to a reader of ``spectral`` without re-checking.
+(seed, i) (random kinds).  ``codeword_bits`` is the pseudo half of
+``sample_bits``, from a message already drawn: the batch loop hands it
+the messages of samples 1 .. count-1, drawn in blocks.  ``pack`` lays the
+bits out as below, through ``pack_symmetric`` for Wigner kinds and
+``pack_rect`` for MP kinds.  Every packed matrix is finite and exactly
+symmetric (a mirrored sign matrix, or Y^T Y / N with Y of +-1 entries,
+whose products sum exactly), so the batch loop hands it to a reader of
+``spectral`` without re-checking.
 
 Packing convention (ours, fixed once so every run is auditable): the first
 N(N+1)/2 bits fill the upper triangle of a symmetric N x N matrix in
@@ -156,13 +159,20 @@ def sample_bits(spec: EnsembleSpec, index: int) -> np.ndarray:
     is never computed); random kinds give fair coins drawn by
     ``default_rng((seed, index))``.
     """
-    used = spec.bits_used
     dual = spec.dual
     if dual is None:
         rng = np.random.default_rng((spec.seed, index))
-        return rng.integers(0, 2, size=used).astype(np.uint8)
-    message = codes.message_for_index(dual.k_dual, spec.seed, index)
-    return codes.word_to_bits(codes.encode(dual, message, used), used)
+        return rng.integers(0, 2, size=spec.bits_used).astype(np.uint8)
+    return codeword_bits(spec, codes.message_for_index(dual.k_dual, spec.seed, index))
+
+
+def codeword_bits(spec: EnsembleSpec, message: int) -> np.ndarray:
+    """The uint8 bits a pseudo kind's `pack` uses from the codeword of
+    `message` in ``spec.dual``: its leading ``spec.bits_used``, encoded
+    only that far.
+    """
+    used = spec.bits_used
+    return codes.word_to_bits(codes.encode(spec.dual, message, used), used)
 
 
 @functools.lru_cache(maxsize=1)

@@ -130,6 +130,7 @@ def test_sample_writes_batch(tmp_path, capsys):
     assert run(["sample", "--m", "4", "--delta", "5", "--count", "6",
                 "--seed", "11", "--out", out]) == 0
     n, words = codes.load_codewords(tmp_path / "batch" / "codewords.bin")
+    words = list(words)
     assert n == 15 and len(words) == 6
     dual = codes.dual_code(codes.bch_generator(4, 5))
     assert words == list(codes.sample_codewords(dual, 6, seed=11))
@@ -153,7 +154,7 @@ def test_sample_streams_one_block_at_a_time(tmp_path, capsys):
         finally:
             tracemalloc.stop()
         n, words = codes.load_codewords(out / "codewords.bin")
-        assert (n, len(words)) == (15, count)
+        assert (n, sum(1 for _ in words)) == (15, count)
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
@@ -170,6 +171,23 @@ def test_sample_count_past_header_exit_2_before_drawing(tmp_path, capsys,
     assert run(["sample", "--m", "4", "--delta", "5", "--count", str(count),
                 "--out", str(out)]) == 2
     assert "2^32 - 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["norms", "esd", "moments"])
+def test_batch_count_past_2_32_exit_2_before_drawing(tmp_path, capsys,
+                                                      monkeypatch, command):
+    # messages exist only for indices below 2^32, so a larger count is
+    # refused before any is drawn, instead of partway through the CSV
+    def never(*args):
+        raise AssertionError("a message was drawn")
+
+    monkeypatch.setattr(codes, "message_for_index", never)
+    monkeypatch.setattr(codes, "message_bits", never)
+    out = tmp_path / "out"
+    assert run([command, "--kind", "pseudo-wigner", "--m", "4", "--delta", "5",
+                "--N", "4", "--count", str(2**32 + 1), "--out", str(out)]) == 2
+    assert "2^32" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -373,18 +391,39 @@ def test_iter_summaries_match_validated_eigen(kind):
 
 
 @pytest.mark.parametrize("kind", cli.ensembles.KINDS)
-def test_iter_summaries_yields_each_sample_in_index_order(kind):
+def test_iter_summaries_yields_each_sample_in_index_order(kind, monkeypatch):
     # the one loop over sample indices: for every count, yield i is solve of
-    # sample i's matrix, so every prefix of a batch reproduces
+    # sample i's matrix, so every prefix of a batch reproduces.  Pseudo kinds
+    # draw message 0 alone and the rest in blocks, which a block of 2
+    # messages makes cross several boundaries
     assert inspect.isgeneratorfunction(cli.iter_summaries)
     p = 4 if kind in cli.ensembles.MP_KINDS else None
     code = dict(m=6, delta=5) if kind in cli.ensembles.PSEUDO_KINDS else {}
     spec = cli.ensembles.EnsembleSpec(kind, N=7, p=p, seed=12, **code)
-    expected = [M.tobytes() for M in packed(spec, 4)]
-    assert len(set(expected)) == 4
-    for count in range(1, 5):
-        got = list(cli.iter_summaries(spec, count, np.ndarray.tobytes))
-        assert got == expected[:count]
+    expected = [M.tobytes() for M in packed(spec, 7)]
+    assert len(set(expected)) == 7
+    calls = {"message_for_index": 0, "message_bits": 0}
+
+    def counted(name):
+        fn = getattr(codes, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(codes, name, counted(name))
+    for block in (codes.MESSAGE_BLOCK, 2):
+        monkeypatch.setattr(codes, "MESSAGE_BLOCK", block)
+        for count in range(7):
+            calls.update(dict.fromkeys(calls, 0))
+            got = list(cli.iter_summaries(spec, count, np.ndarray.tobytes))
+            assert got == expected[:count]
+            if spec.pseudo:
+                assert calls == {"message_for_index": min(count, 1),
+                                 "message_bits": math.ceil(max(count - 1, 0) / block)}
 
 
 # --- esd --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -433,7 +434,7 @@ def test_codeword_file_roundtrip(tmp_path, bch_15_7):
     codes.save_codewords(path, words, dual.n)
     n, back = codes.load_codewords(path)
     assert n == dual.n
-    assert back == words
+    assert list(back) == words
     raw = path.read_bytes()
     assert raw[:8] == (15).to_bytes(4, "little") + (7).to_bytes(4, "little")
 
@@ -448,6 +449,12 @@ def test_codeword_file_length_checked(tmp_path):
         path.write_bytes(bad)
         with pytest.raises(InvalidInputError):
             codes.load_codewords(path)
+    # a file cut short after its length was checked fails where it ends
+    path.write_bytes(raw)
+    _, words = codes.load_codewords(path)
+    path.write_bytes(raw[:-8])
+    with pytest.raises(InvalidInputError, match="record 4 of 5"):
+        list(words)
 
 
 def test_codeword_file_zero_length_rejected(tmp_path):
@@ -458,10 +465,36 @@ def test_codeword_file_zero_length_rejected(tmp_path):
 
 
 def test_codeword_file_record_wider_than_n_rejected(tmp_path):
+    # records are checked as they are read: the good one first is yielded
     path = tmp_path / "words.bin"
-    path.write_bytes(struct.pack("<II", 3, 1) + b"\xff")  # x^3..x^7 set at n = 3
-    with pytest.raises(InvalidInputError):
-        codes.load_codewords(path)
+    path.write_bytes(struct.pack("<II", 3, 2) + b"\x05\xff")  # x^3..x^7 set at n = 3
+    n, words = codes.load_codewords(path)
+    assert (n, next(words)) == (3, 5)
+    with pytest.raises(InvalidInputError, match="codeword 1 "):
+        next(words)
+
+
+def test_codeword_file_streams_one_chunk_at_a_time(tmp_path):
+    # records are read a chunk at a time, so the peak Python allocation
+    # while reading 200,000 records stays near that of two MESSAGE_BLOCK
+    # chunks; the whole batch as a list of ints would need about 25x as much
+    peaks = []
+    for count in (2 * codes.MESSAGE_BLOCK, 200_000):
+        body = np.arange(count, dtype="<u2") * np.uint16(7) & np.uint16(0x7FFF)
+        path = tmp_path / f"{count}.bin"
+        path.write_bytes(struct.pack("<II", 15, count) + body.tobytes())
+        tracemalloc.start()
+        try:
+            n, words = codes.load_codewords(path)
+            total = records = 0
+            for word in words:
+                total += word
+                records += 1
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (n, records, total) == (15, count, int(body.sum(dtype=np.int64)))
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_json_dict_fields(bch_15_7):
