@@ -8,8 +8,10 @@
 # benchmark's sampled verify-indep, sampled verify-indep at the largest r it
 # takes (11) and at k_dual = 8 over every subset, a failing exact and a
 # failing sampled verify-indep (exit 1), a `sample` whose seed has two 32-bit
-# words, a `sample` over three message blocks, a pseudo `norms` whose
-# batch crosses a message block and a `sample` without --delta (exit 2),
+# words, a `sample` over three message blocks, a pseudo `esd` whose seed has
+# two 32-bit words (sample 0's message then mixes three entropy words), a
+# pseudo `norms` whose batch crosses a message block and a `sample` without
+# --delta (exit 2),
 # on a git ref and on the working tree,
 # and compare their standard output, exit codes and every file they write
 # (config.json included).  Standard error is kept apart and not compared.
@@ -66,6 +68,9 @@ COMMANDS=(
     # the pseudo sample path under the two batch commands not covered above
     "norms --kind pseudo-mp --m 10 --delta 15 --N 40 --p 25 --count 200 --seed 3 --out runs/normsmp40"
     "moments --kind pseudo-wigner --m 10 --delta 15 --N 44 --count 50 --s-max 8 --seed 5 --out runs/mom44"
+    # a two-word seed on the batch path: sample 0 from message_for_index,
+    # samples 1 .. 19 from message_bits
+    "esd --kind pseudo-mp --m 10 --delta 15 --N 40 --p 25 --count 20 --seed 4294967301 --out runs/mp40s2"
     # samples 1 .. 4199 of a batch cross a 4,096-message block
     "norms --kind pseudo-wigner --m 10 --delta 15 --N 8 --count 4200 --seed 6 --out runs/wig8"
     "sample --m 4 --count 1"

@@ -30,19 +30,25 @@ instead of one per set bit.  A 4-bit window keeps the table at 16 words of
 ``column_reader``, the one reader of the generator matrix (row i = x^i g),
 gives its columns as k-bit integers for ``independence``.
 
-Message i of a seed is drawn by ``default_rng((seed, i))``, so it depends
-only on (seed, i).  Two paths give the same bits.  ``message_for_index``
-draws one message, in about 20 us; ``ensembles.sample_bits`` uses it to
-reach any one sample.  ``message_bits`` draws a block of indices at once,
-repeating numpy's SeedSequence and PCG64 arithmetic in numpy over the
-block; sampled ``verify-indep`` takes its bits from it, and
-``block_messages`` yields the messages of a range of indices from blocks
-of at most ``MESSAGE_BLOCK``, drawing a block only once the last is used
-up.  ``sample_codewords`` and the batch commands (``cli.iter_summaries``,
-from sample 1 on) take their messages from ``block_messages``.  A block
-has a fixed cost, about 0.35 ms at k = 70 and 0.7 ms at k = 210 however
-few its messages, so the batch commands draw sample 0 alone and the first
-block only after it.
+Message i of a seed is defined by numpy's ``default_rng((seed, i))``:
+bit j is draw j of its ``integers(0, 2, dtype=uint8)``, so it depends only
+on (seed, i).  Two ports of that definition give the same bits, and
+neither imports ``numpy.random``; both read SeedSequence's hash constants
+from the same tables (``_mix_schedule``, ``_STATE_HASHES``).
+``message_for_index`` repeats numpy's SeedSequence and PCG64 arithmetic in
+Python ints for one index, any nonnegative one, in 20 to 40 us;
+``ensembles.sample_bits`` uses it to reach any one sample.
+``message_bits`` repeats it in numpy over a block of indices below 2^32;
+sampled ``verify-indep`` takes its bits from it, and ``block_messages``
+yields the messages of a range of indices from blocks of at most
+``MESSAGE_BLOCK``, drawing a block only once the last is used up.
+``sample_codewords`` and the batch commands (``cli.iter_summaries``, from
+sample 1 on) take their messages from ``block_messages``.  A block has a
+fixed cost, about 0.35 ms at k = 70 and 0.7 ms at k = 210 however few its
+messages, so the batch commands draw sample 0 alone and the first block
+only after it.  A pseudo kind's batch thus never loads ``numpy.random``,
+which would add about 5.5 MB to its peak RSS; the random kinds and the
+subset sampler of ``independence`` still use ``default_rng``.
 
 Batch file format (``save_codewords``): an 8-byte header of two uint32
 little-endian fields (n, count), then ``count`` records of ceil(n/8) bytes
@@ -276,22 +282,13 @@ def encode(dual: DualCode, message: int, length: int | None = None) -> int:
     return word & ((1 << length) - 1)
 
 
-def message_for_index(k_bits: int, seed: int, index: int) -> int:
-    """Uniform k-bit message derived deterministically from (seed, index).
-
-    Every index owns an independent generator stream, so any prefix,
-    subset, or parallel split of a batch reproduces identical messages.
-    """
-    rng = np.random.default_rng((int(seed), int(index)))
-    bits = rng.integers(0, 2, size=k_bits, dtype=np.uint8)
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
 # numpy's SeedSequence hash constants (pool of 4 uint32 words) and PCG64's
-# 128-bit LCG multiplier; none depends on the data, so message_bits applies
-# them to a whole block of indices at once.
+# 128-bit LCG multiplier; none depends on the data, so both message paths
+# read them from the same tables, and message_bits applies them to a whole
+# block of indices at once.
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -301,6 +298,44 @@ _MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
 _MULT_LO0 = np.uint64(_PCG_MULT & _MASK32)
 _MULT_LO1 = np.uint64((_PCG_MULT >> 32) & _MASK32)
 _LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+# byte -> b"1" when its top bit, the bit ``integers(0, 2, dtype=uint8)``
+# keeps, is set
+_TOP_BIT = bytes(b"01"[byte >> 7] for byte in range(256))
+_ROTATE = (1 << 64) + 1  # x * _ROTATE is x:x, two copies of a 64-bit x
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[tuple[int, int], ...]:
+    """The (xor, multiplier) pair of each of `calls` successive hashes of a
+    SeedSequence hash constant that starts at `init`: a hash XORs the value
+    with the constant, advances the constant by `mult` and multiplies the
+    value by the advanced one.
+    """
+    pairs, const = [], init
+    for _ in range(calls):
+        advanced = (const * mult) & _MASK32
+        pairs.append((const, advanced))
+        const = advanced
+    return tuple(pairs)
+
+
+_STATE_HASHES = _hash_constants(_INIT_B, _MULT_B, 8)  # generate_state's 8
+
+
+@functools.lru_cache(maxsize=8)
+def _mix_schedule(words: int):
+    """How SeedSequence mixes `words` entropy words into its pool of 4.
+
+    Returns (fill, mixes).  Pool word i starts as entropy word i (0 past
+    the last) hashed with fill[i].  Then each (src, dst, xor, mult) of
+    `mixes`, in order, hashes cell src with (xor, mult) and mixes it into
+    pool word dst, where cells 0-3 are the pool and cell i >= 4 is entropy
+    word i: first every pool word into each other one, then each further
+    entropy word into all four.
+    """
+    steps = [(src, dst) for src in range(max(words, 4)) for dst in range(4)
+             if src != dst]
+    hashes = _hash_constants(_INIT_A, _MULT_A, 4 + len(steps))
+    return hashes[:4], tuple(step + pair for step, pair in zip(steps, hashes[4:]))
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -312,40 +347,74 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
+def message_for_index(k_bits: int, seed: int, index: int) -> int:
+    """Uniform k-bit message derived deterministically from (seed, index).
+
+    Every index owns an independent generator stream, so any prefix,
+    subset, or parallel split of a batch reproduces identical messages.
+    The message is ``default_rng((seed, index)).integers(0, 2, size=k_bits,
+    dtype=uint8)`` read as an integer, bit j the j-th draw, computed in
+    Python ints by the steps ``message_bits`` lists, so ``numpy.random`` is
+    never imported.  Any nonnegative seed and index are taken; a negative
+    one raises InvalidInputError.
+    """
+    if seed < 0 or index < 0:
+        raise InvalidInputError("seed and index must be nonnegative integers")
+    words = _uint32_words(int(seed)) + _uint32_words(int(index))
+    fill, mixes = _mix_schedule(len(words))
+    cells = []
+    for word, (xor, mult) in zip(words + [0] * 3, fill):
+        value = ((word ^ xor) * mult) & _MASK32
+        cells.append(value ^ (value >> 16))
+    cells += words[4:]
+    for src, dst, xor, mult in mixes:
+        value = ((cells[src] ^ xor) * mult) & _MASK32
+        value = (_MIX_L * cells[dst] - _MIX_R * (value ^ (value >> 16))) & _MASK32
+        cells[dst] = value ^ (value >> 16)
+    state = []
+    for i, (xor, mult) in enumerate(_STATE_HASHES):
+        value = ((cells[i % 4] ^ xor) * mult) & _MASK32
+        state.append(value ^ (value >> 16))
+    # uint64 word i is state[2i] | state[2i + 1] << 32; PCG64 takes words
+    # 0 and 1 as initstate (high, low), 2 and 3 as initseq
+    init = (state[1] << 96) | (state[0] << 64) | (state[3] << 32) | state[2]
+    seq = (state[5] << 96) | (state[4] << 64) | (state[7] << 32) | state[6]
+    inc = ((seq << 1) | 1) & _MASK128
+    # state 0 steps to inc; initstate is added to it, then one more step
+    lcg = ((inc + init) * _PCG_MULT + inc) & _MASK128
+    outputs = []
+    for _ in range((k_bits + 7) // 8):
+        lcg = (lcg * _PCG_MULT + inc) & _MASK128
+        high = lcg >> 64
+        xored = (high ^ lcg) & _MASK64
+        # rotated right by the top 6 bits: the low half of xored:xored >> rot
+        outputs.append((((xored * _ROTATE) >> (high >> 58)) & _MASK64)
+                       .to_bytes(8, "little"))
+    raw = b"".join(outputs)[:k_bits]
+    return int(raw.translate(_TOP_BIT)[::-1], 2) if k_bits else 0
+
+
 def _seed_state(entropy: np.ndarray) -> list[np.ndarray]:
     """SeedSequence's ``generate_state(4, uint64)`` for each column of the
     (words, block) uint32 `entropy`: the entropy is mixed into a pool of 4
     words, which is hashed out to 8 words and paired low word first.
     """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
+    def hashmix(value, xor, mult):
+        value = (value ^ np.uint32(xor)) * np.uint32(mult)
         return value ^ (value >> np.uint32(16))
 
     def mix(x, y):
         result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
         return result ^ (result >> np.uint32(16))
 
-    words = list(entropy) + [np.zeros_like(entropy[0])] * (4 - len(entropy))
-    pool = [hashmix(words[i]) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, len(words)):
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(words[src]))
-    hash_const = _INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    fill, mixes = _mix_schedule(len(entropy))
+    words = list(entropy) + [np.zeros_like(entropy[0])] * 3
+    cells = [hashmix(word, *pair) for word, pair in zip(words, fill)]
+    cells += list(entropy[4:])
+    for src, dst, xor, mult in mixes:
+        cells[dst] = mix(cells[dst], hashmix(cells[src], xor, mult))
+    state = [hashmix(cells[i % 4], *pair).astype(np.uint64)
+             for i, pair in enumerate(_STATE_HASHES)]
     return [state[2 * i] | (state[2 * i + 1] << np.uint64(32)) for i in range(4)]
 
 
@@ -380,8 +449,9 @@ def message_bits(k_bits: int, seed: int, start: int, stop: int) -> np.ndarray:
     - each XSL-RR output of 64 bits gives 8 bytes of the little-endian raw
       stream, and message bit j is the top bit of byte j.
 
-    An index of 2^32 or more has two entropy words and so another mix; no
-    caller reaches one, and a `stop` above 2^32 raises InvalidInputError.
+    An index of 2^32 or more has two entropy words and so another mix;
+    ``message_for_index`` takes one, but no block caller reaches one, and
+    here a `stop` above 2^32 raises InvalidInputError.
     """
     if seed < 0:
         raise InvalidInputError("seed must be a nonnegative integer")

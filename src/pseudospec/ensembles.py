@@ -156,8 +156,10 @@ def sample_bits(spec: EnsembleSpec, index: int) -> np.ndarray:
     """The uint8 bits of sample `index`: the ``spec.bits_used`` that `pack`
     uses.  Pseudo kinds give the leading bits of the seeded codeword of
     ``spec.dual``, encoded only that far (the tail the packing would discard
-    is never computed); random kinds give fair coins drawn by
-    ``default_rng((seed, index))``.
+    is never computed), its message from ``codes.message_for_index``, which
+    repeats ``default_rng((seed, index))`` in Python ints, so no pseudo
+    sample loads ``numpy.random``; random kinds give fair coins drawn by
+    ``default_rng((seed, index))`` itself.
     """
     dual = spec.dual
     if dual is None:

@@ -34,6 +34,10 @@ code under test:
 - ``generator_matrix``: a code's dense k x n generator matrix, row j the
   shift x^j g, against which ``codes.column_reader`` and the GF(2) ranks of
   ``independence`` are checked.
+- ``message_for_index``: message i of a seed as numpy's
+  ``default_rng((seed, i))`` draws it, the definition that
+  ``codes.message_for_index`` and ``codes.message_bits`` repeat in Python
+  ints and in numpy blocks.
 - ``poly_from_hex``: the inverse of ``gf2m.poly_to_hex``.
 """
 
@@ -343,6 +347,15 @@ def generator_matrix(code: Union[CyclicCode, DualCode]) -> np.ndarray:
     for j in range(k):
         rows[j, j : j + deg + 1] = g_bits[: deg + 1]
     return rows
+
+
+def message_for_index(k_bits: int, seed: int, index: int) -> int:
+    """Uniform k-bit message for (seed, index): bit j is draw j of
+    ``default_rng((seed, index)).integers(0, 2, size=k_bits, dtype=uint8)``.
+    """
+    rng = np.random.default_rng((int(seed), int(index)))
+    bits = rng.integers(0, 2, size=k_bits, dtype=np.uint8)
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def poly_from_hex(s: str) -> int:

@@ -50,6 +50,29 @@ def test_cli_import_and_norms_load_no_scipy(tmp_path):
     assert (lines[0], lines[-1]) == ("[]", "[]")
 
 
+def test_pseudo_batch_commands_never_import_numpy_random(tmp_path):
+    # a fresh interpreter, as above: every pseudo message, sample 0's
+    # included, comes from codes' own SeedSequence/PCG64 arithmetic, so
+    # numpy.random (about 5 MB of peak RSS) is never loaded
+    src = os.path.dirname(os.path.dirname(pseudospec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, pseudospec.cli\n"
+        "code = ['--m', '6', '--delta', '5', '--count', '3', '--seed', '4294967301']\n"
+        "for i, argv in enumerate([\n"
+        "        ['norms', '--kind', 'pseudo-wigner', '--N', '10'],\n"
+        "        ['esd', '--kind', 'pseudo-mp', '--N', '7', '--p', '4'],\n"
+        "        ['moments', '--kind', 'pseudo-wigner', '--N', '10', '--s-max', '4']]):\n"
+        f"    out = {str(tmp_path)!r} + '/' + str(i)\n"
+        "    assert pseudospec.cli.main(argv + code + ['--out', out]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"  # after the commands' own output
+
+
 def test_package_sources_import_no_scipy():
     # scipy is a test-only dependency: no module of the package may import
     # it, at top level or inside a function

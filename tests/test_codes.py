@@ -330,25 +330,62 @@ def test_message_for_index_is_per_index():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    k=st.sampled_from([1, 15, 64, 210, 320]),
+    k=st.sampled_from([1, 5, 15, 64, 70, 210, 320]),
     seed=st.one_of(
-        st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 3]),
+        st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 3, 2**96]),
         st.integers(0, 2**160),
     ),
     where=st.sampled_from(["zero", "cross", "end", "any"]),
     size=st.integers(1, 12),
     anywhere=st.integers(0, 2**32 - 12),
+    far=st.one_of(st.sampled_from([2**32, 2**64 - 1, 2**64]),
+                  st.integers(2**32, 2**96)),
 )
-def test_message_bits_matches_message_for_index(k, seed, where, size, anywhere):
+def test_message_bits_matches_message_for_index(k, seed, where, size, anywhere, far):
     # blocks at 0, across the 4,096 batch boundary, ending exactly at 2^32
-    # (the last one-word index), and anywhere in between
+    # (the last one-word index), and anywhere in between; both paths
+    # against default_rng itself
     start = {"zero": 0, "cross": 4096 - size // 2, "end": 2**32 - size,
              "any": anywhere}[where]
     bits = codes.message_bits(k, seed, start, start + size)
     assert bits.shape == (size, k) and bits.dtype == np.uint8
     for j, row in enumerate(bits):
-        message = codes.message_for_index(k, seed, start + j)
+        message = oracles.message_for_index(k, seed, start + j)
+        assert codes.message_for_index(k, seed, start + j) == message
         assert row.tolist() == codes.word_to_bits(message, k).tolist()
+    # indices of two and three entropy words, which only the scalar path
+    # takes, seeds of one to six
+    assert codes.message_for_index(k, seed, far) == oracles.message_for_index(k, seed, far)
+
+
+# (k_bits, seed, index, message as hex), recorded with numpy 2.4.6's
+# default_rng, so the message stream does not rest on the installed numpy
+PINNED_MESSAGES = [
+    (70, 1, 0, "0e45c40855fd75bab3"),
+    (210, 1, 0, "2e58cb61666a13f38123a0444d60afbcc04ce45c40855fd75bab3"),
+    (70, 2**32 + 5, 0, "152e59afcfa89d4997"),
+    (64, 2**32 - 1, 4095, "66990c4c1a75cd08"),
+    (5, 0, 2**40 + 7, "16"),
+    (320, 2**70, 2**32, "cee425fd589e3b6e4634ae5f2fd24cc1e70439187809e04d"
+                        "8613b6cfd12c2c36978728c16185454f"),
+]
+
+
+@pytest.mark.parametrize("k, seed, index, message", PINNED_MESSAGES)
+def test_message_for_index_pinned(k, seed, index, message):
+    assert codes.message_for_index(k, seed, index) == int(message, 16)
+    if index < 2**32:
+        row = codes.message_bits(k, seed, index, index + 1)[0]
+        assert row.tolist() == codes.word_to_bits(int(message, 16), k).tolist()
+
+
+def test_message_for_index_validation():
+    # a negative seed or index has no entropy words; it is refused, not
+    # hashed as some other nonnegative one
+    for seed, index in ((-1, 0), (0, -1), (-(2**40), 3)):
+        with pytest.raises(InvalidInputError):
+            codes.message_for_index(8, seed, index)
+    assert codes.message_for_index(0, 1, 2) == 0
 
 
 def test_message_bits_validation():
