@@ -10,8 +10,10 @@
 # failing sampled verify-indep (exit 1), a `sample` whose seed has two 32-bit
 # words, a `sample` over three message blocks, a pseudo `esd` whose seed has
 # two 32-bit words (sample 0's message then mixes three entropy words), a
-# pseudo `norms` whose batch crosses a message block and a `sample` without
-# --delta (exit 2),
+# pseudo `norms` whose batch crosses a message block, a `sample` without
+# --delta (exit 2) and a pseudo `esd` at gamma = 1 (the hard edge a = 0 of
+# the MP CDF) whose 130 spectra are scored in two full KS blocks and a
+# partial one,
 # on a git ref and on the working tree,
 # and compare their standard output, exit codes and every file they write
 # (config.json included).  Standard error is kept apart and not compared.
@@ -76,6 +78,8 @@ COMMANDS=(
     "sample --m 4 --count 1"
     # the one kind, and the one way to set p, that nothing above runs
     "esd --kind random-mp --N 40 --gamma 0.625 --count 50 --seed 4 --out runs/rmp40"
+    # gamma = 1, and two full blocks of cli.KS_BLOCK = 64 spectra plus a partial one
+    "esd --kind pseudo-mp --m 10 --delta 15 --N 31 --p 31 --count 130 --seed 3 --out runs/mp31g1"
 )
 
 run_side() {  # run_side NAME TREE: every command, outputs under $WORK/NAME

@@ -17,7 +17,12 @@ first sample, never before it.  ``esd`` takes every eigenvalue
 (``spectral.eigenvalues_unchecked``); ``norms`` and ``moments`` take only
 the tridiagonal form, from which ``norms`` bisects for the two extreme
 eigenvalues (``spectral.norm_unchecked``) and ``moments`` forms the traces
-of powers (``spectral.trace_moments_unchecked``).
+of powers (``spectral.trace_moments_unchecked``).  ``esd`` writes each
+spectrum's CSV row as it comes and scores the spectra against the limit
+law ``KS_BLOCK`` at a time: one ``spectral.ks_distance`` call, and so one
+law-CDF call, per block of a preallocated (KS_BLOCK, order) buffer, and
+one more for the partial last block.  The distances are bit for bit those
+of one call per spectrum.
 
 Exit codes: 0 success / verification pass, 1 verification fail, 2 invalid
 input or an output path that cannot be written, 3 numerical failure.
@@ -43,6 +48,7 @@ from .errors import (
 
 DEFAULT_EPSILON = 0.1
 CHECKPOINT_EVERY = 1000
+KS_BLOCK = 64  # spectra per spectral.ks_distance call in esd
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +66,10 @@ def iter_summaries(spec: ensembles.EnsembleSpec, count: int, solve):
     messages from ``codes.block_messages`` and their bits from
     ``ensembles.codeword_bits``.  A block has a fixed cost, about 0.35 ms
     at k = 70 and 0.7 ms at k = 210 however few messages it holds, against
-    about 20 us per message drawn alone, so it pays for itself from some
-    20 to 40 samples on.  Drawn after the first yield, it never delays the
-    first sample, which would count against a run's set-up time.  Random
-    kinds take every sample from ``sample_bits``.
+    27-50 us per message drawn alone (k = 70 to 320), so it pays for
+    itself from some 13 to 20 samples on.  Drawn after the first yield, it
+    never delays the first sample, which would count against a run's set-up
+    time.  Random kinds take every sample from ``sample_bits``.
 
     ``solve`` is one of the readers of ``spectral``: ``esd`` passes
     ``eigenvalues_unchecked`` (the ascending eigenvalues), ``norms``
@@ -264,10 +270,19 @@ def cmd_esd(args) -> int:
     band = ks_band(spec)
     outdir = _prepare_outdir(args.out)
     ks_values: list[float] = []
+    # the spectra awaiting their KS distances, scored one block per call
+    block = np.empty((min(KS_BLOCK, args.count), spec.N if spec.wigner else spec.p))
+    filled = 0
     with open(outdir / "eigenvalues.csv", "w") as fh:
         for eigs in iter_summaries(spec, args.count, spectral.eigenvalues_unchecked):
             fh.write(",".join(map(repr, eigs.tolist())) + "\n")
-            ks_values.append(spectral.ks_distance(eigs, law))
+            block[filled] = eigs
+            filled += 1
+            if filled == len(block):
+                ks_values += spectral.ks_distance(block, law).tolist()
+                filled = 0
+    if filled:
+        ks_values += spectral.ks_distance(block[:filled], law).tolist()
     ks_arr = np.asarray(ks_values)
     payload = {
         "law": law.kind,

@@ -47,7 +47,8 @@ class SemicircleLaw:
     support: tuple[float, float] = field(default=(-1.0, 1.0), init=False)
 
     def cdf(self, x):
-        """Closed-form CDF, clamped to {0, 1} outside the support."""
+        """Closed-form CDF, elementwise over any array shape, clamped to
+        {0, 1} outside the support."""
         x = np.asarray(x, dtype=np.float64)
         xc = np.clip(x, -1.0, 1.0)
         out = 0.5 + (xc * np.sqrt(1.0 - xc**2) + np.arcsin(xc)) / np.pi
@@ -105,15 +106,17 @@ class MarchenkoPasturLaw:
         is every point near either edge.  At gamma = 1 the lower edge a = 0
         is a hard edge and the sqrt(ab) term vanishes without a special case.
 
-        The output is exactly 0 for x <= a and exactly 1 for x >= b.  Vector
-        inputs, in any order, are evaluated over the sorted points with a
-        running maximum, so the output is monotone in x even where rounding
-        would put a value a few ulps below its left neighbour.
+        The output is exactly 0 for x <= a and exactly 1 for x >= b.  Array
+        inputs, in any order, are evaluated over the points sorted along the
+        last axis with a running maximum, so each row of the output is
+        monotone in x even where rounding would put a value a few ulps below
+        its left neighbour.  A (B, n) array is B independent rows, each
+        bit for bit what a 1-D call on that row returns.
         """
         a, b = self.support
         x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        order = np.argsort(x_arr, kind="stable")
-        t = np.clip(x_arr[order], a, b)
+        order = np.argsort(x_arr, axis=-1, kind="stable")
+        t = np.clip(np.take_along_axis(x_arr, order, axis=-1), a, b)
         u, v = np.sqrt(t - a), np.sqrt(b - t)
         vals = (
             u * v
@@ -122,7 +125,8 @@ class MarchenkoPasturLaw:
         ) / (2.0 * np.pi * float(self.gamma))
         vals[t == b] = 1.0
         out = np.empty_like(vals)
-        out[order] = np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
+        np.put_along_axis(out, order,
+                          np.maximum.accumulate(np.clip(vals, 0.0, 1.0), axis=-1), axis=-1)
         if np.isscalar(x) or np.ndim(x) == 0:
             return float(out[0])
         return out

@@ -464,6 +464,33 @@ def test_esd_outputs(tmp_path):
     assert 0 <= ks["fraction_within_band"] <= 1
 
 
+@pytest.mark.parametrize("count", [1, 3, 7])
+@pytest.mark.parametrize("kind", ["pseudo-mp", "random-wigner"])
+def test_esd_scores_spectra_across_blocks(tmp_path, monkeypatch, kind, count):
+    # blocks of 3: count 1 fills a one-row buffer, 3 one block, 7 two and a third
+    monkeypatch.setattr(cli, "KS_BLOCK", 3)
+    calls = []
+    ks_distance = cli.spectral.ks_distance
+
+    def counted(eigenvalues, law):
+        calls.append(np.shape(eigenvalues))
+        return ks_distance(eigenvalues, law)
+
+    monkeypatch.setattr(cli.spectral, "ks_distance", counted)
+    if kind == "pseudo-mp":
+        shape = ["--m", "6", "--delta", "5", "--N", "7", "--p", "4"]
+        law = laws.MarchenkoPasturLaw(4 / 7)
+    else:
+        shape, law = ["--N", "9"], laws.SemicircleLaw()
+    assert run(["esd", "--kind", kind, *shape, "--count", str(count), "--seed", "5",
+                "--out", str(tmp_path)]) == 0
+    assert [rows for rows, _ in calls] == {1: [1], 3: [3], 7: [3, 3, 1]}[count]
+    rows = (tmp_path / "eigenvalues.csv").read_text().splitlines()
+    ks = json.loads((tmp_path / "ks.json").read_text())["ks_per_sample"]
+    assert len(rows) == len(ks) == count
+    assert ks == [ks_distance([float(v) for v in row.split(",")], law) for row in rows]
+
+
 def test_esd_random_mp_monte_carlo_sanity():
     # 20 truly random SCMs at N=400, p=250: every spectrum hugs MP(0.625)
     spec = cli.ensembles.EnsembleSpec("random-mp", N=400, p=250, seed=13)

@@ -135,6 +135,27 @@ def test_mp_cdf_vector_matches_scalar():
             assert law.cdf(float(x)) == pytest.approx(v, abs=1e-10), (gamma, x)
 
 
+@pytest.mark.parametrize("law", [MP(0.625), MP(1 / 40), MP(1.0), SC],
+                         ids=["mp-0.625", "mp-1/40", "mp-1", "semicircle"])
+def test_cdf_rows_match_1d_calls(law):
+    # what esd's blocks pass: each row of a (B, n) array is its own spectrum
+    a, b = law.support
+    block = np.random.default_rng(12).uniform(a - 0.3, b + 0.3, size=(6, 33))
+    block[0, :4] = [b, a, b, a]              # both edges, twice each
+    block[1, 6:12] = block[1, :6]            # ties within a row
+    block[2] = a - 1.0                       # a whole row below the support
+    block[3, ::2] = b + 1.0                  # half a row above it
+    vals = law.cdf(block)
+    assert vals.shape == block.shape
+    for row, got in zip(block, vals):
+        assert got.tobytes() == law.cdf(row).tobytes()
+    sorted_vals = np.take_along_axis(vals, np.argsort(block, axis=-1), axis=-1)
+    assert np.all(np.diff(sorted_vals, axis=-1) >= 0.0)
+    assert np.all(vals[block <= a] == 0.0) and np.all(vals[block >= b] == 1.0)
+    for x in (a, 0.5 * (a + b), np.float64(b)):
+        assert type(law.cdf(x)) is float
+
+
 def _quad_mp_cdf(x, gamma):
     # split at the midpoint so each quad call has one square-root edge
     a, b = MP(gamma).support

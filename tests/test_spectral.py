@@ -119,6 +119,8 @@ def test_empty_input_rejected():
     with pytest.raises(InvalidInputError, match="empty"):
         spectral.ks_distance([], laws.SemicircleLaw())
     with pytest.raises(InvalidInputError, match="empty"):
+        spectral.ks_distance(np.zeros((3, 0)), laws.SemicircleLaw())
+    with pytest.raises(InvalidInputError, match="empty"):
         spectral.ks_two_sample([], [0.1])
 
 
@@ -126,6 +128,11 @@ def test_ks_non_finite_rejected():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(InvalidInputError, match="non-finite"):
             spectral.ks_distance(np.array([0.1, bad, 0.5]), laws.SemicircleLaw())
+        for row in range(3):  # a block of spectra with one bad row
+            block = np.zeros((3, 5))
+            block[row, 2] = bad
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                spectral.ks_distance(block, laws.SemicircleLaw())
         with pytest.raises(InvalidInputError, match="non-finite"):
             spectral.ks_two_sample([0.1, bad, 0.5], [0.1, 0.2])
         with pytest.raises(InvalidInputError, match="non-finite"):
@@ -462,6 +469,22 @@ def test_ks_accepts_summary():
     # what cli.iter_summaries yields for esd: eigenvalues_unchecked's array
     s = spectral.eigenvalues_unchecked(np.zeros((4, 4)))
     assert spectral.ks_distance(s, laws.SemicircleLaw()) == 0.5
+
+
+@pytest.mark.parametrize("law", [laws.SemicircleLaw(), laws.MarchenkoPasturLaw(0.625),
+                                 laws.MarchenkoPasturLaw(1.0)],
+                         ids=["semicircle", "mp-0.625", "mp-1"])
+def test_ks_block_matches_row_calls(law):
+    # esd scores a (B, n) block of spectra in one call
+    a, b = law.support
+    block = np.random.default_rng(29).uniform(a - 0.2, b + 0.2, size=(5, 40))
+    block[0, :2] = [a, b]
+    got = spectral.ks_distance(block, law)
+    assert isinstance(got, np.ndarray) and got.shape == (5,)
+    want = [spectral.ks_distance(row, law) for row in block]
+    assert all(type(w) is float for w in want)
+    assert got.tolist() == want
+    assert spectral.ks_distance(block[3:4], law).tolist() == want[3:4]
 
 
 def test_ks_two_sample():
