@@ -2,7 +2,9 @@
 # Byte-identity check: run the README's CLI commands, plus `genpoly` and
 # `dual` by target dimension (one found at delta = 513, one for a dimension
 # no BCH code has, exit 2), `genpoly` for the largest codes built anywhere
-# (m = 16 at delta = 361, and the benchmark's m = 20 code), `norms` and `esd`
+# (m = 16 at delta = 361, the benchmark's m = 20 code, and m = 20 at
+# delta = 129, whose degree-1280 generator makes the longest windowed
+# products checked here), `norms` and `esd`
 # at the full-scale order N = 180 at reduced counts, pseudo `norms` of an MP
 # kind and pseudo `moments`, `esd` of random-mp with p set by --gamma, the
 # benchmark's sampled verify-indep, sampled verify-indep at the largest r it
@@ -52,6 +54,8 @@ COMMANDS=(
     "genpoly --m 4 --k 10"
     "genpoly --m 16 --delta 361"
     "genpoly --m 20 --delta 33"
+    # 320 four-bit windows per product of g
+    "genpoly --m 20 --delta 129"
     "verify-indep --m 4 --delta 5 --r 4"
     "verify-indep --m 14 --delta 31 --r 30 --budget 200"
     "verify-indep --m 4 --delta 5 --r 5"

@@ -21,12 +21,13 @@ Codewords are GF(2) polynomials in the integer representation of
 to a dense 0/1 array for packing into a matrix.  A matrix uses only a
 prefix of the codeword, so ``encode`` can return just the first `length`
 bits, at a cost that falls with `length`; without a length it returns the
-whole codeword, the prefix of length n.  Both are one windowed product:
-the 16 multiples of the masked generator by the polynomials of degree
-below 4 are tabulated once per (generator, length), and the message is
-consumed 4 bits per step, so a k-bit message costs k/4 shifted XORs
-instead of one per set bit.  A 4-bit window keeps the table at 16 words of
-`length` bits; an 8-bit one would hold 255, 16 MB at N = 1024.
+whole codeword, the prefix of length n.  Both are one windowed product
+of :mod:`.gf2m`: the 16 multiples of the masked generator by the
+polynomials of degree below 4 are tabulated once per (generator, length),
+and the message is consumed 4 bits per step, so a k-bit message costs k/4
+shifted XORs instead of one per set bit.  A 4-bit window keeps the table
+at 16 words of `length` bits; an 8-bit one would hold 255, 16 MB at
+N = 1024.
 ``column_reader``, the one reader of the generator matrix (row i = x^i g),
 gives its columns as k-bit integers for ``independence``.
 
@@ -97,7 +98,7 @@ class CyclicCode:
         h = 0
         if g > 0 and g & 1 and k >= 0:
             h = (1 << k) | gf2m.poly_inverse(g, k)
-        if gf2m.poly_mul(h, g) != (1 << self.n) | 1:
+        if gf2m.poly_mul_windowed(h, g) != (1 << self.n) | 1:
             raise InvalidInputError("generator does not divide x^n + 1")
         if k < 1:
             raise DegenerateCodeError("code has dimension 0")
@@ -241,13 +242,8 @@ def dual_code(code: CyclicCode) -> DualCode:
 
 @functools.lru_cache(maxsize=1)
 def _window_table(generator: int, length: int) -> tuple[int, ...]:
-    """c(x) * (generator mod x^length) for the 16 polynomials c of degree < 4."""
-    g = generator & ((1 << length) - 1)
-    table = [0] * 16
-    for c in range(1, 16):
-        low = c & -c
-        table[c] = table[c ^ low] ^ (g << (low.bit_length() - 1))
-    return tuple(table)
+    """``gf2m.window_table`` of the generator mod x^length."""
+    return gf2m.window_table(generator & ((1 << length) - 1))
 
 
 def encode(dual: DualCode, message: int, length: int | None = None) -> int:
@@ -259,8 +255,8 @@ def encode(dual: DualCode, message: int, length: int | None = None) -> int:
     multiplying against the generator masked to those coefficients: the
     higher ones cannot reach below x^length, so the work shrinks with it.
     Without it the whole codeword is formed, length n, where the mask
-    leaves the generator as it is.  Either product takes the message 4 bits
-    at a time, each window one XOR of a shifted entry of ``_window_table``.
+    leaves the generator as it is.  Either product is one ``gf2m.window_mul``
+    walk of the message over the cached ``_window_table``.
     """
     if not 0 <= message < (1 << dual.k_dual):
         raise InvalidInputError(
@@ -271,12 +267,7 @@ def encode(dual: DualCode, message: int, length: int | None = None) -> int:
         length = dual.n
     elif not 1 <= length <= dual.n:
         raise InvalidInputError(f"need 1 <= length <= n={dual.n}, got {length}")
-    table = _window_table(dual.generator, length)
-    word, shift = 0, 0
-    while message:
-        word ^= table[message & 15] << shift
-        message >>= 4
-        shift += 4
+    word = gf2m.window_mul(_window_table(dual.generator, length), message)
     if whole and word.bit_length() > dual.n:
         raise ArithmeticCorruptionError("codeword overflow past x^(n-1)")
     return word & ((1 << length) - 1)

@@ -10,7 +10,20 @@ Division comes in two forms.  ``poly_mod`` reduces by shifted XORs, one per
 quotient bit, which suits the small operands of field arithmetic.  An exact
 quotient of a long polynomial, such as (x^n + 1) / g(x) with n near 10^6,
 is read off the power series of 1/g instead: ``poly_inverse`` computes
-g^-1 mod x^L by Newton iteration, a logarithmic number of multiplications.
+g^-1 mod x^L by Newton iteration, a logarithmic number of steps, each one
+squaring and one long product.
+
+Products come in two forms as well.  ``poly_mul`` shifts the longer operand
+once per set bit of the shorter, which suits field elements.  A product
+with a long operand, a Newton step or the check that g divides x^n + 1,
+goes through ``poly_mul_windowed``: ``window_table`` tabulates the 16
+multiples of the longer operand by the polynomials of degree below 4, and
+``window_mul`` walks the shorter one 4 bits at a time, one shifted XOR per
+window (``codes.encode`` walks its messages the same way).  The square,
+f(x)^2 = f(x^2), spreads each byte of f to two through ``bytes.translate``
+tables (``poly_square``), and ``reciprocal`` reverses the byte order and,
+through one more table, the bits of each byte; neither turns a long
+polynomial into a string of binary digits.
 
 A field is named by its degree alone: ``alpha_pow`` and
 ``minimal_polynomial`` take m and reduce modulo p(x) = PRIMITIVE_POLYS[m],
@@ -97,6 +110,58 @@ def poly_mul(a: int, b: int) -> int:
     return acc
 
 
+def window_table(a: int) -> tuple[int, ...]:
+    """c(x) * a(x) for the 16 polynomials c of degree < 4, indexed by c."""
+    table = [0] * 16
+    for c in range(1, 16):
+        low = c & -c
+        table[c] = table[c ^ low] ^ (a << (low.bit_length() - 1))
+    return tuple(table)
+
+
+def window_mul(table: tuple[int, ...], b: int) -> int:
+    """a(x) * b(x), given ``window_table(a)``: one shifted XOR per 4 bits of b."""
+    acc, shift = 0, 0
+    while b:
+        acc ^= table[b & 15] << shift
+        b >>= 4
+        shift += 4
+    return acc
+
+
+def poly_mul_windowed(a: int, b: int) -> int:
+    """Carry-less product for long operands, with 4-bit windows.
+
+    The table is built from the longer operand and the shorter one is
+    walked, so the work is 15 + l/4 shifted XORs of the longer one, l the
+    length of the shorter: a short factor of a long polynomial stays cheap.
+    """
+    if a.bit_length() < b.bit_length():
+        a, b = b, a
+    return window_mul(window_table(a), b)
+
+
+# byte -> its bits at the even positions of 16 bits: the low byte of that
+# spread for bits 0-3 of the byte, the high byte for bits 4-7
+_SPREAD = [sum(((byte >> i) & 1) << (2 * i) for i in range(8)) for byte in range(256)]
+_SPREAD_LOW = bytes(s & 0xFF for s in _SPREAD)
+_SPREAD_HIGH = bytes(s >> 8 for s in _SPREAD)
+_BIT_REVERSED = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
+
+
+def poly_square(f: int) -> int:
+    """f(x)^2 = f(x^2) over GF(2): bit i of f moves to bit 2i.
+
+    Byte i of f spreads to bytes 2i and 2i + 1 of the square, looked up in
+    two translation tables.
+    """
+    raw = f.to_bytes((f.bit_length() + 7) // 8, "little")
+    spread = bytearray(2 * len(raw))
+    spread[0::2] = raw.translate(_SPREAD_LOW)
+    spread[1::2] = raw.translate(_SPREAD_HIGH)
+    return int.from_bytes(spread, "little")
+
+
 def poly_mod(a: int, b: int) -> int:
     """Remainder of a modulo b.  Intended for small operands."""
     if b == 0:
@@ -120,15 +185,20 @@ def poly_inverse(g: int, L: int) -> int:
     while t < L:
         t = min(2 * t, L)
         mask = (1 << t) - 1
-        f = poly_mul(g & mask, int("0".join(format(f, "b")), 2)) & mask
+        f = poly_mul_windowed(g & mask, poly_square(f)) & mask
     return f & ((1 << L) - 1)
 
 
 def reciprocal(p: int) -> int:
-    """Reciprocal polynomial x^deg(p) * p(1/x) (bit reversal)."""
-    if p == 0:
-        return 0
-    return int(format(p, "b")[::-1], 2)
+    """Reciprocal polynomial x^deg(p) * p(1/x) (bit reversal).
+
+    The bytes of p are read in reverse order with the bits of each byte
+    reversed, which reverses all 8 * nbytes bits; the shift drops the zero
+    bits that padded p's top byte, now at the bottom.
+    """
+    nbytes = (p.bit_length() + 7) // 8
+    raw = p.to_bytes(nbytes, "little").translate(_BIT_REVERSED)
+    return int.from_bytes(raw, "big") >> (8 * nbytes - p.bit_length())
 
 
 def poly_to_hex(p: int) -> str:

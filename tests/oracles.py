@@ -39,6 +39,10 @@ code under test:
   ``codes.message_for_index`` and ``codes.message_bits`` repeat in Python
   ints and in numpy blocks.
 - ``poly_from_hex``: the inverse of ``gf2m.poly_to_hex``.
+- ``square_by_string`` / ``reciprocal_by_string``: a GF(2) square and a
+  bit reversal through the binary digit string of the polynomial, against
+  which the byte tables of ``gf2m.poly_square`` and ``gf2m.reciprocal``
+  are checked.
 """
 
 from __future__ import annotations
@@ -361,3 +365,13 @@ def message_for_index(k_bits: int, seed: int, index: int) -> int:
 def poly_from_hex(s: str) -> int:
     """Inverse of poly_to_hex."""
     return int.from_bytes(bytes.fromhex(s), "little")
+
+
+def square_by_string(f: int) -> int:
+    """f(x)^2 = f(x^2): a 0 digit put between each two binary digits of f."""
+    return int("0".join(format(f, "b")), 2)
+
+
+def reciprocal_by_string(p: int) -> int:
+    """x^deg(p) * p(1/x): the binary digits of p read backwards (0 for 0)."""
+    return int(format(p, "b")[::-1], 2)

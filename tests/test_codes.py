@@ -207,6 +207,26 @@ def test_cyclic_code_cofactor():
     assert code._cofactor == 0b100110101111
 
 
+@pytest.mark.parametrize("m", [10, 20])
+def test_low_dimension_code_walks_its_short_cofactor(monkeypatch, m):
+    # k = 1: g = 1 + x + ... + x^(n-1) has n bits and h = x + 1 has 2, so
+    # the check h * g = x^n + 1 must tabulate g and walk h; walking g's
+    # windows instead costs n/4 shifts of an n-bit word, seconds rather
+    # than milliseconds at m = 20 (built from g there, not from the product
+    # of 52,486 minimal polynomials)
+    walked, real = [], gf2m.window_mul  # (tabulated, walked) bit lengths
+    monkeypatch.setattr(gf2m, "window_mul", lambda table, b: (
+        walked.append((table[1].bit_length(), b.bit_length())) or real(table, b)))
+    n = (1 << m) - 1
+    code = (codes.bch_generator(m, codes.delta_for_dimension(m, 1)) if m == 10
+            else codes.CyclicCode(m=m, generator=(1 << n) - 1))
+    assert code.generator == (1 << n) - 1 and code.k == 1
+    assert code._cofactor == 0b11
+    assert walked and all(b <= a for a, b in walked)
+    dual = codes.dual_code(code)
+    assert dual.generator == 0b11 and dual.k_dual == n - 1
+
+
 # --- duals -------------------------------------------------------------------
 
 def test_dual_of_hamming_is_simplex(hamming_7_4):

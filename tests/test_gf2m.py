@@ -87,10 +87,62 @@ def test_poly_mod_remainder_identity():
         assert gf2m.poly_mod(gf2m.poly_mul(q, b) ^ r, b) == r
 
 
+def long_operands(seed: int) -> list[int]:
+    """0, 1, operands of exactly 7 .. 4,000 bits (multiples of 8 and not),
+    and random ones of up to 4,000 bits."""
+    rnd = random.Random(seed)
+    exact = [rnd.getrandbits(bits) | 1 << (bits - 1)
+             for bits in (7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 257,
+                          1000, 1024, 2047, 2048, 4000)]
+    return [0, 1, 0b1000, 0xFF, 0x100, *exact,
+            *(rnd.getrandbits(rnd.randint(1, 4000)) for _ in range(40))]
+
+
 def test_reciprocal():
     assert gf2m.reciprocal(0b1011) == 0b1101
     assert gf2m.reciprocal(0) == 0
     assert gf2m.reciprocal(1) == 1
+    assert gf2m.reciprocal(0b1000) == 1  # x^3: low zeros are dropped
+    for p in long_operands(31):
+        r = gf2m.reciprocal(p)
+        assert r == oracles.reciprocal_by_string(p), p.bit_length()
+        if p & 1:
+            assert r.bit_length() == p.bit_length() and gf2m.reciprocal(r) == p
+
+
+def test_poly_square_matches_string_form():
+    for f in long_operands(32):
+        square = gf2m.poly_square(f)
+        assert square == oracles.square_by_string(f), f.bit_length()
+        if f.bit_length() <= 300:
+            assert square == ref_poly_mul(f, f)
+
+
+def test_poly_mul_windowed_matches_reference():
+    rnd = random.Random(33)
+    small = [0, 1, 0b10, 0b1111, 0b10000, *(rnd.getrandbits(rnd.randint(1, 200))
+                                            for _ in range(30))]
+    for a in small:
+        for b in small[::3]:
+            expected = ref_poly_mul(a, b)
+            assert gf2m.poly_mul_windowed(a, b) == expected
+            assert gf2m.window_mul(gf2m.window_table(a), b) == expected
+
+
+def test_poly_mul_windowed_long_and_lopsided_operands():
+    # lopsided pairs in both orders against the reference, whose cost is
+    # the longer operand's set bits times the shorter's length, and long
+    # pairs against the bit-serial product
+    rnd = random.Random(34)
+    operands = long_operands(35)
+    for a in operands:
+        for bits in (1, 3, 4, 5, 12):
+            b = rnd.getrandbits(bits)
+            expected = ref_poly_mul(a, b)
+            assert gf2m.poly_mul_windowed(a, b) == expected
+            assert gf2m.poly_mul_windowed(b, a) == expected
+    for a, b in zip(operands, reversed(operands)):
+        assert gf2m.poly_mul_windowed(a, b) == gf2m.poly_mul(a, b)
 
 
 def test_hex_roundtrip():
