@@ -8,14 +8,15 @@
 # at the full-scale order N = 180 at reduced counts, pseudo `norms` of an MP
 # kind and pseudo `moments`, `esd` of random-mp with p set by --gamma, the
 # benchmark's sampled verify-indep, sampled verify-indep at the largest r it
-# takes (11) and at k_dual = 8 over every subset, a failing exact and a
-# failing sampled verify-indep (exit 1), a `sample` whose seed has two 32-bit
-# words, a `sample` over three message blocks, a pseudo `esd` whose seed has
-# two 32-bit words (sample 0's message then mixes three entropy words), a
-# pseudo `norms` whose batch crosses a message block, a `sample` without
-# --delta (exit 2) and a pseudo `esd` at gamma = 1 (the hard edge a = 0 of
-# the MP CDF) whose 130 spectra are scored in two full KS blocks and a
-# partial one,
+# takes (11), at r = 6 and r = 7 (the largest r counted by the AND tree and
+# the smallest counted by bincount) and at k_dual = 8 over every subset, a
+# failing exact and a failing sampled verify-indep (exit 1), a `sample` whose
+# seed has two 32-bit words, a `sample` over three message blocks, a pseudo
+# `esd` whose seed has two 32-bit words (sample 0's message then mixes three
+# entropy words), a pseudo `norms` whose batch crosses a message block, a
+# `sample` without --delta (exit 2) and a pseudo `esd` at gamma = 1 (the
+# hard edge a = 0 of the MP CDF) whose 130 spectra are scored in two full
+# KS blocks and a partial one,
 # on a git ref and on the working tree,
 # and compare their standard output, exit codes and every file they write
 # (config.json included).  Standard error is kept apart and not compared.
@@ -68,6 +69,9 @@ COMMANDS=(
     "esd --kind pseudo-wigner --m 14 --delta 31 --N 180 --count 100 --seed 1 --out runs/esd180"
     "verify-indep --m 14 --delta 31 --r 4 --mode sampled --budget 200"
     "verify-indep --m 10 --delta 15 --r 11 --mode sampled --budget 40"
+    # either side of the counting crossover: 2^r <= 64 takes the AND tree
+    "verify-indep --m 10 --delta 15 --r 6 --mode sampled --budget 100"
+    "verify-indep --m 10 --delta 15 --r 7 --mode sampled --budget 100"
     "verify-indep --m 4 --delta 5 --r 4 --mode sampled"
     "sample --m 14 --delta 31 --count 3000 --seed 4294967296 --out runs/sample14"
     "sample --m 4 --delta 5 --count 10000 --seed 3 --out runs/sample4"

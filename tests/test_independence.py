@@ -209,6 +209,12 @@ def test_sampled_mode_smoke():
     # 4096 + 37 words: one full batch and a 37-word tail
     pytest.param(6, 5, 12, 3, 40, 4, 4096 + 37, id="3-40-4"),
     pytest.param(6, 5, 12, 5, 30, 9, 4096 + 37, id="5-30-9"),
+    # 2^r <= 64 masks per uint64 word is counted by the AND tree, wider
+    # patterns by bincount: the largest tree r and the smallest bincount r
+    pytest.param(6, 5, 12, 6, 30, 7, 4096 + 37, id="6-30-7"),
+    pytest.param(6, 5, 12, 7, 20, 8, 4096 + 37, id="7-20-8"),
+    # a one-level tree over every coordinate
+    pytest.param(6, 5, 12, 1, 100, 1, 4096 + 37, id="1-100-1"),
     # k_dual a whole number of bytes: the last table is a full 8 rows
     pytest.param(4, 5, 8, 4, 30, 2, 600, id="k8"),
     # k_dual = 30 spans 4 bytes: 4 tables feed each parity, the last of 6 rows
