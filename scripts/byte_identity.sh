@@ -14,9 +14,12 @@
 # seed has two 32-bit words, a `sample` over three message blocks, a pseudo
 # `esd` whose seed has two 32-bit words (sample 0's message then mixes three
 # entropy words), a pseudo `norms` whose batch crosses a message block, a
-# `sample` without --delta (exit 2) and a pseudo `esd` at gamma = 1 (the
+# `sample` without --delta (exit 2), a pseudo `esd` at gamma = 1 (the
 # hard edge a = 0 of the MP CDF) whose 130 spectra are scored in two full
-# KS blocks and a partial one,
+# KS blocks and a partial one, pseudo `norms` at N = 360 and pseudo
+# `moments` at N = 180 (orders of cli.PINNED_ORDERS, whose samples are
+# solved on lanes) and `genpoly --m 16 --k 17` (a low-dimension code,
+# built from its non-root cosets),
 # on a git ref and on the working tree,
 # and compare their standard output, exit codes and every file they write
 # (config.json included).  Standard error is kept apart and not compared.
@@ -88,6 +91,11 @@ COMMANDS=(
     "esd --kind random-mp --N 40 --gamma 0.625 --count 50 --seed 4 --out runs/rmp40"
     # gamma = 1, and two full blocks of cli.KS_BLOCK = 64 spectra plus a partial one
     "esd --kind pseudo-mp --m 10 --delta 15 --N 31 --p 31 --count 130 --seed 3 --out runs/mp31g1"
+    # solved on lanes, at one BLAS thread
+    "norms --kind pseudo-wigner --m 16 --delta 31 --N 360 --count 40 --out runs/wig360"
+    "moments --kind pseudo-wigner --m 14 --delta 31 --N 180 --count 100 --s-max 16 --seed 2 --out runs/mom180"
+    # g from x^n + 1 over the non-root cosets' minimal polynomials
+    "genpoly --m 16 --k 17"
 )
 
 run_side() {  # run_side NAME TREE: every command, outputs under $WORK/NAME

@@ -4,11 +4,16 @@ Subcommands: genpoly, dual, sample, norms, esd, moments, verify-indep.
 Every artifact-writing command drops exactly one ``config.json`` sidecar in
 the output directory holding the full parameter set, library version and
 BLAS environment, so any run can be replayed; replays at the same BLAS
-thread count produce byte-identical CSV output (samples are processed
-serially in index order, and sample i depends only on (seed, i), so any
-prefix of a batch reproduces).  The batch commands build one
+thread count produce byte-identical CSV output (samples are written in
+index order, and sample i depends only on (seed, i), so any prefix of a
+batch reproduces).  The batch commands build one
 ``ensembles.EnsembleSpec`` from their flags, which checks them and names
-the limit law.  Their samples come from ``iter_summaries``, the one loop
+the limit law.  At the orders of ``PINNED_ORDERS`` a batch command runs
+with numpy's OpenBLAS pinned to one thread (``spectral.one_blas_thread``),
+so its outputs do not depend on the BLAS thread count and its
+``config.json`` records 1; there ``norms`` and ``moments`` solve their
+samples on one worker thread ("lane") per CPU, each thread with its own
+LAPACK workspace.  Their samples come from ``iter_summaries``, the one loop
 over sample indices, which packs sample i itself and hands the matrix to
 the command's reader of ``spectral``.  For pseudo kinds it draws the
 message of sample 0 alone and those of samples 1 .. count-1 in blocks
@@ -31,10 +36,15 @@ input or an output path that cannot be written, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import functools
+import itertools
 import json
 import math
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -49,13 +59,18 @@ from .errors import (
 DEFAULT_EPSILON = 0.1
 CHECKPOINT_EVERY = 1000
 KS_BLOCK = 64  # spectra per spectral.ks_distance call in esd
+# Matrix orders at which the batch commands pin the BLAS to one thread and
+# norms and moments run on lanes.  Below them a sample is too short for a
+# lane to pay for its hand-off, and above them more BLAS threads speed up
+# the reduction; README has the sweep that set both ends.
+PINNED_ORDERS = range(160, 600)
 
 
 # ---------------------------------------------------------------------------
 # batch engine (also used directly by the verification suite)
 # ---------------------------------------------------------------------------
 
-def iter_summaries(spec: ensembles.EnsembleSpec, count: int, solve):
+def iter_summaries(spec: ensembles.EnsembleSpec, count: int, solve, lanes: int = 1):
     """``solve`` of the matrix of each sample 0 .. count-1, one yield per
     sample, in index order: the one loop over sample indices.
 
@@ -76,10 +91,44 @@ def iter_summaries(spec: ensembles.EnsembleSpec, count: int, solve):
     ``norm_unchecked`` (the norm) and ``moments`` a partial of
     ``trace_moments_unchecked`` (the array of trace moments).  Packed
     matrices are symmetric and finite by construction, so the readers need
-    not check them, and each is fresh, so the reader may overwrite it.  No
-    matrix is held between yields, so each is freed before the next is
-    packed.
+    not check them, and each is fresh, so the reader may overwrite it.
+
+    With one lane, no matrix is held between yields, so each is freed
+    before the next is packed.  With ``lanes`` > 1 the BLAS is pinned to
+    one thread (``spectral.one_blas_thread``) from sample 0 on, and sample
+    0 is still packed and solved alone before the first yield.  After it
+    this thread packs each matrix and hands its ``solve`` to a pool of
+    ``lanes`` threads, keeping at most lanes + 1 samples in flight, and
+    yields the results in index order.  ``solve`` must then be safe to call
+    from several threads at once, as the LAPACK readers of ``spectral`` are,
+    and runs at one BLAS thread however many lanes it has, so its results
+    are those of one lane bit for bit.  Closing the generator, or an error
+    in any sample, yields no later sample, shuts the pool down and
+    restores the BLAS thread count; an error in sample j comes after the
+    yields of samples 0 .. j-1.
     """
+    matrices = _matrices(spec, count)
+    if lanes < 2:
+        yield from map(solve, matrices)
+        return
+    with spectral.one_blas_thread():
+        yield from map(solve, itertools.islice(matrices, 1))
+        pool = ThreadPoolExecutor(lanes, thread_name_prefix="pseudospec-lane")
+        pending = collections.deque()
+        try:
+            for M in matrices:
+                pending.append(pool.submit(solve, M))
+                if len(pending) > lanes:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def _matrices(spec: ensembles.EnsembleSpec, count: int):
+    """The packed matrix of each sample 0 .. count-1, in index order (see
+    ``iter_summaries``)."""
     messages = (codes.block_messages(spec.dual.k_dual, spec.seed, 1, count)
                 if spec.pseudo else None)
     for i in range(count):
@@ -87,7 +136,25 @@ def iter_summaries(spec: ensembles.EnsembleSpec, count: int, solve):
             bits = ensembles.codeword_bits(spec, next(messages))
         else:
             bits = ensembles.sample_bits(spec, i)
-        yield solve(ensembles.pack(spec, bits))
+        yield ensembles.pack(spec, bits)
+
+
+def _blas_pin(spec: ensembles.EnsembleSpec):
+    """The whole batch command's BLAS setting: one thread at the orders of
+    ``PINNED_ORDERS``, the caller's count elsewhere."""
+    if spec.order in PINNED_ORDERS:
+        return spectral.one_blas_thread()
+    return contextlib.nullcontext()
+
+
+def _lanes(spec: ensembles.EnsembleSpec) -> int:
+    """Lanes for ``norms`` and ``moments``: one per CPU this process may run
+    on where the BLAS is pinned, else 1."""
+    if spec.order not in PINNED_ORDERS or not spectral.CAN_PIN:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _log_divisor(N: int, epsilon: float) -> float:
@@ -217,16 +284,28 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_norms(args) -> int:
-    spec = _spec_from_args(args)
+def _batch_command(command):
+    """``command(args, spec)`` as a command of ``args`` alone: the spec comes
+    from the flags, and the BLAS pin of ``_blas_pin`` covers the whole
+    command, so ``config.json`` records the thread count the spectra used."""
+    @functools.wraps(command)
+    def run(args) -> int:
+        spec = _spec_from_args(args)
+        with _blas_pin(spec):
+            return command(args, spec)
+    return run
+
+
+@_batch_command
+def cmd_norms(args, spec: ensembles.EnsembleSpec) -> int:
     _log_divisor(spec.N, args.epsilon)  # reject N and epsilon before any output
     edge = spec.law.support[1]  # the scaled norm concentrates at 1
     outdir = _prepare_outdir(args.out)
     norms: list[float] = []
     with open(outdir / "norms.csv", "w") as fh:
         fh.write("norm\n")
-        for i, norm in enumerate(iter_summaries(spec, args.count,
-                                                spectral.norm_unchecked)):
+        for i, norm in enumerate(iter_summaries(spec, args.count, spectral.norm_unchecked,
+                                                _lanes(spec))):
             v = norm / edge
             norms.append(v)
             fh.write(repr(v) + "\n")
@@ -264,14 +343,14 @@ def cmd_norms(args) -> int:
     return 0
 
 
-def cmd_esd(args) -> int:
-    spec = _spec_from_args(args)
+@_batch_command
+def cmd_esd(args, spec: ensembles.EnsembleSpec) -> int:
     law = spec.law
     band = ks_band(spec)
     outdir = _prepare_outdir(args.out)
     ks_values: list[float] = []
     # the spectra awaiting their KS distances, scored one block per call
-    block = np.empty((min(KS_BLOCK, args.count), spec.N if spec.wigner else spec.p))
+    block = np.empty((min(KS_BLOCK, args.count), spec.order))
     filled = 0
     with open(outdir / "eigenvalues.csv", "w") as fh:
         for eigs in iter_summaries(spec, args.count, spectral.eigenvalues_unchecked):
@@ -317,16 +396,16 @@ def _law_moments(law, s_max: int) -> list[float]:
     return moments
 
 
-def cmd_moments(args) -> int:
+@_batch_command
+def cmd_moments(args, spec: ensembles.EnsembleSpec) -> int:
     if args.s_max < 1:
         raise InvalidInputError("--s-max must be >= 1")
-    spec = _spec_from_args(args)
     law_moments = _law_moments(spec.law, args.s_max)
     outdir = _prepare_outdir(args.out)
     orders = range(1, args.s_max + 1)
     solve = functools.partial(spectral.trace_moments_unchecked, s_max=args.s_max)
     sums = np.zeros(args.s_max)
-    for moments in iter_summaries(spec, args.count, solve):
+    for moments in iter_summaries(spec, args.count, solve, _lanes(spec)):
         sums += moments
     means = sums / args.count
     with open(outdir / "moments.csv", "w") as fh:

@@ -13,8 +13,11 @@ be at least 3, an even delta is promoted to delta + 1 (the same code, by
 conjugacy), and the promoted delta must not exceed n, or the roots would
 include alpha^n = alpha^0 and leave no code.  Every caller that takes a
 designed distance, the ensemble specs included, goes through it.
-``bch_generator`` checks that k is exactly n minus the sizes of the
-cosets of its roots.
+``bch_generator`` builds g from whichever side of delta has the shorter
+range of coset leaders: the product of the minimal polynomials of the
+roots, or, for a low-dimension code, x^n + 1 divided by the product of
+those of the few non-root cosets.  Either way it checks that k is exactly
+what the cosets leave.
 
 Codewords are GF(2) polynomials in the integer representation of
 :mod:`.gf2m` (bit i = coefficient of x^i).  ``word_to_bits`` converts one
@@ -178,9 +181,17 @@ def bch_generator(m: int, delta: int) -> CyclicCode:
     """Construct the BCH code of length 2^m - 1 and designed distance delta.
 
     The distance is checked and promoted by ``designed_distance``; an even
-    delta is promoted with a warning.  g is the product of the minimal
-    polynomials of alpha^e for each coset leader e < delta (the least
-    element of its cyclotomic coset), so k is n minus their coset sizes.
+    delta is promoted with a warning.  The roots of g are alpha^e for the
+    cyclotomic cosets whose leader e (least element) lies in 1 .. delta - 1,
+    and x^n + 1 is the product of the minimal polynomials of all cosets.
+    Every leader but 0 is odd and below n/2 (for e > n/2, 2e - n < e is in
+    e's coset), so the non-root leaders are 0 and those in delta .. n/2.
+    When that range is the shorter, g is x^n + 1 over the product of their
+    minimal polynomials, an exact quotient read off the power series of
+    1/h (``gf2m.poly_inverse``), so a low-dimension code costs a few
+    minimal polynomials instead of one per root coset.  Otherwise g is the
+    product of the roots' minimal polynomials.  k must be the sizes of the
+    non-root cosets, summed.
     """
     promoted = designed_distance(m, delta)
     if promoted != delta:
@@ -190,18 +201,34 @@ def bch_generator(m: int, delta: int) -> CyclicCode:
             stacklevel=2,
         )
     n = (1 << m) - 1
-    g, deg = 1, 0
-    for e in range(1, promoted):
-        coset = gf2m.cyclotomic_coset(e, n)
-        if e == min(coset):
+    half = (n + 1) // 2
+    if promoted - 1 <= half - promoted:
+        g, roots = 1, 0
+        for e, size in _coset_leaders(1, promoted, n):
             g = gf2m.poly_mul(g, gf2m.minimal_polynomial(e, m))
-            deg += len(coset)
+            roots += size
+        k = n - roots
+    else:
+        h, k = 0b11, 1  # the coset {0}: x + 1
+        for e, size in _coset_leaders(promoted, half, n):
+            h = gf2m.poly_mul(h, gf2m.minimal_polynomial(e, m))
+            k += size
+        g = gf2m.poly_inverse(h, n - k + 1)
     code = CyclicCode(m=m, generator=g, delta=promoted)
-    if code.k != n - deg:
+    if code.k != k:
         raise ArithmeticCorruptionError(
-            f"dimension {code.k}, but the cosets of the roots leave {n - deg}"
+            f"dimension {code.k}, but the cyclotomic cosets leave {k}"
         )
     return code
+
+
+def _coset_leaders(start: int, stop: int, n: int):
+    """(e, size of e's cyclotomic coset mod n) for each coset leader e in
+    start .. stop - 1: the least element of its coset."""
+    for e in range(start, stop):
+        coset = gf2m.cyclotomic_coset(e, n)
+        if e == min(coset):
+            yield e, len(coset)
 
 
 def delta_for_dimension(m: int, k: int) -> int:
@@ -216,11 +243,8 @@ def delta_for_dimension(m: int, k: int) -> int:
     if not 1 <= k < n:
         raise InvalidInputError(f"target dimension {k} outside [1, {n})")
     dim, above = n, ""
-    for e in range(1, n):
-        coset = gf2m.cyclotomic_coset(e, n)
-        if e != min(coset):
-            continue
-        dim -= len(coset)
+    for e, size in _coset_leaders(1, n, n):
+        dim -= size
         if dim == k:
             return e + 2
         if dim < k:

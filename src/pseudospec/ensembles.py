@@ -130,6 +130,11 @@ class EnsembleSpec:
         return self.kind in PSEUDO_KINDS
 
     @property
+    def order(self) -> int:
+        """Order of the matrix whose spectrum is measured: N, or p for MP."""
+        return self.N if self.wigner else self.p
+
+    @property
     def bits_used(self) -> int:
         """Bits one matrix takes: N(N+1)/2 symmetric, N*p rectangular."""
         return self.N * (self.N + 1) // 2 if self.wigner else self.N * self.p

@@ -41,14 +41,16 @@ runtime one.
 
 Everything those LAPACK calls take but the matrix -- the arrays d, e, tau,
 the workspaces, the output w, the ``ctypes`` scalars and the argument
-tuples of all three calls -- is built once per order and cached
+tuples of all three calls -- is built once per order and thread and kept
 (``_workspace``), so a call costs its three foreign calls and little
-else.  Every call shares those buffers, and ``ctypes`` lets other threads
-run during a foreign call, so one lock, ``_LAPACK_LOCK``, is held from a
-reduction until its results are read out: threads take the route in turn
-and never read each other's d, e or w.  INFO and the found count are reset
-before every call, so a call that fails to write them cannot pass for the
-previous call's success.
+else.  Each thread has its own workspace, so threads that call the route
+at once never read each other's d, e or w, and none waits for another.
+INFO and the found count are reset before every call, so a call that
+fails to write them cannot pass for the previous call's success.
+
+``one_blas_thread`` pins numpy's OpenBLAS to one thread and restores the
+count it found, through ``openblas_{get,set}_num_threads64_`` on the same
+handle.  A BLAS without them cannot be pinned (``CAN_PIN`` is False).
 
 The traces need no eigenvalue: traces are invariant under the similarity
 (Golub & Van Loan, *Matrix Computations*, sec. 8.3), and the banded powers
@@ -63,8 +65,8 @@ mean(|lambda|^s), measured up to s = 60 at N = 180 and s = 16 at N = 1024
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
-import functools
 import threading
 
 import numpy as np
@@ -120,23 +122,51 @@ def _load_lapack():
     return dsytrd, dstebz
 
 
+def _load_threads():
+    """(get, set) of OpenBLAS's thread count, or None if either is absent."""
+    get, set_ = (_blas_symbol(f"openblas_{verb}_num_threads64_")
+                 for verb in ("get", "set"))
+    if get is None or set_ is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
 _BLAS = _numpy_blas()
 _LAPACK = _load_lapack()
+_THREADS = _load_threads()
+CAN_PIN = _THREADS is not None  # whether one_blas_thread pins anything
 _ABSTOL = 2.0 * np.finfo(np.float64).tiny  # LAPACK's safe minimum, twice
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """numpy's OpenBLAS on one thread inside the block, its earlier thread
+    count restored on leaving it, however it is left; nothing changes
+    when the BLAS cannot be pinned (``CAN_PIN``).  Call it from one thread
+    at a time: the count is the whole process's."""
+    if _THREADS is None:
+        yield
+        return
+    get, set_ = _THREADS
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def environment() -> dict:
     """The BLAS build, its thread count and the route that ``norms`` and
     ``moments`` take in this process (``norm_route``)."""
     get_config = _blas_symbol("openblas_get_config64_")
-    get_threads = _blas_symbol("openblas_get_num_threads64_")
     if get_config is not None:
         get_config.restype = ctypes.c_char_p
-    if get_threads is not None:
-        get_threads.restype = ctypes.c_int
     return {
         "blas": get_config().decode() if get_config is not None else None,
-        "blas_threads": get_threads() if get_threads is not None else None,
+        "blas_threads": _THREADS[0]() if _THREADS is not None else None,
         "norm_route": "eigvalsh" if _LAPACK is None else "lapack-bisection",
     }
 
@@ -149,9 +179,9 @@ class _Workspace:
     ``dstebz`` calls at one order n, built once, so a call passes only its
     matrix.
 
-    dsytrd's workspace length comes from an ``lwork = -1`` query.  Every
-    call at this order shares the buffers: d and e are overwritten by the
-    next reduction, so its callers hold ``_LAPACK_LOCK`` while they use them.
+    dsytrd's workspace length comes from an ``lwork = -1`` query.  One
+    thread uses it (``_workspace``): d and e are overwritten by that
+    thread's next reduction.
     """
 
     def __init__(self, n: int):
@@ -188,18 +218,24 @@ class _Workspace:
             for k in (lowest, highest))
 
 
-_workspace = functools.lru_cache(maxsize=1)(_Workspace)
-_LAPACK_LOCK = threading.Lock()  # held while a workspace is in use
+_local = threading.local()
+
+
+def _workspace(n: int) -> _Workspace:
+    """This thread's workspace at order n, built anew when the order changes."""
+    ws = getattr(_local, "workspace", None)
+    if ws is None or ws.n != n:
+        ws = _local.workspace = _Workspace(n)
+    return ws
 
 
 def _tridiagonal(M: np.ndarray) -> _Workspace | None:
     """T = Q^T M Q by one blocked Householder reduction, LAPACK ``dsytrd``,
     in numpy's own LAPACK; None when that LAPACK is not reachable.
 
-    The result is the order's workspace: T's diagonal is its d and T's
-    off-diagonal the first n - 1 entries of its e, valid until the next
-    reduction at the same order; the caller holds ``_LAPACK_LOCK`` until
-    it has read them.  Non-square and empty M raise
+    The result is this thread's workspace: T's diagonal is its d and T's
+    off-diagonal the first n - 1 entries of its e, valid until the
+    thread's next reduction.  Non-square and empty M raise
     InvalidInputError.  A float64, C-contiguous, writeable M is reduced in
     place; any other M is copied first.  A LAPACK failure raises
     NumericalFailureError.
@@ -236,29 +272,28 @@ def extremes_unchecked(M: np.ndarray) -> tuple[float, float]:
 
     ``_tridiagonal`` and a ``dstebz`` bisection for each extreme eigenvalue
     of T, in numpy's own LAPACK, or the ends of ``eigenvalues_unchecked(M)``
-    when that LAPACK is not reachable.  Safe to call from several threads;
-    on the LAPACK route they take turns.  Like ``eigenvalues_unchecked`` it
+    when that LAPACK is not reachable.  Safe to call from several threads
+    at once, each with its own matrix.  Like ``eigenvalues_unchecked`` it
     does not check that M is symmetric and finite.  It may overwrite M: a
     float64, C-contiguous, writeable M is reduced in place, which suits the
     fresh matrices of ``ensembles.pack``.  A LAPACK failure raises
     NumericalFailureError.
     """
-    with _LAPACK_LOCK:
-        ws = _tridiagonal(M)
-        if ws is not None:
-            dstebz = _LAPACK[1]
-            extremes = []
-            for index, args in zip((1, ws.n), ws.bisections):
-                ws.info.value, ws.found.value = _UNSET, 0
-                dstebz(*args)
-                if ws.info.value != 0 or ws.found.value != 1:
-                    raise NumericalFailureError(
-                        f"dstebz failed for eigenvalue {index} of {ws.n}: "
-                        f"INFO={ws.info.value}, "
-                        f"{ws.found.value} eigenvalues returned"
-                    )
-                extremes.append(float(ws.w[0]))
-            return extremes[0], extremes[1]
+    ws = _tridiagonal(M)
+    if ws is not None:
+        dstebz = _LAPACK[1]
+        extremes = []
+        for index, args in zip((1, ws.n), ws.bisections):
+            ws.info.value, ws.found.value = _UNSET, 0
+            dstebz(*args)
+            if ws.info.value != 0 or ws.found.value != 1:
+                raise NumericalFailureError(
+                    f"dstebz failed for eigenvalue {index} of {ws.n}: "
+                    f"INFO={ws.info.value}, "
+                    f"{ws.found.value} eigenvalues returned"
+                )
+            extremes.append(float(ws.w[0]))
+        return extremes[0], extremes[1]
     eigs = eigenvalues_unchecked(M)
     return float(eigs[0]), float(eigs[-1])
 
@@ -287,14 +322,11 @@ def trace_moments_unchecked(M: np.ndarray, s_max: int) -> np.ndarray:
     """
     if s_max < 1:
         raise InvalidInputError(f"moment order must be >= 1, got s_max={s_max}")
-    with _LAPACK_LOCK:
-        ws = _tridiagonal(M)
-        if ws is not None:
-            n = ws.n
-            d, e = ws.d.copy(), ws.e[: n - 1].copy()
+    ws = _tridiagonal(M)
     if ws is None:
         eigs = eigenvalues_unchecked(M)
         return np.array([np.mean(eigs**s) for s in range(1, s_max + 1)])
+    n, d, e = ws.n, ws.d, ws.e[: ws.n - 1]
     top = (s_max + 1) // 2  # the highest power formed
     w = min(top, n - 1)
     # Column w + 1 + k of row i holds entry (i, i + k).  Columns 0 and

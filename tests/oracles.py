@@ -29,6 +29,10 @@ code under test:
 - ``narayana`` / ``mp_moment``: the Marchenko-Pastur moment as the
   Narayana sum, in ``Fraction`` arithmetic, against which the integer
   recurrence of ``laws.MarchenkoPasturLaw.moments`` is checked.
+- ``bch_generator_by_roots``: the generator of a BCH code as the product
+  of the minimal polynomials (the expansion above) of its roots, one per
+  coset leader below delta, against which ``codes.bch_generator`` is
+  checked on both of its routes.
 - ``min_distance_exact``: a code's minimum distance by enumerating its
   codewords, against the designed distance (criterion 1).
 - ``generator_matrix``: a code's dense k x n generator matrix, row j the
@@ -316,6 +320,18 @@ ENUMERATION_BUDGET_BITS = 24
 
 class EnumerationBudgetError(RuntimeError):
     """An exact enumeration would exceed its budget."""
+
+
+def bch_generator_by_roots(m: int, delta: int) -> int:
+    """g(x) of the BCH code of length 2^m - 1 and odd designed distance
+    delta: the product of ``minimal_polynomial(e, m)`` over the coset
+    leaders e of 1 .. delta - 1."""
+    n = (1 << m) - 1
+    g = 1
+    for e in range(1, delta):
+        if e == min(cyclotomic_coset(e, n)):
+            g = poly_mul(g, minimal_polynomial(e, m))
+    return g
 
 
 def min_distance_exact(code: Union[CyclicCode, DualCode]) -> int:

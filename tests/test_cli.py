@@ -1,12 +1,14 @@
 """End-to-end CLI behavior: outputs, exit codes, replayability."""
 
 import ast
+import functools
 import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -16,7 +18,8 @@ import pytest
 import oracles
 
 import pseudospec
-from pseudospec import cli, codes, laws
+from pseudospec import cli, codes, laws, spectral
+from pseudospec.errors import NumericalFailureError
 
 
 def run(argv):
@@ -243,7 +246,8 @@ def test_norms_outputs_and_replay(tmp_path, capsys):
 @pytest.mark.parametrize("kind", cli.ensembles.KINDS)
 def test_norms_csv_matches_full_solve(tmp_path, capsys, norm_route, kind):
     # every norms.csv value against the full eigvalsh norm of its matrix:
-    # 1e-13 relative on the LAPACK route, bit for bit on the fallback
+    # 1e-13 relative on the LAPACK route, bit for bit on the fallback, at
+    # the BLAS thread count the command ran at (N = 180 pins it to one)
     p = 90 if kind in cli.ensembles.MP_KINDS else None
     code = dict(m=14, delta=31) if kind in cli.ensembles.PSEUDO_KINDS else {}
     flags = [f"--{k}={v}" for k, v in dict(p=p, **code).items() if v is not None]
@@ -253,7 +257,8 @@ def test_norms_csv_matches_full_solve(tmp_path, capsys, norm_route, kind):
     spec = cli.ensembles.EnsembleSpec(kind, N=180, p=p, seed=5, **code)
     edge = spec.law.support[1]
     for row, M in zip(rows, packed(spec, 4), strict=True):
-        expected = oracles.dense_norm(M) / edge
+        with cli._blas_pin(spec):
+            expected = oracles.dense_norm(M) / edge
         if norm_route == "eigvalsh":
             assert float(row) == expected
         else:
@@ -447,6 +452,133 @@ def test_iter_summaries_yields_each_sample_in_index_order(kind, monkeypatch):
             if spec.pseudo:
                 assert calls == {"message_for_index": min(count, 1),
                                  "message_bits": math.ceil(max(count - 1, 0) / block)}
+
+
+# --- lanes ------------------------------------------------------------------------
+
+def lane_spec(kind: str, seed: int = 4) -> cli.ensembles.EnsembleSpec:
+    """A spec at the smallest order that has lanes; MP kinds take N = p + 10."""
+    order = cli.PINNED_ORDERS.start
+    mp = kind in cli.ensembles.MP_KINDS
+    N, p = (order + 10, order) if mp else (order, None)
+    code = {}
+    if kind in cli.ensembles.PSEUDO_KINDS:
+        code = dict(m=(N * (p or (N + 1) // 2)).bit_length(), delta=5)
+    return cli.ensembles.EnsembleSpec(kind, N=N, p=p, seed=seed, **code)
+
+
+def lane_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("pseudospec-lane")]
+
+
+@pytest.fixture()
+def two_blas_threads():
+    """numpy's OpenBLAS at two threads, so a pin to one can be seen."""
+    if not spectral.CAN_PIN:
+        pytest.skip("numpy's BLAS exports no openblas_{get,set}_num_threads64_")
+    get, set_ = spectral._THREADS
+    before = get()
+    set_(2)
+    yield get()
+    set_(before)
+
+
+def test_lanes_only_at_pinned_orders():
+    inside = lane_spec("random-wigner")
+    assert inside.order in cli.PINNED_ORDERS
+    expected = len(os.sched_getaffinity(0)) if spectral.CAN_PIN else 1
+    assert cli._lanes(inside) == expected
+    for N in (cli.PINNED_ORDERS.start - 1, cli.PINNED_ORDERS.stop):
+        assert cli._lanes(cli.ensembles.EnsembleSpec("random-wigner", N=N)) == 1
+
+
+@pytest.mark.parametrize("kind", cli.ensembles.KINDS)
+def test_lanes_match_one_lane(kind, monkeypatch):
+    # norms and moments on 2 and 3 lanes, bit for bit those of one lane at
+    # one BLAS thread, in index order, across message blocks of 3
+    monkeypatch.setattr(codes, "MESSAGE_BLOCK", 3)
+    spec = lane_spec(kind)
+    moments = functools.partial(spectral.trace_moments_unchecked, s_max=9)
+    for solve in (spectral.norm_unchecked, moments):
+        with spectral.one_blas_thread():
+            one = np.array(list(cli.iter_summaries(spec, 11, solve)))
+        for lanes in (2, 3):
+            got = np.array(list(cli.iter_summaries(spec, 11, solve, lanes)))
+            assert got.shape == one.shape and np.array_equal(got, one), (solve, lanes)
+    assert not lane_threads()
+
+
+def test_closing_lanes_restores_blas_threads(two_blas_threads):
+    gen = cli.iter_summaries(lane_spec("pseudo-wigner"), 30, spectral.norm_unchecked, 2)
+    for _ in range(3):
+        next(gen)
+        assert spectral.environment()["blas_threads"] == 1
+    assert lane_threads()
+    gen.close()
+    assert spectral.environment()["blas_threads"] == two_blas_threads
+    assert not lane_threads()
+
+
+def test_lane_error_comes_after_earlier_samples(two_blas_threads):
+    # the reader fails on sample j: samples 0 .. j-1 are yielded, in order,
+    # then the error; the pool is gone and the thread count restored
+    spec = lane_spec("random-wigner")
+    matrices, j = packed(spec, 12), 7
+    with spectral.one_blas_thread():
+        expected = [spectral.norm_unchecked(M.copy()) for M in matrices[:j]]
+
+    def reader(M):
+        if np.array_equal(M, matrices[j]):
+            raise NumericalFailureError(f"sample {j}")
+        return spectral.norm_unchecked(M)
+
+    got = []
+    with pytest.raises(NumericalFailureError, match=f"sample {j}"):
+        for norm in cli.iter_summaries(spec, 12, reader, 2):
+            got.append(norm)
+    assert got == expected
+    assert spectral.environment()["blas_threads"] == two_blas_threads
+    assert not lane_threads()
+
+
+def test_batch_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # fresh interpreters at OPENBLAS_NUM_THREADS=1 and 2: inside
+    # PINNED_ORDERS every CSV and JSON is byte-identical, config.json's
+    # environment aside, which records the one thread the spectra ran on
+    commands = {
+        "norms360": ["norms", "--kind", "pseudo-wigner", "--m", "16", "--delta", "31",
+                     "--N", "360", "--count", "40", "--seed", "1"],
+        "esd180": ["esd", "--kind", "random-wigner", "--N", "180", "--count", "30",
+                   "--seed", "1"],
+        "moments180": ["moments", "--kind", "pseudo-wigner", "--m", "14", "--delta", "31",
+                       "--N", "180", "--count", "30", "--s-max", "16", "--seed", "1"],
+    }
+    src = os.path.dirname(os.path.dirname(pseudospec.__file__))
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs = {name: argv + ["--out", str(tmp_path / threads / name)]
+                for name, argv in commands.items()}
+        code = ("import sys, pseudospec.cli\n"
+                f"for argv in {list(runs.values())!r}:\n"
+                "    assert pseudospec.cli.main(argv) == 0\n")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       capture_output=True, text=True)
+        outputs[threads] = {}
+        for path in sorted((tmp_path / threads).rglob("*.*")):
+            text = path.read_text()
+            if path.name == "config.json":
+                config = json.loads(text)
+                env_block = config.pop("environment")
+                if spectral.CAN_PIN:
+                    assert env_block["blas_threads"] == 1, path
+                text = json.dumps(config)
+            outputs[threads][str(path.relative_to(tmp_path / threads))] = text
+    assert len(outputs["1"]) == 8
+    assert outputs["1"].keys() == outputs["2"].keys()
+    for name, text in outputs["1"].items():
+        assert outputs["2"][name] == text, name
 
 
 # --- esd --------------------------------------------------------------------------

@@ -115,6 +115,31 @@ def test_delta_for_dimension_is_least_odd_delta():
                     codes.delta_for_dimension(m, k)
 
 
+def test_bch_generator_matches_root_product():
+    # every odd delta at m <= 8, so both routes run: the roots' product up
+    # to delta ~ n/4, x^n + 1 over the non-root cosets' product above it
+    for m in range(2, 9):
+        n = (1 << m) - 1
+        for delta in range(3, n + 1, 2):
+            code = codes.bch_generator(m, delta)
+            g = oracles.bch_generator_by_roots(m, delta)
+            assert code.generator == g, (m, delta)
+            assert code.k == n - gf2m.degree(g)
+
+
+def test_low_dimension_code_forms_only_non_root_minimal_polynomials(monkeypatch):
+    # k = 17 at m = 16 leaves {0} and one coset of 16: one minimal
+    # polynomial, where the roots' product would need 4,113
+    formed, real = [], gf2m.minimal_polynomial
+    monkeypatch.setattr(gf2m, "minimal_polynomial",
+                        lambda e, m: formed.append(e) or real(e, m))
+    delta = codes.delta_for_dimension(16, 17)
+    code = codes.bch_generator(16, delta)
+    assert code.k == 17
+    assert len(formed) == 1 and formed[0] >= delta
+    assert gf2m.degree(code.generator) == (1 << 16) - 1 - 17
+
+
 def test_wrong_degree_minimal_polynomial_rejected(monkeypatch):
     # alpha^21 has a coset of size 2 at m = 6, so a generator built from its
     # minimal polynomial in place of alpha^3's still divides x^63 + 1, and

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -281,24 +282,52 @@ def test_trace_moments_after_norm_at_same_order(norm_route):
     assert spectral.norm_unchecked(other.copy()) == expected_norm
 
 
-def test_norm_route_threads_take_turns(norm_route):
-    # threads at one order share its workspace; each must still get its own
-    # matrix's norm and moments, the same as one thread computing them
+def test_norm_route_threads_run_at_once(norm_route):
+    # threads at one order, more than there are cores, released together
+    # and switched often, each with its own matrices: every thread's norms
+    # and moments equal one thread's, bit for bit, so no thread reads
+    # another's d, e or w (each has its own workspace)
     rng = np.random.default_rng(35)
-    mats = [random_symmetric(64, rng) for _ in range(64)]
-    expected = [(spectral.norm_unchecked(M.copy()),
-                 spectral.trace_moments_unchecked(M.copy(), 8)) for M in mats]
+    lanes = 4
+    mats = [random_symmetric(64, rng) for _ in range(16 * lanes)]
+    start = threading.Barrier(lanes)
 
     def both(M):
         return (spectral.norm_unchecked(M.copy()),
                 spectral.trace_moments_unchecked(M.copy(), 8))
 
-    for _ in range(3):
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(both, mats))
-        for (norm, moments), (norm_1, moments_1) in zip(got, expected):
-            assert norm == norm_1
-            assert np.array_equal(moments, moments_1)
+    def lane(share):
+        start.wait(timeout=60)
+        return [both(M) for M in share]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with spectral.one_blas_thread():
+            expected = [both(M) for M in mats]
+            for _ in range(3):
+                with ThreadPoolExecutor(max_workers=lanes) as pool:
+                    shares = list(pool.map(lane, [mats[i::lanes] for i in range(lanes)],
+                                           timeout=60))
+                for i, share in enumerate(shares):
+                    for (norm, moments), (norm_1, moments_1) in zip(
+                            share, expected[i::lanes], strict=True):
+                        assert norm == norm_1
+                        assert np.array_equal(moments, moments_1)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_blas_thread_pins_and_restores():
+    # one thread inside the block, the count found before it after, also
+    # when the block raises; without the OpenBLAS symbols nothing changes
+    before = spectral.environment()["blas_threads"]
+    with spectral.one_blas_thread():
+        assert spectral.environment()["blas_threads"] == (1 if spectral.CAN_PIN else before)
+    assert spectral.environment()["blas_threads"] == before
+    with pytest.raises(KeyError), spectral.one_blas_thread():
+        raise KeyError
+    assert spectral.environment()["blas_threads"] == before
 
 
 def test_extremes_match_full_solve(norm_route):
