@@ -18,8 +18,9 @@
 # hard edge a = 0 of the MP CDF) whose 130 spectra are scored in two full
 # KS blocks and a partial one, pseudo `norms` at N = 360 and pseudo
 # `moments` at N = 180 (orders of cli.PINNED_ORDERS, whose samples are
-# solved on lanes) and `genpoly --m 16 --k 17` (a low-dimension code,
-# built from its non-root cosets),
+# solved on lanes), `genpoly --m 16 --k 17` (a low-dimension code,
+# built from its non-root cosets) and `genpoly --m 18 --k 19` (a low
+# target dimension, found walking the coset leaders down from n/2),
 # on a git ref and on the working tree,
 # and compare their standard output, exit codes and every file they write
 # (config.json included).  Standard error is kept apart and not compared.
@@ -96,6 +97,8 @@ COMMANDS=(
     "moments --kind pseudo-wigner --m 14 --delta 31 --N 180 --count 100 --s-max 16 --seed 2 --out runs/mom180"
     # g from x^n + 1 over the non-root cosets' minimal polynomials
     "genpoly --m 16 --k 17"
+    # delta_for_dimension's walk down from n/2
+    "genpoly --m 18 --k 19"
 )
 
 run_side() {  # run_side NAME TREE: every command, outputs under $WORK/NAME

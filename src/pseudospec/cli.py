@@ -42,7 +42,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -152,9 +151,7 @@ def _lanes(spec: ensembles.EnsembleSpec) -> int:
     on where the BLAS is pinned, else 1."""
     if spec.order not in PINNED_ORDERS or not spectral.CAN_PIN:
         return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return spectral.cpu_count()
 
 
 def _log_divisor(N: int, epsilon: float) -> float:

@@ -204,13 +204,13 @@ def bch_generator(m: int, delta: int) -> CyclicCode:
     half = (n + 1) // 2
     if promoted - 1 <= half - promoted:
         g, roots = 1, 0
-        for e, size in _coset_leaders(1, promoted, n):
+        for e, size in _coset_leaders(range(1, promoted), n):
             g = gf2m.poly_mul(g, gf2m.minimal_polynomial(e, m))
             roots += size
         k = n - roots
     else:
         h, k = 0b11, 1  # the coset {0}: x + 1
-        for e, size in _coset_leaders(promoted, half, n):
+        for e, size in _coset_leaders(range(promoted, half), n):
             h = gf2m.poly_mul(h, gf2m.minimal_polynomial(e, m))
             k += size
         g = gf2m.poly_inverse(h, n - k + 1)
@@ -222,10 +222,10 @@ def bch_generator(m: int, delta: int) -> CyclicCode:
     return code
 
 
-def _coset_leaders(start: int, stop: int, n: int):
-    """(e, size of e's cyclotomic coset mod n) for each coset leader e in
-    start .. stop - 1: the least element of its coset."""
-    for e in range(start, stop):
+def _coset_leaders(candidates, n: int):
+    """(e, size of e's cyclotomic coset mod n) for each e of `candidates`
+    that leads its coset: is its least element."""
+    for e in candidates:
         coset = gf2m.cyclotomic_coset(e, n)
         if e == min(coset):
             yield e, len(coset)
@@ -236,23 +236,40 @@ def delta_for_dimension(m: int, k: int) -> int:
 
     Each coset leader e, upward, drops the dimension by its coset's size;
     leaders are odd, so e + 2 is the least odd delta with root alpha^e.
-    Raises if k is skipped over, since not every k is a BCH dimension.
+    The dimension left after e is also 1 (the coset {0}) plus the sizes of
+    the leaders above e, all below n/2 (see ``bch_generator``), so for
+    k < n/2 the leaders are walked down from n/2, and for larger k up from
+    1: the walk covers the short side of the answer.  Raises if k is
+    skipped over, since not every k is a BCH dimension, naming the nearest
+    dimensions on either side.
     """
     gf2m.default_primitive_poly(m)
     n = (1 << m) - 1
     if not 1 <= k < n:
         raise InvalidInputError(f"target dimension {k} outside [1, {n})")
-    dim, above = n, ""
-    for e, size in _coset_leaders(1, n, n):
-        dim -= size
-        if dim == k:
-            return e + 2
-        if dim < k:
-            raise InvalidInputError(
-                f"no BCH code of length {n} has dimension {k} "
-                f"(nearest: {above}k={dim} at delta={e + 2} below)"
-            )
-        above = f"k={dim} at delta={e + 2} above, "
+    skipped = f"no BCH code of length {n} has dimension {k}"
+    if 2 * k >= n:
+        dim, above = n, ""
+        for e, size in _coset_leaders(range(1, n, 2), n):
+            dim -= size
+            if dim == k:
+                return e + 2
+            if dim < k:
+                raise InvalidInputError(
+                    f"{skipped} (nearest: {above}k={dim} at delta={e + 2} below)"
+                )
+            above = f"k={dim} at delta={e + 2} above, "
+    else:
+        dim, below = 1, ""  # left after the last leader
+        for e, size in _coset_leaders(range(n // 2, 0, -2), n):
+            if dim == k:
+                return e + 2
+            if dim > k:
+                raise InvalidInputError(
+                    f"{skipped} (nearest: k={dim} at delta={e + 2} above, {below})"
+                )
+            below = f"k={dim} at delta={e + 2} below"
+            dim += size
 
 
 def dual_code(code: CyclicCode) -> DualCode:

@@ -51,6 +51,9 @@ fails to write them cannot pass for the previous call's success.
 ``one_blas_thread`` pins numpy's OpenBLAS to one thread and restores the
 count it found, through ``openblas_{get,set}_num_threads64_`` on the same
 handle.  A BLAS without them cannot be pinned (``CAN_PIN`` is False).
+``cpu_count`` is the one rule for how many CPUs the package's workers use:
+the lanes of ``norms`` and ``moments`` and the forked counters of sampled
+``verify-indep``, so a ``taskset`` limits both alike.
 
 The traces need no eigenvalue: traces are invariant under the similarity
 (Golub & Van Loan, *Matrix Computations*, sec. 8.3), and the banded powers
@@ -67,6 +70,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import os
 import threading
 
 import numpy as np
@@ -156,6 +160,14 @@ def one_blas_thread():
         yield
     finally:
         set_(before)
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, so ``taskset`` limits it, else ``os.cpu_count()``, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def environment() -> dict:

@@ -33,6 +33,10 @@ code under test:
   of the minimal polynomials (the expansion above) of its roots, one per
   coset leader below delta, against which ``codes.bch_generator`` is
   checked on both of its routes.
+- ``delta_for_dimension_upward``: the least designed distance of a BCH
+  dimension by walking every coset leader up from 1, values and error
+  text both, against which ``codes.delta_for_dimension`` is checked on
+  both of its walks.
 - ``min_distance_exact``: a code's minimum distance by enumerating its
   codewords, against the designed distance (criterion 1).
 - ``generator_matrix``: a code's dense k x n generator matrix, row j the
@@ -332,6 +336,28 @@ def bch_generator_by_roots(m: int, delta: int) -> int:
         if e == min(cyclotomic_coset(e, n)):
             g = poly_mul(g, minimal_polynomial(e, m))
     return g
+
+
+def delta_for_dimension_upward(m: int, k: int) -> int:
+    """The least odd designed distance whose BCH code of length 2^m - 1 has
+    dimension k, 1 <= k < 2^m - 1: each coset leader e from 1 up drops the
+    dimension by its coset's size, and e + 2 is the least odd delta with
+    alpha^e as a root.  A skipped k raises, naming the nearest dimensions."""
+    n = (1 << m) - 1
+    dim, above = n, ""
+    for e in range(1, n):
+        coset = cyclotomic_coset(e, n)
+        if e != min(coset):
+            continue
+        dim -= len(coset)
+        if dim == k:
+            return e + 2
+        if dim < k:
+            raise InvalidInputError(
+                f"no BCH code of length {n} has dimension {k} "
+                f"(nearest: {above}k={dim} at delta={e + 2} below)"
+            )
+        above = f"k={dim} at delta={e + 2} above, "
 
 
 def min_distance_exact(code: Union[CyclicCode, DualCode]) -> int:

@@ -483,13 +483,21 @@ def two_blas_threads():
     set_(before)
 
 
-def test_lanes_only_at_pinned_orders():
+def test_lanes_only_at_pinned_orders(monkeypatch):
     inside = lane_spec("random-wigner")
     assert inside.order in cli.PINNED_ORDERS
     expected = len(os.sched_getaffinity(0)) if spectral.CAN_PIN else 1
     assert cli._lanes(inside) == expected
     for N in (cli.PINNED_ORDERS.start - 1, cli.PINNED_ORDERS.stop):
         assert cli._lanes(cli.ensembles.EnsembleSpec("random-wigner", N=N)) == 1
+    # one CPU count for lanes and sampled verify-indep's workers: the
+    # affinity mask, else os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert spectral.cpu_count() == 5
+    assert cli._lanes(inside) == (5 if spectral.CAN_PIN else 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert spectral.cpu_count() == 1
 
 
 @pytest.mark.parametrize("kind", cli.ensembles.KINDS)

@@ -115,6 +115,33 @@ def test_delta_for_dimension_is_least_odd_delta():
                     codes.delta_for_dimension(m, k)
 
 
+def test_delta_for_dimension_matches_upward_walk():
+    # every k at every m <= 10, on both sides of n/2: the same delta, or
+    # the same error text for a k that no BCH code has
+    for m in range(2, 11):
+        for k in range(1, (1 << m) - 1):
+            try:
+                expected = oracles.delta_for_dimension_upward(m, k)
+            except InvalidInputError as exc:
+                with pytest.raises(InvalidInputError) as info:
+                    codes.delta_for_dimension(m, k)
+                assert str(info.value) == str(exc), (m, k)
+            else:
+                assert codes.delta_for_dimension(m, k) == expected, (m, k)
+
+
+def test_low_dimension_walks_down_from_half(monkeypatch):
+    # k = 21 at m = 20 is {0} and the last coset of 20 below n/2, found
+    # 257 odd candidates down from n/2; the walk up would visit some 262,000
+    visited, real = [], gf2m.cyclotomic_coset
+    monkeypatch.setattr(gf2m, "cyclotomic_coset",
+                        lambda e, n: visited.append(e) or real(e, n))
+    delta = codes.delta_for_dimension(20, 21)
+    assert 0 < len(visited) <= 300
+    assert codes.bch_generator(20, delta).k == 21
+    assert codes.bch_generator(20, delta - 2).k > 21  # the least such delta
+
+
 def test_bch_generator_matches_root_product():
     # every odd delta at m <= 8, so both routes run: the roots' product up
     # to delta ~ n/4, x^n + 1 over the non-root cosets' product above it
