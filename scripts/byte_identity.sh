@@ -18,7 +18,9 @@
 # hard edge a = 0 of the MP CDF) whose 130 spectra are scored in two full
 # KS blocks and a partial one, pseudo `norms` at N = 360 and pseudo
 # `moments` at N = 180 (orders of cli.PINNED_ORDERS, whose samples are
-# solved on lanes), `genpoly --m 16 --k 17` (a low-dimension code,
+# solved in forked shards, as are those of `norms` and `esd` at N = 180:
+# two or more shares on a 2-CPU box), `genpoly --m 16 --k 17` (a
+# low-dimension code,
 # built from its non-root cosets) and `genpoly --m 18 --k 19` (a low
 # target dimension, found walking the coset leaders down from n/2),
 # on a git ref and on the working tree,
@@ -92,7 +94,7 @@ COMMANDS=(
     "esd --kind random-mp --N 40 --gamma 0.625 --count 50 --seed 4 --out runs/rmp40"
     # gamma = 1, and two full blocks of cli.KS_BLOCK = 64 spectra plus a partial one
     "esd --kind pseudo-mp --m 10 --delta 15 --N 31 --p 31 --count 130 --seed 3 --out runs/mp31g1"
-    # solved on lanes, at one BLAS thread
+    # solved in forked shards, one per CPU, at one BLAS thread
     "norms --kind pseudo-wigner --m 16 --delta 31 --N 360 --count 40 --out runs/wig360"
     "moments --kind pseudo-wigner --m 14 --delta 31 --N 180 --count 100 --s-max 16 --seed 2 --out runs/mom180"
     # g from x^n + 1 over the non-root cosets' minimal polynomials

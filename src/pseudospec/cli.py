@@ -11,23 +11,23 @@ batch reproduces).  The batch commands build one
 the limit law.  At the orders of ``PINNED_ORDERS`` a batch command runs
 with numpy's OpenBLAS pinned to one thread (``spectral.one_blas_thread``),
 so its outputs do not depend on the BLAS thread count and its
-``config.json`` records 1; there ``norms`` and ``moments`` solve their
-samples on one worker thread ("lane") per CPU, each thread with its own
-LAPACK workspace.  Their samples come from ``iter_summaries``, the one loop
-over sample indices, which packs sample i itself and hands the matrix to
-the command's reader of ``spectral``.  For pseudo kinds it draws the
-message of sample 0 alone and those of samples 1 .. count-1 in blocks
-(``codes.block_messages``), so a block's fixed cost is paid after the
-first sample, never before it.  ``esd`` takes every eigenvalue
-(``spectral.eigenvalues_unchecked``); ``norms`` and ``moments`` take only
-the tridiagonal form, from which ``norms`` bisects for the two extreme
-eigenvalues (``spectral.norm_unchecked``) and ``moments`` forms the traces
-of powers (``spectral.trace_moments_unchecked``).  ``esd`` writes each
-spectrum's CSV row as it comes and scores the spectra against the limit
-law ``KS_BLOCK`` at a time: one ``spectral.ks_distance`` call, and so one
-law-CDF call, per block of a preallocated (KS_BLOCK, order) buffer, and
-one more for the partial last block.  The distances are bit for bit those
-of one call per spectrum.
+``config.json`` records 1; there ``norms``, ``esd`` and ``moments`` solve
+their samples in forked shards, one contiguous range of sample indices per
+CPU, and get the results back in index order.  Their samples come from
+``iter_summaries``, the one loop over sample indices, which packs sample i
+itself and hands the matrix to the command's reader of ``spectral``.  For
+pseudo kinds it draws the message of the first sample of a range alone and
+those of the rest in blocks (``codes.block_messages``), so a block's fixed
+cost is paid after the first sample, never before it.  ``esd`` takes
+every eigenvalue (``spectral.eigenvalues_unchecked``); ``norms`` and
+``moments`` take only the tridiagonal form, from which ``norms`` bisects
+for the two extreme eigenvalues (``spectral.norm_unchecked``) and
+``moments`` forms the traces of powers (``spectral.trace_moments_unchecked``).
+``esd`` writes each spectrum's CSV row as it comes and scores the spectra
+against the limit law ``KS_BLOCK`` at a time: one ``spectral.ks_distance``
+call, and so one law-CDF call, per block of a preallocated (KS_BLOCK,
+order) buffer, and one more for the partial last block.  The distances are
+bit for bit those of one call per spectrum.
 
 Exit codes: 0 success / verification pass, 1 verification fail, 2 invalid
 input or an output path that cannot be written, 3 numerical failure.
@@ -36,14 +36,11 @@ input or an output path that cannot be written, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import functools
-import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -59,79 +56,106 @@ DEFAULT_EPSILON = 0.1
 CHECKPOINT_EVERY = 1000
 KS_BLOCK = 64  # spectra per spectral.ks_distance call in esd
 # Matrix orders at which the batch commands pin the BLAS to one thread and
-# norms and moments run on lanes.  Below them a sample is too short for a
-# lane to pay for its hand-off, and above them more BLAS threads speed up
-# the reduction; README has the sweep that set both ends.
+# solve their samples in forked shards.  Below them a sample is too short
+# for a shard to pay for its fork, and above them more BLAS threads speed
+# up the reduction; README has the measurements that set both ends.
 PINNED_ORDERS = range(160, 600)
+SHARD_ROUND = 1024  # samples per CPU in one round of forked shards
 
 
 # ---------------------------------------------------------------------------
 # batch engine (also used directly by the verification suite)
 # ---------------------------------------------------------------------------
 
-def iter_summaries(spec: ensembles.EnsembleSpec, count: int, solve, lanes: int = 1):
+def iter_summaries(spec: ensembles.EnsembleSpec, count: int, solve):
     """``solve`` of the matrix of each sample 0 .. count-1, one yield per
     sample, in index order: the one loop over sample indices.
 
     Sample i is ``ensembles.pack(spec, ensembles.sample_bits(spec, i))``
-    and depends only on (seed, i), so every prefix of a batch reproduces.
-    Pseudo kinds draw the same bits two ways.  Sample 0 comes from
-    ``sample_bits``, one message alone; samples 1 .. count-1 take their
-    messages from ``codes.block_messages`` and their bits from
-    ``ensembles.codeword_bits``.  A block has a fixed cost, about 0.35 ms
-    at k = 70 and 0.7 ms at k = 210 however few messages it holds, against
-    27-50 us per message drawn alone (k = 70 to 320), so it pays for
-    itself from some 13 to 20 samples on.  Drawn after the first yield, it
-    never delays the first sample, which would count against a run's set-up
-    time.  Random kinds take every sample from ``sample_bits``.
+    and depends only on (seed, i), so every prefix of a batch reproduces,
+    and so does every range of indices (``_matrices``).
 
     ``solve`` is one of the readers of ``spectral``: ``esd`` passes
     ``eigenvalues_unchecked`` (the ascending eigenvalues), ``norms``
     ``norm_unchecked`` (the norm) and ``moments`` a partial of
     ``trace_moments_unchecked`` (the array of trace moments).  Packed
     matrices are symmetric and finite by construction, so the readers need
-    not check them, and each is fresh, so the reader may overwrite it.
+    not check them, and each is fresh, so the reader may overwrite it.  No
+    matrix is held between yields, so each is freed before the next is
+    packed.
 
-    With one lane, no matrix is held between yields, so each is freed
-    before the next is packed.  With ``lanes`` > 1 the BLAS is pinned to
-    one thread (``spectral.one_blas_thread``) from sample 0 on, and sample
-    0 is still packed and solved alone before the first yield.  After it
-    this thread packs each matrix and hands its ``solve`` to a pool of
-    ``lanes`` threads, keeping at most lanes + 1 samples in flight, and
-    yields the results in index order.  ``solve`` must then be safe to call
-    from several threads at once, as the LAPACK readers of ``spectral`` are,
-    and runs at one BLAS thread however many lanes it has, so its results
-    are those of one lane bit for bit.  Closing the generator, or an error
-    in any sample, yields no later sample, shuts the pool down and
-    restores the BLAS thread count; an error in sample j comes after the
-    yields of samples 0 .. j-1.
+    At the orders of ``PINNED_ORDERS``, where the BLAS can be pinned
+    (``spectral.CAN_PIN``), the BLAS is pinned to one thread
+    (``spectral.one_blas_thread``) from sample 0 on, and samples are solved
+    in forked shards; anywhere else every sample is solved here, at the
+    caller's BLAS thread count.
+    Sample 0 is still packed and solved alone before the first yield.
+    Samples 1 .. count-1 follow in rounds of at most ``SHARD_ROUND``
+    samples per CPU, each split into one contiguous share per CPU
+    (``spectral.shares``).  This process solves a round's first share and
+    yields each sample as soon as it is solved; a forked child
+    (``spectral.forked``) solves each other share, and this process then
+    yields their results in index order.  Every shard runs at one BLAS
+    thread, so its results are those of one process bit for bit; on one
+    CPU, or without ``os.fork``, this process solves everything.  The
+    rounds bound what a child holds and hands back, so memory does not
+    grow with ``count``.  ``solve`` must then return something picklable,
+    as the readers of ``spectral`` do.
+
+    An error in sample j comes after the yields of samples 0 .. j-1, with
+    the exception that ``solve`` raised, in a child as here.  Closing the
+    generator, or an error in any sample, yields no later sample, kills
+    and reaps every child and restores the BLAS thread count.
     """
-    matrices = _matrices(spec, count)
-    if lanes < 2:
-        yield from map(solve, matrices)
+    if spec.order not in PINNED_ORDERS or not spectral.CAN_PIN:
+        yield from map(solve, _matrices(spec, 0, count))
         return
     with spectral.one_blas_thread():
-        yield from map(solve, itertools.islice(matrices, 1))
-        pool = ThreadPoolExecutor(lanes, thread_name_prefix="pseudospec-lane")
-        pending = collections.deque()
-        try:
-            for M in matrices:
-                pending.append(pool.submit(solve, M))
-                if len(pending) > lanes:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            pool.shutdown(cancel_futures=True)
+        yield from map(solve, _matrices(spec, 0, min(count, 1)))
+        span = SHARD_ROUND * spectral.cpu_count()
+        shard = functools.partial(_solved, spec, solve)
+        for start in range(1, count, span):
+            first, *rest = spectral.shares(range(start, min(start + span, count)))
+            with spectral.forked(shard, rest) as solved:
+                yield from map(solve, _matrices(spec, first.start, first.stop))
+                for results, error in solved:
+                    yield from results
+                    if error is not None:
+                        raise error
 
 
-def _matrices(spec: ensembles.EnsembleSpec, count: int):
-    """The packed matrix of each sample 0 .. count-1, in index order (see
-    ``iter_summaries``)."""
-    messages = (codes.block_messages(spec.dual.k_dual, spec.seed, 1, count)
+def _solved(spec: ensembles.EnsembleSpec, solve, share: range):
+    """A forked shard of ``iter_summaries``: (the list of ``solve`` of the
+    matrix of each sample of `share`, in index order, up to the first that
+    raised; that exception, or None)."""
+    results = []
+    try:
+        for M in _matrices(spec, share.start, share.stop):
+            results.append(solve(M))
+    except Exception as exc:
+        return results, exc
+    return results, None
+
+
+def _matrices(spec: ensembles.EnsembleSpec, start: int, stop: int):
+    """The packed matrix of each sample start .. stop-1, in index order.
+
+    Pseudo kinds draw the same bits two ways.  Sample `start` comes from
+    ``ensembles.sample_bits``, one message alone; samples start+1 .. stop-1
+    take their messages from ``codes.block_messages`` and their bits from
+    ``ensembles.codeword_bits``.  A block has a fixed cost, about 0.35 ms
+    at k = 70 and 0.7 ms at k = 210 however few messages it holds, against
+    27-50 us per message drawn alone (k = 70 to 320), so it pays for itself
+    from some 13 to 20 samples on.  Drawn after the first matrix, it never
+    delays it, which would count against a run's set-up time.  Random
+    kinds take every sample from ``sample_bits``.  Either way sample i
+    depends only on (seed, i), so [start, a) then [a, stop) gives the
+    matrices of [start, stop).
+    """
+    messages = (codes.block_messages(spec.dual.k_dual, spec.seed, start + 1, stop)
                 if spec.pseudo else None)
-    for i in range(count):
-        if i and messages is not None:
+    for i in range(start, stop):
+        if i > start and messages is not None:
             bits = ensembles.codeword_bits(spec, next(messages))
         else:
             bits = ensembles.sample_bits(spec, i)
@@ -144,14 +168,6 @@ def _blas_pin(spec: ensembles.EnsembleSpec):
     if spec.order in PINNED_ORDERS:
         return spectral.one_blas_thread()
     return contextlib.nullcontext()
-
-
-def _lanes(spec: ensembles.EnsembleSpec) -> int:
-    """Lanes for ``norms`` and ``moments``: one per CPU this process may run
-    on where the BLAS is pinned, else 1."""
-    if spec.order not in PINNED_ORDERS or not spectral.CAN_PIN:
-        return 1
-    return spectral.cpu_count()
 
 
 def _log_divisor(N: int, epsilon: float) -> float:
@@ -301,8 +317,7 @@ def cmd_norms(args, spec: ensembles.EnsembleSpec) -> int:
     norms: list[float] = []
     with open(outdir / "norms.csv", "w") as fh:
         fh.write("norm\n")
-        for i, norm in enumerate(iter_summaries(spec, args.count, spectral.norm_unchecked,
-                                                _lanes(spec))):
+        for i, norm in enumerate(iter_summaries(spec, args.count, spectral.norm_unchecked)):
             v = norm / edge
             norms.append(v)
             fh.write(repr(v) + "\n")
@@ -402,7 +417,7 @@ def cmd_moments(args, spec: ensembles.EnsembleSpec) -> int:
     orders = range(1, args.s_max + 1)
     solve = functools.partial(spectral.trace_moments_unchecked, s_max=args.s_max)
     sums = np.zeros(args.s_max)
-    for moments in iter_summaries(spec, args.count, solve, _lanes(spec)):
+    for moments in iter_summaries(spec, args.count, solve):
         sums += moments
     means = sums / args.count
     with open(outdir / "moments.csv", "w") as fh:

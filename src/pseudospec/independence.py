@@ -27,31 +27,35 @@ message, and the batch is counted for every subset in one ``bincount``.
 
 The batches are independent and their pattern counts are exact integer
 sums, so they are split into contiguous shares, one per CPU this process
-may use (``spectral.cpu_count``) and at most one per batch.  The caller
-counts the first share and one forked child counts each other one,
-handing its int64 counts back through a pipe; their sum, and so every TV,
-report and exit code, is the same at any number of workers.  With one CPU,
-or without ``os.fork``, one process counts every batch.  Processes, not
-threads: every small numpy call of the kernel takes the GIL back, and two
-threads over the batches ran no faster than one.  A child runs only numpy
-integer kernels: it calls no BLAS, takes no lock, never flushes stdio and
-leaves by ``os._exit``, so forking from a process with other threads
-(numpy's OpenBLAS pool) is safe here, though Python 3.12 and later warn of
-it with a ``DeprecationWarning`` from ``os.fork``.  Exact mode stays in one
-process.  At m = 14 with 200 subsets and r = 4 the command takes about
-0.075 s on two CPUs and 0.095 s on one (in-process ``cli.main``, median of
-15 runs on a 2-vCPU Xeon).
+may use (``spectral.shares``) and at most one per batch.  The caller
+counts the first share and one forked child counts each other one
+(``spectral.forked``, the fork helper that ``cli``'s batch commands also
+use), handing its int64 counts back through a pipe; their sum, and so
+every TV, report and exit code, is the same at any number of workers.
+With one CPU, or without ``os.fork``, one process counts every batch.
+Processes, not threads: every small numpy call of the kernel takes the GIL
+back, and two threads over the batches ran no faster than one.
+
+Forking from a process with other threads is safe for both kinds of
+child.  The other threads are OpenBLAS's pool, and no child waits on them
+or on a lock one of them might hold at the fork.  A counting child runs
+only numpy integer kernels and calls no BLAS.  A batch child of ``cli``
+calls LAPACK with the BLAS pinned to one thread
+(``spectral.one_blas_thread``), and at one thread OpenBLAS runs every call
+on the calling thread and never hands work to its pool.  Neither child
+takes a lock of its own or flushes stdio, and each leaves by ``os._exit``.
+Python 3.12 and later still warn of such a fork with a
+``DeprecationWarning`` from ``os.fork``.  Exact mode stays in one process.
+At m = 14 with 200 subsets and r = 4 the command takes about 0.075 s on
+two CPUs and 0.095 s on one (in-process ``cli.main``, median of 15 runs on
+a 2-vCPU Xeon).
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import math
-import os
-import signal
-import traceback
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -131,8 +135,9 @@ def _sampled_tvs(column, k: int, subsets, r: int, seed: int) -> np.ndarray:
     s << r, indexes one ``bincount`` histogram of every subset at once.
     Both routes give the same integer counts.
 
-    ``_summed_in_workers`` counts the batches in contiguous shares, one
-    per worker, and adds the shares' integer counts.
+    The batches are counted in contiguous shares (``spectral.shares``),
+    all but the first in forked children (``spectral.forked``), and the
+    shares' integer counts are added.
     """
     needed, columns = np.unique(subsets, return_inverse=True)
     nbytes = (k + 7) // 8
@@ -178,85 +183,13 @@ def _sampled_tvs(column, k: int, subsets, r: int, seed: int) -> np.ndarray:
                 counts += np.bincount((patterns + offsets).ravel(), minlength=counts.size)
         return counts
 
-    counts = _summed_in_workers(count, range(0, SAMPLE_WORDS, codes.MESSAGE_BLOCK))
+    first, *rest = spectral.shares(range(0, SAMPLE_WORDS, codes.MESSAGE_BLOCK))
+    with spectral.forked(count, rest) as counted:
+        counts = count(first)
+        for share_counts in counted:
+            counts += share_counts
     freqs = counts.reshape(len(subsets), 1 << r) / float(SAMPLE_WORDS)
     return 0.5 * np.abs(freqs - 1.0 / (1 << r)).sum(axis=1)
-
-
-def _summed_in_workers(count, starts: range) -> np.ndarray:
-    """``count(starts)``, an int64 array, as the sum of ``count(share)`` over
-    contiguous shares of `starts`: one share per CPU (``spectral.cpu_count``)
-    and at most one per start, or a single share where ``os.fork`` is
-    missing.
-
-    Every share but the first is counted in a forked child (see the module
-    docstring for why it is safe), which writes its counts to a pipe and
-    leaves by ``os._exit``; the parent counts the first share, then reads
-    each pipe and reaps its child.  A short read or a nonzero exit status
-    raises RuntimeError.  Signals are blocked from each fork until its
-    child is recorded, and however the call is left, a child still running
-    is killed and reaped before it returns: no process outlives the call.
-    """
-    workers = min(spectral.cpu_count(), len(starts)) if hasattr(os, "fork") else 1
-    shares = [starts[len(starts) * i // workers : len(starts) * (i + 1) // workers]
-              for i in range(workers)]
-    children: dict[int, int] = {}  # pid -> read end of its pipe, in share order
-    try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _count_and_exit(count, share, write, mask)
-                children[pid] = read
-            except BaseException:
-                os.close(read)
-                raise
-            finally:
-                os.close(write)
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        total = count(shares[0])
-        for pid in list(children):
-            data = bytearray()
-            while chunk := os.read(children[pid], 1 << 16):
-                data += chunk
-            status = os.waitpid(pid, 0)[1]
-            os.close(children.pop(pid))
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0 or len(data) != total.nbytes:
-                raise RuntimeError(
-                    f"counting worker {pid} exited with status {code} after "
-                    f"writing {len(data)} of {total.nbytes} bytes"
-                )
-            total += np.frombuffer(data, dtype=np.int64)
-        return total
-    finally:
-        for pid, read in children.items():
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read)
-
-
-def _count_and_exit(count, share, write: int, mask) -> None:
-    """A forked child's whole life: restore the signal mask `mask`, write
-    ``count(share)`` to the pipe end `write` and leave by ``os._exit``,
-    status 0 only if all of it was written.  It never returns into the
-    caller's frames, so nothing of the parent's (its ``finally`` blocks,
-    atexit hooks, buffered stdio) runs twice.  An exception's traceback
-    goes to file descriptor 2, unbuffered."""
-    status = 1
-    try:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        view = memoryview(count(share)).cast("B")
-        while view:
-            view = view[os.write(write, view):]
-        status = 0
-    except Exception:
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(status)
 
 
 def verify_r_independence(

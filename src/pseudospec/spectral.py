@@ -43,17 +43,25 @@ Everything those LAPACK calls take but the matrix -- the arrays d, e, tau,
 the workspaces, the output w, the ``ctypes`` scalars and the argument
 tuples of all three calls -- is built once per order and thread and kept
 (``_workspace``), so a call costs its three foreign calls and little
-else.  Each thread has its own workspace, so threads that call the route
-at once never read each other's d, e or w, and none waits for another.
-INFO and the found count are reset before every call, so a call that
-fails to write them cannot pass for the previous call's success.
+else.  Each thread has its own workspace, so the readers are safe to call
+from several threads at once, each with its own matrix; the package
+itself calls them from one thread per process.  INFO and the found count
+are reset before every call, so a call that fails to write them cannot
+pass for the previous call's success.
 
 ``one_blas_thread`` pins numpy's OpenBLAS to one thread and restores the
 count it found, through ``openblas_{get,set}_num_threads64_`` on the same
 handle.  A BLAS without them cannot be pinned (``CAN_PIN`` is False).
-``cpu_count`` is the one rule for how many CPUs the package's workers use:
-the lanes of ``norms`` and ``moments`` and the forked counters of sampled
-``verify-indep``, so a ``taskset`` limits both alike.
+``cpu_count`` is the one rule for how many CPUs the package's workers
+use, and ``shares`` and ``forked`` are the one way they are started:
+contiguous index ranges, one per CPU, every range but the caller's run in
+a forked child that pickles its result back.  The batch commands of
+``cli`` solve their samples this way at the orders where the BLAS is
+pinned, and sampled ``verify-indep`` counts its message batches this way;
+a ``taskset`` limits both alike.  Processes, not threads: a thread of the
+batch loop hands the GIL over on every sample, and a thread of the
+counting kernel on every small numpy call, while a forked range pays one
+fork for all its work.
 
 The traces need no eigenvalue: traces are invariant under the similarity
 (Golub & Van Loan, *Matrix Computations*, sec. 8.3), and the banded powers
@@ -71,7 +79,10 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import os
+import pickle
+import signal
 import threading
+import traceback
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -168,6 +179,98 @@ def cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def shares(indices: range) -> list[range]:
+    """`indices` in contiguous shares, in order: one per CPU (``cpu_count``)
+    and at most one per index, or a single share where ``os.fork`` is
+    missing."""
+    n = len(indices)
+    workers = max(1, min(cpu_count(), n)) if hasattr(os, "fork") else 1
+    return [indices[n * i // workers : n * (i + 1) // workers] for i in range(workers)]
+
+
+@contextlib.contextmanager
+def forked(work, ranges):
+    """Run ``work(r)`` in one forked child per range r of `ranges`; the
+    block gets an iterator over their results, in order.
+
+    The caller works on its own range inside the block, while the children
+    run.  Each child pickles its result to a pipe and leaves by
+    ``os._exit``; the iterator reads each pipe to its end only when that
+    result is asked for, then reaps the child, so a child that finished
+    early waits on its full pipe, not the caller on it.  A child exits 0
+    only once its whole pickle is written, so a nonzero exit status, and
+    only that, marks a short read; it raises RuntimeError naming the bytes
+    written.  An exception in ``work`` is such a crash, its traceback on
+    file descriptor 2.  Signals are blocked from each fork until its child
+    is recorded, and however the block is left, a child still running is
+    killed and reaped: no process outlives it.  ``work`` runs in the child
+    only: it must be fork-safe (the module docstring of ``independence``
+    says why the package's are) and return something picklable.
+    """
+    children: dict[int, int] = {}  # pid -> read end of its pipe, in order
+    try:
+        for share in ranges:
+            read, write = os.pipe()
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(work, share, write, mask, [read, *children.values()])
+                children[pid] = read
+            except BaseException:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        yield _results(children)
+    finally:
+        for pid, read in children.items():
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+
+
+def _results(children: dict[int, int]):
+    """Each child's unpickled result, in order, reaping it (``forked``)."""
+    for pid in list(children):
+        data = bytearray()
+        while chunk := os.read(children[pid], 1 << 16):
+            data += chunk
+        status = os.waitpid(pid, 0)[1]
+        os.close(children.pop(pid))
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise RuntimeError(
+                f"worker {pid} exited with status {code} after writing {len(data)} bytes")
+        yield pickle.loads(data)
+
+
+def _run_child(work, share, write: int, mask, reads: list[int]) -> None:
+    """A forked child's whole life: close the pipe ends `reads` it
+    inherited, so that it gets EPIPE, not a wait for ever, if the caller
+    dies; restore the signal mask `mask`; write the pickle of
+    ``work(share)`` to the pipe end `write` and leave by ``os._exit``,
+    status 0 only if all of it was written.  It never returns into the
+    caller's frames, so nothing of the parent's (its ``finally`` blocks,
+    atexit hooks, buffered stdio) runs twice.  An exception's traceback
+    goes to file descriptor 2, unbuffered."""
+    status = 1
+    try:
+        for fd in reads:
+            os.close(fd)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        view = memoryview(pickle.dumps(work(share), pickle.HIGHEST_PROTOCOL))
+        while view:
+            view = view[os.write(write, view):]
+        status = 0
+    except Exception:
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
 
 
 def environment() -> dict:

@@ -8,7 +8,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -414,8 +413,11 @@ def test_iter_summaries_match_validated_eigen(kind):
             code = dict(m=14, delta=31) if order["N"] == 180 else dict(m=10, delta=15)
         spec = cli.ensembles.EnsembleSpec(kind, seed=3, **order, **code)
         eigs = list(cli.iter_summaries(spec, 3, cli.spectral.eigenvalues_unchecked))
-        for got, M in zip(eigs, packed(spec, 3), strict=True):
-            assert np.array_equal(got, np.linalg.eigvalsh(M)), order
+        # at N = 180 the samples are solved at one BLAS thread, so is the oracle
+        with cli._blas_pin(spec):
+            expected = [np.linalg.eigvalsh(M) for M in packed(spec, 3)]
+        for got, want in zip(eigs, expected, strict=True):
+            assert np.array_equal(got, want), order
 
 
 @pytest.mark.parametrize("kind", cli.ensembles.KINDS)
@@ -454,10 +456,29 @@ def test_iter_summaries_yields_each_sample_in_index_order(kind, monkeypatch):
                                  "message_bits": math.ceil(max(count - 1, 0) / block)}
 
 
-# --- lanes ------------------------------------------------------------------------
+@pytest.mark.parametrize("kind", cli.ensembles.KINDS)
+def test_matrices_of_two_ranges_join_to_one(kind, monkeypatch):
+    # [0, a) then [a, n) gives the matrices of [0, n) at every split a; with
+    # blocks of 3 messages most ranges start mid-block, drawing their first
+    # message alone and the rest in blocks from a + 1
+    monkeypatch.setattr(codes, "MESSAGE_BLOCK", 3)
+    p = 4 if kind in cli.ensembles.MP_KINDS else None
+    code = dict(m=6, delta=5) if kind in cli.ensembles.PSEUDO_KINDS else {}
+    spec = cli.ensembles.EnsembleSpec(kind, N=7, p=p, seed=12, **code)
+    n = 11
+    whole = [M.tobytes() for M in cli._matrices(spec, 0, n)]
+    assert whole == [M.tobytes() for M in packed(spec, n)]
+    assert len(set(whole)) == n
+    for a in range(n + 1):
+        joined = [M.tobytes() for M in cli._matrices(spec, 0, a)]
+        joined += [M.tobytes() for M in cli._matrices(spec, a, n)]
+        assert joined == whole, a
 
-def lane_spec(kind: str, seed: int = 4) -> cli.ensembles.EnsembleSpec:
-    """A spec at the smallest order that has lanes; MP kinds take N = p + 10."""
+
+# --- shards -----------------------------------------------------------------------
+
+def shard_spec(kind: str, seed: int = 4) -> cli.ensembles.EnsembleSpec:
+    """A spec at the smallest order that has shards; MP kinds take N = p + 10."""
     order = cli.PINNED_ORDERS.start
     mp = kind in cli.ensembles.MP_KINDS
     N, p = (order + 10, order) if mp else (order, None)
@@ -465,10 +486,6 @@ def lane_spec(kind: str, seed: int = 4) -> cli.ensembles.EnsembleSpec:
     if kind in cli.ensembles.PSEUDO_KINDS:
         code = dict(m=(N * (p or (N + 1) // 2)).bit_length(), delta=5)
     return cli.ensembles.EnsembleSpec(kind, N=N, p=p, seed=seed, **code)
-
-
-def lane_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name.startswith("pseudospec-lane")]
 
 
 @pytest.fixture()
@@ -483,70 +500,112 @@ def two_blas_threads():
     set_(before)
 
 
-def test_lanes_only_at_pinned_orders(monkeypatch):
-    inside = lane_spec("random-wigner")
-    assert inside.order in cli.PINNED_ORDERS
-    expected = len(os.sched_getaffinity(0)) if spectral.CAN_PIN else 1
-    assert cli._lanes(inside) == expected
-    for N in (cli.PINNED_ORDERS.start - 1, cli.PINNED_ORDERS.stop):
-        assert cli._lanes(cli.ensembles.EnsembleSpec("random-wigner", N=N)) == 1
-    # one CPU count for lanes and sampled verify-indep's workers: the
-    # affinity mask, else os.cpu_count()
+def test_shards_only_at_pinned_orders(monkeypatch, forks, no_child_left, tmp_path):
+    # one CPU count for the batch shards and sampled verify-indep's workers:
+    # the affinity mask, else os.cpu_count(), else 1
+    assert spectral.cpu_count() == len(os.sched_getaffinity(0))
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
     assert spectral.cpu_count() == 5
-    assert cli._lanes(inside) == (5 if spectral.CAN_PIN else 1)
+    assert spectral.shares(range(1, 11)) == [range(1, 3), range(3, 5), range(5, 7),
+                                             range(7, 9), range(9, 11)]
+    assert spectral.shares(range(4, 6)) == [range(4, 5), range(5, 6)]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert spectral.cpu_count() == 1
+    assert spectral.shares(range(1, 11)) == [range(1, 11)]
+
+    monkeypatch.setattr(spectral, "cpu_count", lambda: 3)
+    inside = shard_spec("random-wigner")
+    assert inside.order in cli.PINNED_ORDERS
+    sharded = 2 if spectral.CAN_PIN else 0  # samples 1 .. 3 in three shares
+    for spec, made in [
+        (inside, sharded),
+        (cli.ensembles.EnsembleSpec("random-wigner", N=cli.PINNED_ORDERS.start - 1), 0),
+        (cli.ensembles.EnsembleSpec("random-wigner", N=cli.PINNED_ORDERS.stop), 0),
+    ]:
+        forks[0] = 0
+        assert len(list(cli.iter_summaries(spec, 4, spectral.norm_unchecked))) == 4
+        assert forks[0] == made, spec.order
+    # all three batch commands shard at a pinned order
+    for command in ("norms", "esd", "moments"):
+        forks[0] = 0
+        assert run([command, "--kind", "random-wigner", "--N", str(inside.N),
+                    "--count", "4", "--out", str(tmp_path / command)]) == 0
+        assert forks[0] == sharded, command
+    no_child_left()
 
 
 @pytest.mark.parametrize("kind", cli.ensembles.KINDS)
-def test_lanes_match_one_lane(kind, monkeypatch):
-    # norms and moments on 2 and 3 lanes, bit for bit those of one lane at
-    # one BLAS thread, in index order, across message blocks of 3
+def test_shards_match_one_process(kind, monkeypatch, forks, no_child_left):
+    # norms, moments and esd on 1, 2 and 3 CPUs, bit for bit (and type for
+    # type) the readers' results on each packed sample at one BLAS thread,
+    # in index order, over rounds of 2 samples per CPU and message blocks
+    # of 3, so that shares start mid-block
     monkeypatch.setattr(codes, "MESSAGE_BLOCK", 3)
-    spec = lane_spec(kind)
+    monkeypatch.setattr(cli, "SHARD_ROUND", 2)
+    spec, count = shard_spec(kind), 11
+    matrices = packed(spec, count)
     moments = functools.partial(spectral.trace_moments_unchecked, s_max=9)
-    for solve in (spectral.norm_unchecked, moments):
+    for solve in (spectral.norm_unchecked, moments, spectral.eigenvalues_unchecked):
         with spectral.one_blas_thread():
-            one = np.array(list(cli.iter_summaries(spec, 11, solve)))
-        for lanes in (2, 3):
-            got = np.array(list(cli.iter_summaries(spec, 11, solve, lanes)))
-            assert got.shape == one.shape and np.array_equal(got, one), (solve, lanes)
-    assert not lane_threads()
+            expected = [solve(M.copy()) for M in matrices]
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(spectral, "cpu_count", lambda: workers)
+            forks[0] = 0
+            got = list(cli.iter_summaries(spec, count, solve))
+            assert [type(v) for v in got] == [type(v) for v in expected]
+            assert np.array_equal(np.array(got), np.array(expected)), (solve, workers)
+            # one fork per share of a round but its first
+            rounds = [range(start, min(start + 2 * workers, count))
+                      for start in range(1, count, 2 * workers)]
+            made = sum(min(workers, len(r)) - 1 for r in rounds)
+            assert forks[0] == (made if spectral.CAN_PIN else 0), (solve, workers)
+    no_child_left()
 
 
-def test_closing_lanes_restores_blas_threads(two_blas_threads):
-    gen = cli.iter_summaries(lane_spec("pseudo-wigner"), 30, spectral.norm_unchecked, 2)
-    for _ in range(3):
-        next(gen)
-        assert spectral.environment()["blas_threads"] == 1
-    assert lane_threads()
-    gen.close()
-    assert spectral.environment()["blas_threads"] == two_blas_threads
-    assert not lane_threads()
+def test_closing_shards_leaves_no_child(two_blas_threads, monkeypatch, forks, no_child_left):
+    # closed amid this process's share (samples 1 .. 14) or amid the
+    # forked child's results (15 .. 29)
+    monkeypatch.setattr(spectral, "cpu_count", lambda: 2)
+    for taken in (3, 20):
+        forks[0] = 0
+        gen = cli.iter_summaries(shard_spec("pseudo-wigner"), 30, spectral.norm_unchecked)
+        for _ in range(taken):
+            next(gen)
+            assert spectral.environment()["blas_threads"] == 1
+        assert forks[0] == 1
+        gen.close()
+        assert spectral.environment()["blas_threads"] == two_blas_threads
+        no_child_left()
 
 
-def test_lane_error_comes_after_earlier_samples(two_blas_threads):
-    # the reader fails on sample j: samples 0 .. j-1 are yielded, in order,
-    # then the error; the pool is gone and the thread count restored
-    spec = lane_spec("random-wigner")
-    matrices, j = packed(spec, 12), 7
+def test_shard_error_comes_after_earlier_samples(two_blas_threads, monkeypatch, forks,
+                                                  no_child_left):
+    # the reader fails on sample j, in this process's share (1 .. 5) or in
+    # the forked child's (6 .. 11): samples 0 .. j-1 are yielded, in order,
+    # then the reader's own error; no child is left and the thread count is
+    # restored
+    monkeypatch.setattr(spectral, "cpu_count", lambda: 2)
+    spec = shard_spec("random-wigner")
+    matrices = packed(spec, 12)
     with spectral.one_blas_thread():
-        expected = [spectral.norm_unchecked(M.copy()) for M in matrices[:j]]
+        expected = [spectral.norm_unchecked(M.copy()) for M in matrices]
+    for j in (3, 8):
 
-    def reader(M):
-        if np.array_equal(M, matrices[j]):
-            raise NumericalFailureError(f"sample {j}")
-        return spectral.norm_unchecked(M)
+        def reader(M):
+            if np.array_equal(M, matrices[j]):
+                raise NumericalFailureError(f"sample {j}")
+            return spectral.norm_unchecked(M)
 
-    got = []
-    with pytest.raises(NumericalFailureError, match=f"sample {j}"):
-        for norm in cli.iter_summaries(spec, 12, reader, 2):
-            got.append(norm)
-    assert got == expected
-    assert spectral.environment()["blas_threads"] == two_blas_threads
-    assert not lane_threads()
+        got = []
+        forks[0] = 0
+        with pytest.raises(NumericalFailureError, match=f"sample {j}"):
+            for norm in cli.iter_summaries(spec, 12, reader):
+                got.append(norm)
+        assert got == expected[:j]
+        assert forks[0] == 1
+        assert spectral.environment()["blas_threads"] == two_blas_threads
+        no_child_left()
 
 
 def test_batch_outputs_do_not_depend_on_blas_threads(tmp_path):

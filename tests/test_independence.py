@@ -253,31 +253,13 @@ def test_sampled_counts_match_scalar_histograms(monkeypatch, m, delta, k_dual, r
         assert report.max_total_variation == tvs.max()
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The number of os.fork calls the test makes, as a one-item list."""
-    made, real = [0], os.fork
-
-    def fork():
-        made[0] += 1
-        return real()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return made
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 # 4 full batches and a 37-word tail: 5 batches, so 3 workers get uneven
 # shares and 17 workers are more than there are batches
 PARTIAL_WORDS = 4 * codes.MESSAGE_BLOCK + 37
 
 
 @pytest.mark.parametrize("r", [4, 6, 7])  # the AND tree up to 6, bincount from 7
-def test_sampled_workers_match_one_process(monkeypatch, forks, r):
+def test_sampled_workers_match_one_process(monkeypatch, forks, no_child_left, r):
     monkeypatch.setattr(independence, "SAMPLE_WORDS", PARTIAL_WORDS)
     dual = codes.dual_code(codes.bch_generator(6, 5))
     subsets, _ = independence._iter_subsets(dual.n, r, 30, 3)
@@ -297,11 +279,11 @@ def test_sampled_workers_match_one_process(monkeypatch, forks, r):
     monkeypatch.delattr(os, "fork")
     report = independence.verify_r_independence(dual, r, mode="sampled", budget=30, seed=3)
     assert report.to_json() == results[1][1]
-    assert_no_child_left()
+    no_child_left()
 
 
 @pytest.mark.parametrize("failing", ["child", "parent", "interrupted parent"])
-def test_sampled_worker_failure_leaves_no_child(monkeypatch, capfd, failing):
+def test_sampled_worker_failure_leaves_no_child(monkeypatch, capfd, no_child_left, failing):
     # drawing messages fails in the two forked children only, or in the
     # calling process only, while the children still count
     monkeypatch.setattr(spectral, "cpu_count", lambda: 3)
@@ -318,7 +300,7 @@ def test_sampled_worker_failure_leaves_no_child(monkeypatch, capfd, failing):
     match = "exited with status 1" if failing == "child" else "no messages"
     with pytest.raises(RuntimeError if failing == "child" else error, match=match):
         independence.verify_r_independence(dual, 4, mode="sampled", budget=30)
-    assert_no_child_left()
+    no_child_left()
     if failing == "child":  # its traceback, unbuffered on file descriptor 2
         assert "ValueError: no messages" in capfd.readouterr().err
 
