@@ -56,9 +56,11 @@ DEFAULT_EPSILON = 0.1
 CHECKPOINT_EVERY = 1000
 KS_BLOCK = 64  # spectra per spectral.ks_distance call in esd
 # Matrix orders at which the batch commands pin the BLAS to one thread and
-# solve their samples in forked shards.  Below them a sample is too short
-# for a shard to pay for its fork, and above them more BLAS threads speed
-# up the reduction; README has the measurements that set both ends.
+# solve their samples in forked shards.  The lower end was set for worker
+# threads, which the shards replaced, and shards were not swept below it:
+# the one measurement there, order 25 at 50 samples a call, lost to one
+# process.  Above the range more BLAS threads speed up the reduction.
+# README has the measurements.
 PINNED_ORDERS = range(160, 600)
 SHARD_ROUND = 1024  # samples per CPU in one round of forked shards
 

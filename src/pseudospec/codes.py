@@ -57,15 +57,12 @@ subset sampler of ``independence`` still use ``default_rng``.
 Batch file format (``save_codewords``): an 8-byte header of two uint32
 little-endian fields (n, count), then ``count`` records of ceil(n/8) bytes
 each, coefficient of x^0 first (bit j of byte i is the coefficient of
-x^(8i+j)).  ``load_codewords`` rejects a file whose length does not match
-its header at once, and reads the records lazily, rejecting one wider
-than n bits when iteration reaches it.
+x^(8i+j)).
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -101,7 +98,7 @@ class CyclicCode:
         h = 0
         if g > 0 and g & 1 and k >= 0:
             h = (1 << k) | gf2m.poly_inverse(g, k)
-        if gf2m.poly_mul_windowed(h, g) != (1 << self.n) | 1:
+        if gf2m.poly_mul(h, g) != (1 << self.n) | 1:
             raise InvalidInputError("generator does not divide x^n + 1")
         if k < 1:
             raise DegenerateCodeError("code has dimension 0")
@@ -582,55 +579,3 @@ def save_codewords(path, words: Iterable[int], n: int) -> None:
             fh.write(w.to_bytes(nbytes, "little"))
         fh.seek(0)
         fh.write(struct.pack("<II", n, count))
-
-
-def load_codewords(path) -> tuple[int, Iterator[int]]:
-    """Read a codeword batch; returns (n, words), `words` an iterator that
-    reads the records in chunks of MESSAGE_BLOCK as it goes, so memory
-    holds one chunk however many records the file has.
-
-    The header and the file's length are checked at once: InvalidInputError
-    when the header is short or gives n < 1, and when the body is not
-    exactly count records long.  A record with a bit set at or above x^n
-    raises InvalidInputError when iteration reaches it, after the records
-    before it have been yielded.
-    """
-    with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) < 8:
-            raise InvalidInputError(
-                f"codeword file has {len(header)} bytes, header needs 8"
-            )
-        n, count = struct.unpack("<II", header)
-        if n < 1:
-            raise InvalidInputError(f"codeword file header gives length n={n}")
-        nbytes = (n + 7) // 8
-        body = os.fstat(fh.fileno()).st_size - 8
-    if body != count * nbytes:
-        raise InvalidInputError(
-            f"codeword file body has {body} bytes, header promises "
-            f"{count} records of {nbytes}"
-        )
-    return n, _read_records(path, n, count)
-
-
-def _read_records(path, n: int, count: int) -> Iterator[int]:
-    """The `count` records after the header of a checked batch file."""
-    nbytes = (n + 7) // 8
-    with open(path, "rb") as fh:
-        fh.seek(8)
-        for first in range(0, count, MESSAGE_BLOCK):
-            size = min(MESSAGE_BLOCK, count - first) * nbytes
-            chunk = fh.read(size)
-            if len(chunk) < size:
-                raise InvalidInputError(
-                    f"codeword file shrank while it was read: record "
-                    f"{first + len(chunk) // nbytes} of {count} is missing"
-                )
-            for j in range(0, size, nbytes):
-                word = int.from_bytes(chunk[j : j + nbytes], "little")
-                if word >> n:
-                    raise InvalidInputError(
-                        f"codeword {first + j // nbytes} has a bit set at or above x^{n}"
-                    )
-                yield word

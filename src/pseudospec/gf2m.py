@@ -13,17 +13,21 @@ is read off the power series of 1/g instead: ``poly_inverse`` computes
 g^-1 mod x^L by Newton iteration, a logarithmic number of steps, each one
 squaring and one long product.
 
-Products come in two forms as well.  ``poly_mul`` shifts the longer operand
-once per set bit of the shorter, which suits field elements.  A product
-with a long operand, a Newton step or the check that g divides x^n + 1,
-goes through ``poly_mul_windowed``: ``window_table`` tabulates the 16
-multiples of the longer operand by the polynomials of degree below 4, and
-``window_mul`` walks the shorter one 4 bits at a time, one shifted XOR per
-window (``codes.encode`` walks its messages the same way).  The square,
-f(x)^2 = f(x^2), spreads each byte of f to two through ``bytes.translate``
-tables (``poly_square``), and ``reciprocal`` reverses the byte order and,
-through one more table, the bits of each byte; neither turns a long
-polynomial into a string of binary digits.
+``poly_mul`` takes one of two routes, chosen by its shorter operand b of
+length l.  Shifting the longer operand once per set bit of b costs that
+many shifted XORs.  ``window_table`` tabulates the 16 multiples of the
+longer operand by the polynomials of degree below 4, 15 shifted XORs, and
+``window_mul`` walks b 4 bits at a time, one shifted XOR per window, so
+15 + ceil(l/4) in all (``codes.encode`` walks its messages the same way).
+The product takes the windows only when they cost fewer XORs.  It never
+does when b has at most 21 bits, as field elements and minimal
+polynomials up to m = 20 do; it does in most Newton steps and in the
+check that g divides x^n + 1.
+
+The square, f(x)^2 = f(x^2), spreads each byte of f to two through
+``bytes.translate`` tables (``poly_square``), and ``reciprocal`` reverses
+the byte order and, through one more table, the bits of each byte;
+neither turns a long polynomial into a string of binary digits.
 
 A field is named by its degree alone: ``alpha_pow`` and
 ``minimal_polynomial`` take m and reduce modulo p(x) = PRIMITIVE_POLYS[m],
@@ -99,9 +103,13 @@ def degree(p: int) -> int:
 
 
 def poly_mul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2) polynomials."""
+    """Carry-less product of two GF(2) polynomials, bit-serial or by 4-bit
+    windows over the longer operand, whichever costs fewer shifted XORs of
+    it (see the module doc)."""
     if a.bit_length() < b.bit_length():
         a, b = b, a
+    if b.bit_count() > 15 + (b.bit_length() + 3) // 4:
+        return window_mul(window_table(a), b)
     acc = 0
     while b:
         lsb = b & -b
@@ -127,18 +135,6 @@ def window_mul(table: tuple[int, ...], b: int) -> int:
         b >>= 4
         shift += 4
     return acc
-
-
-def poly_mul_windowed(a: int, b: int) -> int:
-    """Carry-less product for long operands, with 4-bit windows.
-
-    The table is built from the longer operand and the shorter one is
-    walked, so the work is 15 + l/4 shifted XORs of the longer one, l the
-    length of the shorter: a short factor of a long polynomial stays cheap.
-    """
-    if a.bit_length() < b.bit_length():
-        a, b = b, a
-    return window_mul(window_table(a), b)
 
 
 # byte -> its bits at the even positions of 16 bits: the low byte of that
@@ -185,7 +181,7 @@ def poly_inverse(g: int, L: int) -> int:
     while t < L:
         t = min(2 * t, L)
         mask = (1 << t) - 1
-        f = poly_mul_windowed(g & mask, poly_square(f)) & mask
+        f = poly_mul(g & mask, poly_square(f)) & mask
     return f & ((1 << L) - 1)
 
 

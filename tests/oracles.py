@@ -47,6 +47,10 @@ code under test:
   ``codes.message_for_index`` and ``codes.message_bits`` repeat in Python
   ints and in numpy blocks.
 - ``poly_from_hex``: the inverse of ``gf2m.poly_to_hex``.
+- ``read_codewords``: a codeword batch file read whole by its format,
+  the header (n, count) and then fixed-width little-endian records, with
+  no checks, against which ``codes.save_codewords`` and ``sample`` are
+  checked.
 - ``square_by_string`` / ``reciprocal_by_string``: a GF(2) square and a
   bit reversal through the binary digit string of the polynomial, against
   which the byte tables of ``gf2m.poly_square`` and ``gf2m.reciprocal``
@@ -56,7 +60,9 @@ code under test:
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
+from pathlib import Path
 from typing import Union
 
 import numpy as np
@@ -407,6 +413,15 @@ def message_for_index(k_bits: int, seed: int, index: int) -> int:
 def poly_from_hex(s: str) -> int:
     """Inverse of poly_to_hex."""
     return int.from_bytes(bytes.fromhex(s), "little")
+
+
+def read_codewords(path) -> tuple[int, list[int]]:
+    """(n, records) of a codeword batch file (README, "File formats")."""
+    raw = Path(path).read_bytes()
+    n, count = struct.unpack_from("<II", raw)
+    size = (n + 7) // 8
+    return n, [int.from_bytes(raw[8 + i * size : 8 + (i + 1) * size], "little")
+               for i in range(count)]
 
 
 def square_by_string(f: int) -> int:

@@ -154,9 +154,11 @@ def test_sample_writes_batch(tmp_path, capsys):
     out = str(tmp_path / "batch")
     assert run(["sample", "--m", "4", "--delta", "5", "--count", "6",
                 "--seed", "11", "--out", out]) == 0
-    n, words = codes.load_codewords(tmp_path / "batch" / "codewords.bin")
-    words = list(words)
+    path = tmp_path / "batch" / "codewords.bin"
+    n, words = oracles.read_codewords(path)
     assert n == 15 and len(words) == 6
+    assert path.stat().st_size == 8 + 6 * 2
+    assert all(word >> 15 == 0 for word in words)
     dual = codes.dual_code(codes.bch_generator(4, 5))
     assert words == list(codes.sample_codewords(dual, 6, seed=11))
     config = json.loads((tmp_path / "batch" / "config.json").read_text())
@@ -178,8 +180,8 @@ def test_sample_streams_one_block_at_a_time(tmp_path, capsys):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        n, words = codes.load_codewords(out / "codewords.bin")
-        assert (n, sum(1 for _ in words)) == (15, count)
+        n, words = oracles.read_codewords(out / "codewords.bin")
+        assert (n, len(words)) == (15, count)
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 

@@ -118,31 +118,67 @@ def test_poly_square_matches_string_form():
             assert square == ref_poly_mul(f, f)
 
 
+def windowed(a: int, b: int) -> bool:
+    """Whether ``poly_mul(a, b)`` walks 4-bit windows (the rule of the gf2m
+    module doc), so that a test can show it covers both routes."""
+    short = a if a.bit_length() < b.bit_length() else b
+    return short.bit_count() > 15 + (short.bit_length() + 3) // 4
+
+
+def at_rule(rnd: random.Random, length: int, extra: int) -> int:
+    """An operand of `length` bits with 15 + ceil(length/4) + extra set:
+    bit-serial at extra = 0, windowed at extra = 1."""
+    ones = 15 + (length + 3) // 4 + extra
+    low = rnd.sample(range(length - 1), ones - 1)
+    return sum(1 << i for i in low) | 1 << (length - 1)
+
+
 def test_poly_mul_windowed_matches_reference():
+    # both routes of poly_mul, on pairs of up to 300 bits and on operands
+    # with one set bit fewer and one more than the rule's bound, each
+    # against the reference; the table and walk on their own as well
     rnd = random.Random(33)
     small = [0, 1, 0b10, 0b1111, 0b10000, *(rnd.getrandbits(rnd.randint(1, 200))
                                             for _ in range(30))]
+    routes = set()
     for a in small:
         for b in small[::3]:
             expected = ref_poly_mul(a, b)
-            assert gf2m.poly_mul_windowed(a, b) == expected
+            assert gf2m.poly_mul(a, b) == expected
             assert gf2m.window_mul(gf2m.window_table(a), b) == expected
+            routes.add(windowed(a, b))
+    for length in (24, 25, 40, 64, 201):
+        for extra in (0, 1):
+            b = at_rule(rnd, length, extra)
+            for a in (rnd.getrandbits(length + 1) | 1 << length,
+                      rnd.getrandbits(300) | 1 << 299):
+                expected = ref_poly_mul(a, b)
+                assert gf2m.poly_mul(a, b) == expected
+                assert gf2m.poly_mul(b, a) == expected
+                assert windowed(a, b) == windowed(b, a) == bool(extra)
+    assert routes == {False, True}
 
 
 def test_poly_mul_windowed_long_and_lopsided_operands():
-    # lopsided pairs in both orders against the reference, whose cost is
-    # the longer operand's set bits times the shorter's length, and long
-    # pairs against the bit-serial product
+    # lopsided pairs in both orders: long operands against short ones on
+    # the bit-serial side of the rule and 24-bit ones on the windowed side,
+    # then long against 128-bit ones, windowed too; the reference's cost is
+    # the first operand's set bits times the second's length
     rnd = random.Random(34)
-    operands = long_operands(35)
-    for a in operands:
-        for bits in (1, 3, 4, 5, 12):
-            b = rnd.getrandbits(bits)
+    for a in long_operands(35):
+        for b in [rnd.getrandbits(bits) for bits in (1, 3, 4, 5, 12)] + [at_rule(rnd, 24, 1)]:
             expected = ref_poly_mul(a, b)
-            assert gf2m.poly_mul_windowed(a, b) == expected
-            assert gf2m.poly_mul_windowed(b, a) == expected
-    for a, b in zip(operands, reversed(operands)):
-        assert gf2m.poly_mul_windowed(a, b) == gf2m.poly_mul(a, b)
+            assert gf2m.poly_mul(a, b) == expected
+            assert gf2m.poly_mul(b, a) == expected
+            if a.bit_length() > b.bit_length():
+                assert windowed(a, b) == (b.bit_length() == 24)
+    for bits in (257, 1000, 2048, 4000):
+        a = rnd.getrandbits(bits) | 1 << (bits - 1)
+        b = rnd.getrandbits(128) | rnd.getrandbits(128) | 1 << 127
+        expected = ref_poly_mul(a, b)
+        assert gf2m.poly_mul(a, b) == expected
+        assert gf2m.poly_mul(b, a) == expected
+        assert windowed(a, b)
 
 
 def test_hex_roundtrip():

@@ -330,6 +330,32 @@ def test_one_blas_thread_pins_and_restores():
     assert spectral.environment()["blas_threads"] == before
 
 
+def _fail(share):
+    raise ValueError(f"share {share} fails")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forked needs os.fork")
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@pytest.mark.parametrize("case", ["normal", "child raises", "block raises"])
+def test_forked_closes_every_pipe_end(case, no_child_left):
+    # however the block is left, both ends of every child's pipe are
+    # closed: the process holds as many descriptors after it as before
+    ranges = [range(0, 3), range(3, 5), range(5, 6)]
+    before = len(os.listdir("/proc/self/fd"))
+    if case == "normal":
+        with spectral.forked(list, ranges) as results:
+            assert list(results) == [list(r) for r in ranges]
+    elif case == "child raises":
+        with pytest.raises(RuntimeError, match="exited with status 1"):
+            with spectral.forked(_fail, ranges) as results:
+                list(results)
+    else:
+        with pytest.raises(KeyError), spectral.forked(list, ranges):
+            raise KeyError
+    assert len(os.listdir("/proc/self/fd")) == before
+    no_child_left()
+
+
 def test_extremes_match_full_solve(norm_route):
     # eigvalsh's ends are the oracle: 1e-13 of the norm on the LAPACK route,
     # bit for bit on the fallback, which is that same solve
