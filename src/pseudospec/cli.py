@@ -145,7 +145,7 @@ def _matrices(spec: ensembles.EnsembleSpec, start: int, stop: int):
     Pseudo kinds draw the same bits two ways.  Sample `start` comes from
     ``ensembles.sample_bits``, one message alone; samples start+1 .. stop-1
     take their messages from ``codes.block_messages`` and their bits from
-    ``ensembles.codeword_bits``.  A block has a fixed cost, about 0.35 ms
+    ``ensembles.codeword_bits``.  A block has a fixed cost, about 0.3 ms
     at k = 70 and 0.7 ms at k = 210 however few messages it holds, against
     27-50 us per message drawn alone (k = 70 to 320), so it pays for itself
     from some 13 to 20 samples on.  Drawn after the first matrix, it never
@@ -515,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="exact", choices=["exact", "sampled"])
     p.add_argument("--budget", type=int, default=2000,
                    help="most r-subsets checked; below C(n, r) a seeded sample "
-                   "of them, drawn slowly when the budget is just under C(n, r)")
+                   "of them (above C(n, r)/2, every subset but a seeded sample "
+                   "left out)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify_indep)
 

@@ -42,17 +42,20 @@ from the same tables (``_mix_schedule``, ``_STATE_HASHES``).
 ``message_for_index`` repeats numpy's SeedSequence and PCG64 arithmetic in
 Python ints for one index, any nonnegative one, in 20 to 40 us;
 ``ensembles.sample_bits`` uses it to reach any one sample.
-``message_bits`` repeats it in numpy over a block of indices below 2^32;
-sampled ``verify-indep`` takes its bits from it, and ``block_messages``
-yields the messages of a range of indices from blocks of at most
-``MESSAGE_BLOCK``, drawing a block only once the last is used up.
-``sample_codewords`` and the batch commands (``cli.iter_summaries``, from
-sample 1 on) take their messages from ``block_messages``.  A block has a
-fixed cost, about 0.35 ms at k = 70 and 0.7 ms at k = 210 however few its
-messages, so the batch commands draw sample 0 alone and the first block
-only after it.  A pseudo kind's batch thus never loads ``numpy.random``,
-which would add about 5.5 MB to its peak RSS; the random kinds and the
-subset sampler of ``independence`` still use ``default_rng``.
+``message_words`` repeats it in numpy over a block of indices below 2^32
+and returns the raw PCG64 outputs word-major, output j of every message in
+row j; sampled ``verify-indep`` bit-slices its messages straight from those
+words.  ``message_bits`` reads the same words as a (messages, k) array of
+bits, and ``block_messages`` yields the messages of a range of indices from
+blocks of at most ``MESSAGE_BLOCK``, drawing a block only once the last is
+used up.  ``sample_codewords`` and the batch commands
+(``cli.iter_summaries``, from sample 1 on) take their messages from
+``block_messages``.  A block has a fixed cost, about 0.3 ms at k = 70 and
+0.7 ms at k = 210 however few its messages, so the batch commands draw
+sample 0 alone and the first block only after it.  A pseudo kind's batch
+thus never loads ``numpy.random``, which would add about 5.5 MB to its peak
+RSS; the random kinds and the subset sampler of ``independence`` still use
+``default_rng``.
 
 Batch file format (``save_codewords``): an 8-byte header of two uint32
 little-endian fields (n, count), then ``count`` records of ceil(n/8) bytes
@@ -77,7 +80,7 @@ from .errors import (
     InvalidInputError,
 )
 
-MESSAGE_BLOCK = 4096  # messages per ``message_bits`` call of a bulk draw
+MESSAGE_BLOCK = 4096  # messages per ``message_words`` call of a bulk draw
 
 
 @dataclass(frozen=True)
@@ -313,7 +316,7 @@ def encode(dual: DualCode, message: int, length: int | None = None) -> int:
 
 # numpy's SeedSequence hash constants (pool of 4 uint32 words) and PCG64's
 # 128-bit LCG multiplier; none depends on the data, so both message paths
-# read them from the same tables, and message_bits applies them to a whole
+# read them from the same tables, and message_words applies them to a whole
 # block of indices at once.
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
@@ -383,7 +386,7 @@ def message_for_index(k_bits: int, seed: int, index: int) -> int:
     subset, or parallel split of a batch reproduces identical messages.
     The message is ``default_rng((seed, index)).integers(0, 2, size=k_bits,
     dtype=uint8)`` read as an integer, bit j the j-th draw, computed in
-    Python ints by the steps ``message_bits`` lists, so ``numpy.random`` is
+    Python ints by the steps ``message_words`` lists, so ``numpy.random`` is
     never imported.  Any nonnegative seed and index are taken; a negative
     one raises InvalidInputError.
     """
@@ -450,22 +453,33 @@ def _seed_state(entropy: np.ndarray) -> list[np.ndarray]:
 def _pcg_step(hi, lo, inc_hi, inc_lo):
     """One PCG64 LCG step, (hi, lo) * multiplier + (inc_hi, inc_lo) mod
     2^128, on uint64 limbs.  The high limb of lo * _MULT_LO is formed from
-    32-bit halves, whose partial products fit in 64 bits.
+    the four products of 32-bit halves, each of which fits in 64 bits, with
+    the carries of the middle two folded into running sums.
     """
     lo0, lo1 = lo & _LOW32, lo >> _SHIFT32
-    low, mid_a, mid_b = lo0 * _MULT_LO0, lo1 * _MULT_LO0, lo0 * _MULT_LO1
-    carry = ((low >> _SHIFT32) + (mid_a & _LOW32) + (mid_b & _LOW32)) >> _SHIFT32
-    prod_lo = lo * _MULT_LO
-    new_lo = prod_lo + inc_lo
-    new_hi = (hi * _MULT_LO + lo * _MULT_HI + lo1 * _MULT_LO1 + (mid_a >> _SHIFT32)
-              + (mid_b >> _SHIFT32) + carry + inc_hi + (new_lo < prod_lo))
+    t = (lo0 * _MULT_LO0) >> _SHIFT32
+    t += lo1 * _MULT_LO0
+    u = t & _LOW32
+    u += lo0 * _MULT_LO1
+    new_hi = lo1 * _MULT_LO1
+    new_hi += t >> _SHIFT32
+    new_hi += u >> _SHIFT32
+    new_hi += hi * _MULT_LO
+    new_hi += lo * _MULT_HI
+    new_hi += inc_hi
+    new_lo = lo * _MULT_LO
+    new_lo += inc_lo
+    new_hi += new_lo < inc_lo  # the carry out of the low limb
     return new_hi, new_lo
 
 
-def message_bits(k_bits: int, seed: int, start: int, stop: int) -> np.ndarray:
-    """The bits of messages start .. stop-1 as a (stop - start, k_bits) uint8
-    array: row j is ``word_to_bits(message_for_index(k_bits, seed, start + j),
-    k_bits)``, bit for bit.
+def message_words(k_bits: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """The PCG64 outputs of messages start .. stop-1, word-major: a
+    (ceil(k_bits / 8), stop - start) little-endian uint64 array whose row j
+    is output j of every message and column i the outputs of message
+    start + i.  Bit j of that message is the top bit of byte j of its
+    column, so ``message_for_index(k_bits, seed, start + i)`` is read off
+    column i bit for bit.
 
     It repeats, over the whole block at once, what ``default_rng((seed, i))``
     and ``integers(0, 2, dtype=uint8)`` do for one index:
@@ -498,12 +512,25 @@ def message_bits(k_bits: int, seed: int, start: int, stop: int) -> np.ndarray:
     # state 0 steps to inc; initstate is added to it, then one more step
     lo = inc_lo + init_lo
     hi, lo = _pcg_step(inc_hi + init_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
-    raw = np.empty((stop - start, (k_bits + 7) // 8), dtype="<u8")
-    for j in range(raw.shape[1]):
+    words = np.empty(((k_bits + 7) // 8, stop - start), dtype="<u8")
+    for row in words:
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR: hi ^ lo rotated right by the top 6 bits of hi
         xored, rot = hi ^ lo, hi >> np.uint64(58)
-        raw[:, j] = (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
-    return raw.view(np.uint8)[:, :k_bits] >> 7
+        np.right_shift(xored, rot, out=row)
+        xored <<= (np.uint64(64) - rot) & np.uint64(63)
+        row |= xored
+    return words
+
+
+def message_bits(k_bits: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """The bits of messages start .. stop-1 as a (stop - start, k_bits) uint8
+    array: row j is ``word_to_bits(message_for_index(k_bits, seed, start + j),
+    k_bits)``, bit for bit.  The top bits of the bytes of ``message_words``,
+    message by message; its arguments are checked there.
+    """
+    words = message_words(k_bits, seed, start, stop)
+    return np.ascontiguousarray(words.T).view(np.uint8)[:, :k_bits] >> 7
 
 
 def block_messages(k_bits: int, seed: int, start: int, stop: int) -> Iterator[int]:

@@ -14,14 +14,16 @@ Sampled mode is an empirical cross-check from encoded words: it draws
 coordinate subsets, and flags any TV above 4 sqrt(2^r / 2^16) -- a crude
 concentration bound, never used as a proof of independence.  From r = 12
 that bound is at least 1, which no TV exceeds, so such r are rejected.
-The messages come in 16 batches of 4,096 from ``codes.message_bits``.  A
-batch's codeword bits at the needed coordinates are exact GF(2) sums,
-formed 64 messages to a uint64 by XOR tables over bit-sliced messages (the
-Method of Four Russians), with no float arithmetic.  The counting route
-depends only on r.  For r <= 6, where the 2^r patterns are at most the 64
-messages of a uint64 word, an AND tree over the packed parities splits
-each word's messages into one mask per pattern, and a population count of each mask adds 64
-messages at a time.  From r = 7 on, where the masks would outnumber a
+The messages come in 16 batches of 4,096 from ``codes.message_words``,
+whose raw PCG64 outputs are bit-sliced in uint64 arithmetic and one byte
+transpose, with no (messages, k) bit array in between.  A batch's codeword bits at the needed
+coordinates are exact GF(2) sums, formed 64 messages to a uint64 by XOR
+tables over the bit-sliced messages (the Method of Four Russians), with no
+float arithmetic.  The counting route depends only on r.  For r <= 6,
+where the 2^r patterns are at most the 64 messages of a uint64 word, an
+AND tree over the packed parities splits each word's messages into one
+mask per pattern, and a population count of each mask adds 64 messages at
+a time.  From r = 7 on, where the masks would outnumber a
 word's messages, each subset's bits are packed into one r-bit pattern per
 message, and the batch is counted for every subset in one ``bincount``.
 
@@ -46,9 +48,9 @@ on the calling thread and never hands work to its pool.  Neither child
 takes a lock of its own or flushes stdio, and each leaves by ``os._exit``.
 Python 3.12 and later still warn of such a fork with a
 ``DeprecationWarning`` from ``os.fork``.  Exact mode stays in one process.
-At m = 14 with 200 subsets and r = 4 the command takes about 0.075 s on
-two CPUs and 0.095 s on one (in-process ``cli.main``, median of 15 runs on
-a 2-vCPU Xeon).
+At m = 14 with 200 subsets and r = 4 the command takes about 0.065 s on
+two CPUs and 0.068 s on one (in-process ``cli.main``, median of 15 runs on
+a 2-vCPU Xeon whose second CPU was shared with other load).
 """
 
 from __future__ import annotations
@@ -98,14 +100,25 @@ def _rank_gf2(vectors) -> int:
 
 def _iter_subsets(n: int, r: int, budget: int, seed: int):
     """All C(n, r) subsets if they fit the budget, else a seeded sample of
-    `budget`: (sorted list of tuples, whether the list is exhaustive)."""
-    if math.comb(n, r) <= budget:
+    `budget`: (sorted list of tuples, whether the list is exhaustive).
+
+    The sample is drawn by rejection into a set.  A budget above half of
+    C(n, r) would make that a coupon collector's draw, so there the
+    C(n, r) - budget subsets left out are drawn the same way instead and
+    the rest are kept: the draw never needs more than C(n, r)/2 distinct
+    subsets.
+    """
+    total = math.comb(n, r)
+    if total <= budget:
         return list(itertools.combinations(range(n), r)), True
     rng = np.random.default_rng((int(seed), int(r)))
-    chosen: set[tuple[int, ...]] = set()
-    while len(chosen) < budget:
-        chosen.add(tuple(sorted(int(v) for v in rng.choice(n, size=r, replace=False))))
-    return sorted(chosen), False
+    left_out = 2 * budget > total
+    drawn: set[tuple[int, ...]] = set()
+    while len(drawn) < (total - budget if left_out else budget):
+        drawn.add(tuple(sorted(int(v) for v in rng.choice(n, size=r, replace=False))))
+    if left_out:
+        return [S for S in itertools.combinations(range(n), r) if S not in drawn], False
+    return sorted(drawn), False
 
 
 def _exact_tvs(column, subsets, r: int) -> np.ndarray:
@@ -114,15 +127,66 @@ def _exact_tvs(column, subsets, r: int) -> np.ndarray:
     return 1.0 - 2.0 ** (ranks - r)
 
 
+def _column_chunks(column, k: int, needed) -> np.ndarray:
+    """The `needed` generator columns, k-bit ints, as a (ceil(k/8),
+    len(needed)) intp array: row i holds byte i of each column, the
+    selector of its XOR table over message bits 8i .. 8i+7.  No bit at or
+    above k is set, so bit-slice rows past k are never selected.
+    """
+    nbytes = (k + 7) // 8
+    packed = b"".join(column(c).to_bytes(nbytes, "little") for c in needed)
+    return np.frombuffer(packed, np.uint8).reshape(-1, nbytes).T.astype(np.intp)
+
+
+# the top bit of each byte of a uint64; the multiplier that gathers those 8
+# bits into the top byte, byte i's at bit 56 + i; and the three swaps of an
+# 8 x 8 bit transpose (bit 8i + j to bit 8j + i), as (shift, mask) pairs
+_TOP_BITS = np.uint64(0x8080808080808080)
+_GATHER_TOP, _TOP_BYTE = np.uint64(0x0002040810204081), np.uint64(56)
+_TRANSPOSE8 = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in
+                    ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                     (28, 0x00000000F0F0F0F0)))
+
+
+def _bit_slices(words: np.ndarray) -> np.ndarray:
+    """The messages of ``codes.message_words`` bit-sliced: a (ceil(k/8), 8,
+    ceil(B/64)) uint64 array, B the messages, whose [i, b] row holds
+    message bit 8i + b of 64 messages per word, message 64w + j at bit j of
+    word w.  Bits past the last message are 0; rows past k hold the
+    stream's surplus bits, which no column selects.
+
+    Message bit 8i + b is the top bit of byte b of output i.  Those 8 top
+    bits of an output are gathered into one byte, so a uint64 of 8
+    messages' bytes is an 8 x 8 bit matrix (byte = message, bit = b), which
+    is transposed in place; one byte transpose then puts each b's bytes of
+    every 8 messages in a row.
+    """
+    outputs, batch = words.shape
+    padded = -(-batch // 64) * 64
+    gathered = np.zeros((outputs, padded), dtype=np.uint8)
+    top = words & _TOP_BITS
+    top *= _GATHER_TOP
+    top >>= _TOP_BYTE
+    gathered[:, :batch] = top
+    block = gathered.view(np.uint64)  # 8 messages to a word
+    for shift, mask in _TRANSPOSE8:
+        swap = block ^ (block >> shift)
+        swap &= mask
+        block ^= swap
+        block ^= swap << shift
+    rows = gathered.reshape(outputs, padded // 8, 8).transpose(0, 2, 1)
+    return np.ascontiguousarray(rows).view(np.uint64)
+
+
 def _sampled_tvs(column, k: int, subsets, r: int, seed: int) -> np.ndarray:
     """Empirical TV of each subset's projection over 2^16 seeded codewords.
 
     Codeword bit c of a message is its GF(2) dot product with column c of
     the generator matrix, so only the needed columns are computed and full
     codewords are never formed.  Each batch of messages from
-    ``codes.message_bits`` is bit-sliced: row i packs message bit i of 64
-    messages per uint64 word.  For each byte of message coordinates, a
-    256-entry table holds the XOR of every subset of its 8 rows, and a
+    ``codes.message_words`` is bit-sliced (``_bit_slices``): row i packs
+    message bit i of 64 messages per uint64 word.  For each byte of message
+    coordinates, a 256-entry table holds the XOR of every subset of its 8 rows, and a
     column's parities gain the entry its byte of the column selects (the
     Method of Four Russians).
 
@@ -140,9 +204,7 @@ def _sampled_tvs(column, k: int, subsets, r: int, seed: int) -> np.ndarray:
     shares' integer counts are added.
     """
     needed, columns = np.unique(subsets, return_inverse=True)
-    nbytes = (k + 7) // 8
-    packed = b"".join(column(c).to_bytes(nbytes, "little") for c in needed.tolist())
-    chunks = np.frombuffer(packed, np.uint8).reshape(-1, nbytes).T  # (nbytes, needed)
+    chunks = _column_chunks(column, k, needed.tolist())
     columns = columns.reshape(len(subsets), r).T  # (r, nsub): rows of `parity`
     offsets = np.arange(len(subsets), dtype=np.intp)[:, None] << r
 
@@ -150,19 +212,14 @@ def _sampled_tvs(column, k: int, subsets, r: int, seed: int) -> np.ndarray:
         counts = np.zeros(len(subsets) << r, dtype=np.int64)
         for start in starts:
             stop = min(start + codes.MESSAGE_BLOCK, SAMPLE_WORDS)
-            msgs = codes.message_bits(k, seed, start, stop)
-            words = (stop - start + 63) // 64
-            # zero rows past k add nothing; bits past the batch are masked or dropped
-            sliced = np.zeros((8 * nbytes, 8 * words), dtype=np.uint8)
-            sliced[:k, : (stop - start + 7) // 8] = np.packbits(
-                np.ascontiguousarray(msgs.T), axis=1, bitorder="little")
-            sliced = sliced.view(np.uint64).reshape(nbytes, 8, words)
+            sliced = _bit_slices(codes.message_words(k, seed, start, stop))
+            words = sliced.shape[2]
             table = np.zeros((256, words), dtype=np.uint64)
             parity = np.zeros((len(needed), words), dtype=np.uint64)
             for rows, chunk in zip(sliced, chunks):
                 for bit, row in enumerate(rows):
                     np.bitwise_xor(table[: 1 << bit], row, out=table[1 << bit : 2 << bit])
-                parity ^= table[chunk]
+                parity ^= table.take(chunk, axis=0)
             if 1 << r <= 64:
                 # level[v]: the messages whose first `bit` columns show pattern v
                 level = np.empty((1 << r, len(subsets), words), dtype=np.uint64)

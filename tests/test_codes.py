@@ -470,6 +470,37 @@ def test_message_bits_validation():
         codes.message_bits(8, -1, 0, 4)
 
 
+# message widths around whole bytes and whole outputs of 64 bits, and the
+# dual dimensions of the m = 10 and m = 14 codes; block sizes around one
+# uint64 word of messages, up to a full MESSAGE_BLOCK
+WORD_MAJOR_KS = (1, 7, 8, 9, 63, 64, 65, 70, 210, 320)
+WORD_MAJOR_BLOCKS = [(start, size) for size in (1, 63, 64, 65, 130, 4096)
+                     for start in (0, 12_345, 2**32 - size)]
+
+
+@pytest.mark.parametrize("start, size", WORD_MAJOR_BLOCKS)
+def test_message_words_match_message_for_index(start, size):
+    # bit j of a message is draw j of one stream, so the message at k is
+    # the low k bits of the message at 320; the first and last message of
+    # the block are also drawn at k itself
+    seed, widest = 5, max(WORD_MAJOR_KS)
+    reference = [codes.message_for_index(widest, seed, start + i) for i in range(size)]
+    raw = np.random.default_rng((seed, start)).bit_generator.random_raw(widest // 8)
+    for k in WORD_MAJOR_KS:
+        words = codes.message_words(k, seed, start, start + size)
+        assert words.shape == ((k + 7) // 8, size) and words.dtype == np.dtype("<u8")
+        assert words[:, 0].tolist() == raw[: (k + 7) // 8].tolist()  # row j: output j
+        top = np.ascontiguousarray(words.T).view(np.uint8)[:, :k] >> 7
+        packed = np.packbits(top, axis=1, bitorder="little").tobytes()
+        width = (k + 7) // 8
+        messages = [int.from_bytes(packed[i : i + width], "little")
+                    for i in range(0, len(packed), width)]
+        assert messages == [m & ((1 << k) - 1) for m in reference]
+        for i in (0, size - 1):
+            assert messages[i] == codes.message_for_index(k, seed, start + i)
+        assert np.array_equal(codes.message_bits(k, seed, start, start + size), top)
+
+
 def test_sample_codewords_cross_a_block(bch_15_7):
     dual = codes.dual_code(bch_15_7)
     words = list(codes.sample_codewords(dual, 4096 + 3, seed=2**32))

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -175,7 +176,8 @@ PINNED_REPORTS = {
     (4, 3, 5, 50, 0): '{"exhaustive": false, "failing_subset": [0, 2, 8, 9, 11], '
     '"max_total_variation": 0.75, "mode": "exact", "r_tested": 5, '
     '"subsets_checked": 50, "threshold": 0.0, "verdict": "fail"}',
-    (4, 5, 5, 2000, 0): '{"exhaustive": false, "failing_subset": [0, 1, 2, 9, 13], '
+    # 2000 of C(15, 5) = 3,003 subsets: the 1,003 left out are drawn
+    (4, 5, 5, 2000, 0): '{"exhaustive": false, "failing_subset": [0, 2, 3, 4, 11], '
     '"max_total_variation": 0.5, "mode": "exact", "r_tested": 5, '
     '"subsets_checked": 2000, "threshold": 0.0, "verdict": "fail"}',
     (5, 7, 6, 50, 0): '{"exhaustive": false, "failing_subset": null, '
@@ -193,6 +195,53 @@ def test_exact_reports_pinned(case):
     dual = codes.dual_code(codes.bch_generator(m, delta))
     report = independence.verify_r_independence(dual, r, budget=budget, seed=seed)
     assert report.to_json() == PINNED_REPORTS[case]
+
+
+def test_budget_near_every_subset_draws_those_left_out():
+    # 31,464 of C(31, 4) = 31,465: drawn as the one subset left out, where
+    # drawing 31,464 by rejection took seconds
+    start = time.perf_counter()
+    subsets, exhaustive = independence._iter_subsets(31, 4, 31_464, 0)
+    assert time.perf_counter() - start < 0.5
+    every = list(itertools.combinations(range(31), 4))
+    assert not exhaustive and len(subsets) == 31_464 and len(set(subsets)) == 31_464
+    assert subsets == sorted(subsets) and set(subsets) < set(every)
+    assert independence._iter_subsets(31, 4, 31_464, 0) == (subsets, False)
+
+
+@pytest.mark.parametrize("start, size", [
+    (start, size) for size in (1, 63, 64, 65, 130, 4096)
+    for start in (0, 12_345, 2**32 - size)])
+def test_bit_slices_match_message_for_index(start, size):
+    # row 8i + b of the slices holds message bit 8i + b, message j at bit j
+    # (mod 64) of word j // 64; the messages at k are the low k bits of
+    # those at 320, the first and last also drawn at k itself
+    seed, widest = 5, 320
+    reference = [codes.message_for_index(widest, seed, start + i) for i in range(size)]
+    for k in (1, 7, 8, 9, 63, 64, 65, 70, 210, 320):
+        sliced = independence._bit_slices(codes.message_words(k, seed, start, start + size))
+        assert sliced.shape == ((k + 7) // 8, 8, (size + 63) // 64)
+        bits = np.unpackbits(sliced.view(np.uint8), axis=2, bitorder="little")
+        bits = bits.reshape(-1, bits.shape[2])
+        assert not bits[:, size:].any()  # no padding message has a bit set
+        packed = np.packbits(bits[:k, :size].T, axis=1, bitorder="little")
+        messages = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        assert messages == [m & ((1 << k) - 1) for m in reference]
+        for i in (0, size - 1):
+            assert messages[i] == codes.message_for_index(k, seed, start + i)
+
+
+@pytest.mark.parametrize("m, delta", [(4, 5), (6, 5), (10, 7), (10, 15), (14, 31)])
+def test_column_chunks_select_no_row_past_k(m, delta):
+    # rows of the bit slices at and past k hold the stream's surplus bits:
+    # a column byte may never select one
+    dual = codes.dual_code(codes.bch_generator(m, delta))
+    k, column = dual.k_dual, codes.column_reader(dual)
+    chunks = independence._column_chunks(column, k, range(dual.n))
+    assert chunks.shape == ((k + 7) // 8, dual.n) and chunks.dtype == np.intp
+    assert not (chunks[-1] >> (k - 8 * (len(chunks) - 1))).any()
+    assert [sum(int(b) << (8 * i) for i, b in enumerate(col)) for col in chunks.T.tolist()] \
+        == [column(c) for c in range(dual.n)]
 
 
 def test_sampled_mode_smoke():
@@ -287,15 +336,15 @@ def test_sampled_worker_failure_leaves_no_child(monkeypatch, capfd, no_child_lef
     # drawing messages fails in the two forked children only, or in the
     # calling process only, while the children still count
     monkeypatch.setattr(spectral, "cpu_count", lambda: 3)
-    parent, real = os.getpid(), codes.message_bits
+    parent, real = os.getpid(), codes.message_words
     error = KeyboardInterrupt if failing == "interrupted parent" else ValueError
 
-    def message_bits(k_bits, seed, start, stop):
+    def message_words(k_bits, seed, start, stop):
         if (os.getpid() == parent) == (failing != "child"):
             raise error("no messages")
         return real(k_bits, seed, start, stop)
 
-    monkeypatch.setattr(codes, "message_bits", message_bits)
+    monkeypatch.setattr(codes, "message_words", message_words)
     dual = codes.dual_code(codes.bch_generator(6, 5))
     match = "exited with status 1" if failing == "child" else "no messages"
     with pytest.raises(RuntimeError if failing == "child" else error, match=match):
