@@ -11,7 +11,8 @@
 # takes (11), at r = 6 and r = 7 (the largest r counted by the AND tree and
 # the smallest counted by bincount) and at k_dual = 8 over every subset, a
 # failing exact and a failing sampled verify-indep (exit 1), a `sample` whose
-# seed has two 32-bit words, a `sample` over three message blocks, a pseudo
+# seed has two 32-bit words, a `sample` over three message blocks, a `sample`
+# at k_dual = 70 (a partial last message byte) across a block, a pseudo
 # `esd` whose seed has two 32-bit words (sample 0's message then mixes three
 # entropy words), a pseudo `norms` whose batch crosses a message block, a
 # `sample` without --delta (exit 2), a pseudo `esd` at gamma = 1 (the
@@ -81,11 +82,15 @@ COMMANDS=(
     "verify-indep --m 4 --delta 5 --r 4 --mode sampled"
     "sample --m 14 --delta 31 --count 3000 --seed 4294967296 --out runs/sample14"
     "sample --m 4 --delta 5 --count 10000 --seed 3 --out runs/sample4"
+    # k_dual = 70, not a whole number of bytes: message 0 drawn alone, then
+    # blocks of message_bytes whose last byte is masked to 6 bits, across a
+    # 4,096-message block
+    "sample --m 10 --delta 15 --count 5000 --seed 7 --out runs/sample10"
     # the pseudo sample path under the two batch commands not covered above
     "norms --kind pseudo-mp --m 10 --delta 15 --N 40 --p 25 --count 200 --seed 3 --out runs/normsmp40"
     "moments --kind pseudo-wigner --m 10 --delta 15 --N 44 --count 50 --s-max 8 --seed 5 --out runs/mom44"
     # a two-word seed on the batch path: sample 0 from message_for_index,
-    # samples 1 .. 19 from message_bits
+    # samples 1 .. 19 from one block of message_bytes
     "esd --kind pseudo-mp --m 10 --delta 15 --N 40 --p 25 --count 20 --seed 4294967301 --out runs/mp40s2"
     # samples 1 .. 4199 of a batch cross a 4,096-message block
     "norms --kind pseudo-wigner --m 10 --delta 15 --N 8 --count 4200 --seed 6 --out runs/wig8"

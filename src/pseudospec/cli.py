@@ -16,11 +16,12 @@ their samples in forked shards, one contiguous range of sample indices per
 CPU, and get the results back in index order.  Their samples come from
 ``iter_summaries``, the one loop over sample indices, which packs sample i
 itself and hands the matrix to the command's reader of ``spectral``.  For
-pseudo kinds it draws the message of the first sample of a range alone and
-those of the rest in blocks (``codes.block_messages``), so a block's fixed
-cost is paid after the first sample, never before it.  ``esd`` takes
-every eigenvalue (``spectral.eigenvalues_unchecked``); ``norms`` and
-``moments`` take only the tridiagonal form, from which ``norms`` bisects
+pseudo kinds it takes the messages of a range of samples from
+``codes.block_messages``, which draws the first alone and the rest in
+blocks, so a block's fixed cost is paid after the first sample, never
+before it.  ``esd`` takes every eigenvalue
+(``spectral.eigenvalues_unchecked``); ``norms`` and ``moments`` take
+only the tridiagonal form, from which ``norms`` bisects
 for the two extreme eigenvalues (``spectral.norm_unchecked``) and
 ``moments`` forms the traces of powers (``spectral.trace_moments_unchecked``).
 ``esd`` writes each spectrum's CSV row as it comes and scores the spectra
@@ -74,8 +75,10 @@ def iter_summaries(spec: ensembles.EnsembleSpec, count: int, solve):
     sample, in index order: the one loop over sample indices.
 
     Sample i is ``ensembles.pack(spec, ensembles.sample_bits(spec, i))``
-    and depends only on (seed, i), so every prefix of a batch reproduces,
-    and so does every range of indices (``_matrices``).
+    bit for bit, pseudo kinds drawing its message through
+    ``codes.block_messages`` (``_matrices``), and depends only on
+    (seed, i), so every prefix of a batch reproduces, and so does every
+    range of indices.
 
     ``solve`` is one of the readers of ``spectral``: ``esd`` passes
     ``eigenvalues_unchecked`` (the ascending eigenvalues), ``norms``
@@ -142,26 +145,21 @@ def _solved(spec: ensembles.EnsembleSpec, solve, share: range):
 def _matrices(spec: ensembles.EnsembleSpec, start: int, stop: int):
     """The packed matrix of each sample start .. stop-1, in index order.
 
-    Pseudo kinds draw the same bits two ways.  Sample `start` comes from
-    ``ensembles.sample_bits``, one message alone; samples start+1 .. stop-1
-    take their messages from ``codes.block_messages`` and their bits from
-    ``ensembles.codeword_bits``.  A block has a fixed cost, about 0.3 ms
-    at k = 70 and 0.7 ms at k = 210 however few messages it holds, against
-    27-50 us per message drawn alone (k = 70 to 320), so it pays for itself
-    from some 13 to 20 samples on.  Drawn after the first matrix, it never
-    delays it, which would count against a run's set-up time.  Random
-    kinds take every sample from ``sample_bits``.  Either way sample i
-    depends only on (seed, i), so [start, a) then [a, stop) gives the
-    matrices of [start, stop).
+    Pseudo kinds take their messages from ``codes.block_messages``, which
+    draws that of sample `start` alone and the rest in blocks, so a block's
+    fixed cost never delays the first matrix, which would count against a
+    run's set-up time; ``ensembles.codeword_bits`` gives their bits.
+    Random kinds take every sample from ``ensembles.sample_bits``.  Either
+    way sample i depends only on (seed, i), so [start, a) then [a, stop)
+    gives the matrices of [start, stop).
     """
-    messages = (codes.block_messages(spec.dual.k_dual, spec.seed, start + 1, stop)
-                if spec.pseudo else None)
-    for i in range(start, stop):
-        if i > start and messages is not None:
-            bits = ensembles.codeword_bits(spec, next(messages))
-        else:
-            bits = ensembles.sample_bits(spec, i)
-        yield ensembles.pack(spec, bits)
+    if spec.pseudo:
+        messages = codes.block_messages(spec.dual.k_dual, spec.seed, start, stop)
+        bits = (ensembles.codeword_bits(spec, message) for message in messages)
+    else:
+        bits = (ensembles.sample_bits(spec, i) for i in range(start, stop))
+    for sample in bits:
+        yield ensembles.pack(spec, sample)
 
 
 def _blas_pin(spec: ensembles.EnsembleSpec):

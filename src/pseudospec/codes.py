@@ -40,21 +40,20 @@ on (seed, i).  Two ports of that definition give the same bits, and
 neither imports ``numpy.random``; both read SeedSequence's hash constants
 from the same tables (``_mix_schedule``, ``_STATE_HASHES``).
 ``message_for_index`` repeats numpy's SeedSequence and PCG64 arithmetic in
-Python ints for one index, any nonnegative one, in 20 to 40 us;
+Python ints for one index, any nonnegative one, in 14 to 32 us;
 ``ensembles.sample_bits`` uses it to reach any one sample.
-``message_words`` repeats it in numpy over a block of indices below 2^32
-and returns the raw PCG64 outputs word-major, output j of every message in
-row j; sampled ``verify-indep`` bit-slices its messages straight from those
-words.  ``message_bits`` reads the same words as a (messages, k) array of
-bits, and ``block_messages`` yields the messages of a range of indices from
-blocks of at most ``MESSAGE_BLOCK``, drawing a block only once the last is
-used up.  ``sample_codewords`` and the batch commands
-(``cli.iter_summaries``, from sample 1 on) take their messages from
-``block_messages``.  A block has a fixed cost, about 0.3 ms at k = 70 and
-0.7 ms at k = 210 however few its messages, so the batch commands draw
-sample 0 alone and the first block only after it.  A pseudo kind's batch
-thus never loads ``numpy.random``, which would add about 5.5 MB to its peak
-RSS; the random kinds and the subset sampler of ``independence`` still use
+``message_bytes``, the one numpy reader of the stream, repeats it over a
+block of indices below 2^32 and returns the messages byte-major, byte j of
+every message in row j; sampled ``verify-indep`` bit-slices them as they
+are.  ``block_messages`` yields the messages of a range of indices as ints:
+the first from ``message_for_index``, the rest from blocks of at most
+``MESSAGE_BLOCK``, drawing a block only once the last is used up.  A block
+has a fixed cost, about 0.35 ms at k = 70 and 0.7 ms at k = 210 however
+few its messages, so the first message of a range never waits for one.
+``sample_codewords`` and the batch commands (``cli.iter_summaries``) take
+their messages from ``block_messages``.  A pseudo kind's batch thus never
+loads ``numpy.random``, which would add about 5.5 MB to its peak RSS; the
+random kinds and the subset sampler of ``independence`` still use
 ``default_rng``.
 
 Batch file format (``save_codewords``): an 8-byte header of two uint32
@@ -80,7 +79,7 @@ from .errors import (
     InvalidInputError,
 )
 
-MESSAGE_BLOCK = 4096  # messages per ``message_words`` call of a bulk draw
+MESSAGE_BLOCK = 4096  # messages per ``message_bytes`` call of a bulk draw
 
 
 @dataclass(frozen=True)
@@ -316,7 +315,7 @@ def encode(dual: DualCode, message: int, length: int | None = None) -> int:
 
 # numpy's SeedSequence hash constants (pool of 4 uint32 words) and PCG64's
 # 128-bit LCG multiplier; none depends on the data, so both message paths
-# read them from the same tables, and message_words applies them to a whole
+# read them from the same tables, and message_bytes applies them to a whole
 # block of indices at once.
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
@@ -330,6 +329,10 @@ _MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
 _MULT_LO0 = np.uint64(_PCG_MULT & _MASK32)
 _MULT_LO1 = np.uint64((_PCG_MULT >> 32) & _MASK32)
 _LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+# the top bit of each byte of a uint64, and the multiplier that gathers
+# those 8 bits into the top byte, byte b's at bit 56 + b
+_TOP_BITS = np.uint64(0x8080808080808080)
+_GATHER_TOP, _TOP_BYTE = np.uint64(0x0002040810204081), np.uint64(56)
 # byte -> b"1" when its top bit, the bit ``integers(0, 2, dtype=uint8)``
 # keeps, is set
 _TOP_BIT = bytes(b"01"[byte >> 7] for byte in range(256))
@@ -386,7 +389,7 @@ def message_for_index(k_bits: int, seed: int, index: int) -> int:
     subset, or parallel split of a batch reproduces identical messages.
     The message is ``default_rng((seed, index)).integers(0, 2, size=k_bits,
     dtype=uint8)`` read as an integer, bit j the j-th draw, computed in
-    Python ints by the steps ``message_words`` lists, so ``numpy.random`` is
+    Python ints by the steps ``message_bytes`` lists, so ``numpy.random`` is
     never imported.  Any nonnegative seed and index are taken; a negative
     one raises InvalidInputError.
     """
@@ -473,13 +476,12 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return new_hi, new_lo
 
 
-def message_words(k_bits: int, seed: int, start: int, stop: int) -> np.ndarray:
-    """The PCG64 outputs of messages start .. stop-1, word-major: a
-    (ceil(k_bits / 8), stop - start) little-endian uint64 array whose row j
-    is output j of every message and column i the outputs of message
-    start + i.  Bit j of that message is the top bit of byte j of its
-    column, so ``message_for_index(k_bits, seed, start + i)`` is read off
-    column i bit for bit.
+def message_bytes(k_bits: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """The bits of messages start .. stop-1, byte-major: a (ceil(k_bits / 8),
+    stop - start) uint8 array whose column i holds message start + i, byte j
+    its bits 8j .. 8j+7 (bit b of the byte is message bit 8j + b), with the
+    bits at and past k_bits 0.  Column i read little-endian is
+    ``message_for_index(k_bits, seed, start + i)`` bit for bit.
 
     It repeats, over the whole block at once, what ``default_rng((seed, i))``
     and ``integers(0, 2, dtype=uint8)`` do for one index:
@@ -490,7 +492,8 @@ def message_words(k_bits: int, seed: int, start: int, stop: int) -> np.ndarray:
     - PCG64 seeds from those 4 words: state 0, inc = (initseq << 1) | 1,
       one step, add initstate, one step;
     - each XSL-RR output of 64 bits gives 8 bytes of the little-endian raw
-      stream, and message bit j is the top bit of byte j.
+      stream, and message bit j is the top bit of byte j, so byte j of a
+      message is the 8 top bits of its output j, gathered by one multiply.
 
     An index of 2^32 or more has two entropy words and so another mix;
     ``message_for_index`` takes one, but no block caller reaches one, and
@@ -512,7 +515,7 @@ def message_words(k_bits: int, seed: int, start: int, stop: int) -> np.ndarray:
     # state 0 steps to inc; initstate is added to it, then one more step
     lo = inc_lo + init_lo
     hi, lo = _pcg_step(inc_hi + init_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
-    words = np.empty(((k_bits + 7) // 8, stop - start), dtype="<u8")
+    words = np.empty(((k_bits + 7) // 8, stop - start), dtype=np.uint64)
     for row in words:
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
         # XSL-RR: hi ^ lo rotated right by the top 6 bits of hi
@@ -520,32 +523,32 @@ def message_words(k_bits: int, seed: int, start: int, stop: int) -> np.ndarray:
         np.right_shift(xored, rot, out=row)
         xored <<= (np.uint64(64) - rot) & np.uint64(63)
         row |= xored
-    return words
-
-
-def message_bits(k_bits: int, seed: int, start: int, stop: int) -> np.ndarray:
-    """The bits of messages start .. stop-1 as a (stop - start, k_bits) uint8
-    array: row j is ``word_to_bits(message_for_index(k_bits, seed, start + j),
-    k_bits)``, bit for bit.  The top bits of the bytes of ``message_words``,
-    message by message; its arguments are checked there.
-    """
-    words = message_words(k_bits, seed, start, stop)
-    return np.ascontiguousarray(words.T).view(np.uint8)[:, :k_bits] >> 7
+    words &= _TOP_BITS
+    words *= _GATHER_TOP
+    words >>= _TOP_BYTE
+    messages = words.astype(np.uint8)
+    if k_bits % 8:
+        messages[-1] &= np.uint8((1 << (k_bits % 8)) - 1)
+    return messages
 
 
 def block_messages(k_bits: int, seed: int, start: int, stop: int) -> Iterator[int]:
     """Messages start .. stop-1 as ints, each ``message_for_index(k_bits,
-    seed, i)`` bit for bit, drawn by ``message_bits`` in blocks of at most
+    seed, i)`` bit for bit: message `start` from ``message_for_index``
+    itself, the rest from ``message_bytes`` in blocks of at most
     MESSAGE_BLOCK.
 
-    A generator: no block is drawn before the first message is asked for,
-    and the next only once the last is used up, so memory holds one block
-    however long the range.
+    A block has a fixed cost however few its messages (see the module
+    doc), so the first message never waits for one.  A generator: nothing
+    is drawn before the first message is asked for, and the next block
+    only once the last is used up, so memory holds one block however long
+    the range.
     """
+    if start < stop:
+        yield message_for_index(k_bits, seed, start)
     width = (k_bits + 7) // 8
-    for low in range(start, stop, MESSAGE_BLOCK):
-        bits = message_bits(k_bits, seed, low, min(low + MESSAGE_BLOCK, stop))
-        raw = np.packbits(bits, axis=1, bitorder="little").tobytes()
+    for low in range(start + 1, stop, MESSAGE_BLOCK):
+        raw = message_bytes(k_bits, seed, low, min(low + MESSAGE_BLOCK, stop)).T.tobytes()
         for j in range(0, len(raw), width):
             yield int.from_bytes(raw[j : j + width], "little")
 

@@ -10,7 +10,7 @@ codeword of ``spec.dual`` (pseudo kinds), encoded only as far as the
 packing reads it, or from fair coins drawn by a generator seeded by
 (seed, i) (random kinds).  ``codeword_bits`` is the pseudo half of
 ``sample_bits``, from a message already drawn: the batch loop hands it
-the messages of samples 1 .. count-1, drawn in blocks.  ``pack`` lays the
+the messages of ``codes.block_messages``.  ``pack`` lays the
 bits out as below, through ``pack_symmetric`` for Wigner kinds and
 ``pack_rect`` for MP kinds.  Every packed matrix is finite and exactly
 symmetric (a mirrored sign matrix, or Y^T Y / N with Y of +-1 entries,
@@ -164,7 +164,8 @@ def sample_bits(spec: EnsembleSpec, index: int) -> np.ndarray:
     is never computed), its message from ``codes.message_for_index``, which
     repeats ``default_rng((seed, index))`` in Python ints, so no pseudo
     sample loads ``numpy.random``; random kinds give fair coins drawn by
-    ``default_rng((seed, index))`` itself.
+    ``default_rng((seed, index))`` itself.  The batch loop reaches the same
+    pseudo bits through ``codes.block_messages`` and ``codeword_bits``.
     """
     dual = spec.dual
     if dual is None:

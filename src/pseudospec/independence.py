@@ -14,9 +14,9 @@ Sampled mode is an empirical cross-check from encoded words: it draws
 coordinate subsets, and flags any TV above 4 sqrt(2^r / 2^16) -- a crude
 concentration bound, never used as a proof of independence.  From r = 12
 that bound is at least 1, which no TV exceeds, so such r are rejected.
-The messages come in 16 batches of 4,096 from ``codes.message_words``,
-whose raw PCG64 outputs are bit-sliced in uint64 arithmetic and one byte
-transpose, with no (messages, k) bit array in between.  A batch's codeword bits at the needed
+The messages come in 16 batches of 4,096 from ``codes.message_bytes``,
+whose bytes are bit-sliced by 8 x 8 bit transposes in uint64 arithmetic
+and one byte transpose.  A batch's codeword bits at the needed
 coordinates are exact GF(2) sums, formed 64 messages to a uint64 by XOR
 tables over the bit-sliced messages (the Method of Four Russians), with no
 float arithmetic.  The counting route depends only on r.  For r <= 6,
@@ -131,50 +131,40 @@ def _column_chunks(column, k: int, needed) -> np.ndarray:
     """The `needed` generator columns, k-bit ints, as a (ceil(k/8),
     len(needed)) intp array: row i holds byte i of each column, the
     selector of its XOR table over message bits 8i .. 8i+7.  No bit at or
-    above k is set, so bit-slice rows past k are never selected.
+    above k is set, so bit-slice rows past k, all 0, are never selected.
     """
     nbytes = (k + 7) // 8
     packed = b"".join(column(c).to_bytes(nbytes, "little") for c in needed)
     return np.frombuffer(packed, np.uint8).reshape(-1, nbytes).T.astype(np.intp)
 
 
-# the top bit of each byte of a uint64; the multiplier that gathers those 8
-# bits into the top byte, byte i's at bit 56 + i; and the three swaps of an
-# 8 x 8 bit transpose (bit 8i + j to bit 8j + i), as (shift, mask) pairs
-_TOP_BITS = np.uint64(0x8080808080808080)
-_GATHER_TOP, _TOP_BYTE = np.uint64(0x0002040810204081), np.uint64(56)
+# the three swaps of an 8 x 8 bit transpose (bit 8i + j to bit 8j + i), as
+# (shift, mask) pairs
 _TRANSPOSE8 = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in
                     ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
                      (28, 0x00000000F0F0F0F0)))
 
 
-def _bit_slices(words: np.ndarray) -> np.ndarray:
-    """The messages of ``codes.message_words`` bit-sliced: a (ceil(k/8), 8,
+def _bit_slices(messages: np.ndarray) -> np.ndarray:
+    """The messages of ``codes.message_bytes`` bit-sliced: a (ceil(k/8), 8,
     ceil(B/64)) uint64 array, B the messages, whose [i, b] row holds
     message bit 8i + b of 64 messages per word, message 64w + j at bit j of
-    word w.  Bits past the last message are 0; rows past k hold the
-    stream's surplus bits, which no column selects.
+    word w.  Bits past the last message are 0, and so are the rows past k.
 
-    Message bit 8i + b is the top bit of byte b of output i.  Those 8 top
-    bits of an output are gathered into one byte, so a uint64 of 8
-    messages' bytes is an 8 x 8 bit matrix (byte = message, bit = b), which
-    is transposed in place; one byte transpose then puts each b's bytes of
-    every 8 messages in a row.
+    A uint64 of 8 messages' byte i is an 8 x 8 bit matrix (byte = message,
+    bit = b), which is transposed in place; one byte transpose then puts
+    each b's bytes of every 8 messages in a row.
     """
-    outputs, batch = words.shape
-    padded = -(-batch // 64) * 64
-    gathered = np.zeros((outputs, padded), dtype=np.uint8)
-    top = words & _TOP_BITS
-    top *= _GATHER_TOP
-    top >>= _TOP_BYTE
-    gathered[:, :batch] = top
-    block = gathered.view(np.uint64)  # 8 messages to a word
+    outputs, batch = messages.shape
+    padded = np.zeros((outputs, -(-batch // 64) * 64), dtype=np.uint8)
+    padded[:, :batch] = messages
+    block = padded.view(np.uint64)  # 8 messages to a word
     for shift, mask in _TRANSPOSE8:
         swap = block ^ (block >> shift)
         swap &= mask
         block ^= swap
         block ^= swap << shift
-    rows = gathered.reshape(outputs, padded // 8, 8).transpose(0, 2, 1)
+    rows = padded.reshape(outputs, -1, 8).transpose(0, 2, 1)
     return np.ascontiguousarray(rows).view(np.uint64)
 
 
@@ -184,7 +174,7 @@ def _sampled_tvs(column, k: int, subsets, r: int, seed: int) -> np.ndarray:
     Codeword bit c of a message is its GF(2) dot product with column c of
     the generator matrix, so only the needed columns are computed and full
     codewords are never formed.  Each batch of messages from
-    ``codes.message_words`` is bit-sliced (``_bit_slices``): row i packs
+    ``codes.message_bytes`` is bit-sliced (``_bit_slices``): row i packs
     message bit i of 64 messages per uint64 word.  For each byte of message
     coordinates, a 256-entry table holds the XOR of every subset of its 8 rows, and a
     column's parities gain the entry its byte of the column selects (the
@@ -212,7 +202,7 @@ def _sampled_tvs(column, k: int, subsets, r: int, seed: int) -> np.ndarray:
         counts = np.zeros(len(subsets) << r, dtype=np.int64)
         for start in starts:
             stop = min(start + codes.MESSAGE_BLOCK, SAMPLE_WORDS)
-            sliced = _bit_slices(codes.message_words(k, seed, start, stop))
+            sliced = _bit_slices(codes.message_bytes(k, seed, start, stop))
             words = sliced.shape[2]
             table = np.zeros((256, words), dtype=np.uint64)
             parity = np.zeros((len(needed), words), dtype=np.uint64)

@@ -44,7 +44,7 @@ code under test:
   ``independence`` are checked.
 - ``message_for_index``: message i of a seed as numpy's
   ``default_rng((seed, i))`` draws it, the definition that
-  ``codes.message_for_index`` and ``codes.message_bits`` repeat in Python
+  ``codes.message_for_index`` and ``codes.message_bytes`` repeat in Python
   ints and in numpy blocks.
 - ``poly_from_hex``: the inverse of ``gf2m.poly_to_hex``.
 - ``read_codewords``: a codeword batch file read whole by its format,

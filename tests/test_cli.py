@@ -193,7 +193,8 @@ def test_sample_count_past_header_exit_2_before_drawing(tmp_path, capsys,
     def never(*args):
         raise AssertionError("a message was drawn")
 
-    monkeypatch.setattr(codes, "message_bits", never)
+    monkeypatch.setattr(codes, "message_for_index", never)
+    monkeypatch.setattr(codes, "message_bytes", never)
     out = tmp_path / "out"
     assert run(["sample", "--m", "4", "--delta", "5", "--count", str(count),
                 "--out", str(out)]) == 2
@@ -210,7 +211,7 @@ def test_batch_count_past_2_32_exit_2_before_drawing(tmp_path, capsys,
         raise AssertionError("a message was drawn")
 
     monkeypatch.setattr(codes, "message_for_index", never)
-    monkeypatch.setattr(codes, "message_bits", never)
+    monkeypatch.setattr(codes, "message_bytes", never)
     out = tmp_path / "out"
     assert run([command, "--kind", "pseudo-wigner", "--m", "4", "--delta", "5",
                 "--N", "4", "--count", str(2**32 + 1), "--out", str(out)]) == 2
@@ -434,7 +435,7 @@ def test_iter_summaries_yields_each_sample_in_index_order(kind, monkeypatch):
     spec = cli.ensembles.EnsembleSpec(kind, N=7, p=p, seed=12, **code)
     expected = [M.tobytes() for M in packed(spec, 7)]
     assert len(set(expected)) == 7
-    calls = {"message_for_index": 0, "message_bits": 0}
+    calls = {"message_for_index": 0, "message_bytes": 0}
 
     def counted(name):
         fn = getattr(codes, name)
@@ -455,7 +456,7 @@ def test_iter_summaries_yields_each_sample_in_index_order(kind, monkeypatch):
             assert got == expected[:count]
             if spec.pseudo:
                 assert calls == {"message_for_index": min(count, 1),
-                                 "message_bits": math.ceil(max(count - 1, 0) / block)}
+                                 "message_bytes": math.ceil(max(count - 1, 0) / block)}
 
 
 @pytest.mark.parametrize("kind", cli.ensembles.KINDS)

@@ -1,6 +1,7 @@
 """BCH construction, duals, encoding, sampling, exact distances."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -413,18 +414,18 @@ def test_message_for_index_is_per_index():
     far=st.one_of(st.sampled_from([2**32, 2**64 - 1, 2**64]),
                   st.integers(2**32, 2**96)),
 )
-def test_message_bits_matches_message_for_index(k, seed, where, size, anywhere, far):
+def test_message_bytes_matches_message_for_index(k, seed, where, size, anywhere, far):
     # blocks at 0, across the 4,096 batch boundary, ending exactly at 2^32
     # (the last one-word index), and anywhere in between; both paths
     # against default_rng itself
     start = {"zero": 0, "cross": 4096 - size // 2, "end": 2**32 - size,
              "any": anywhere}[where]
-    bits = codes.message_bits(k, seed, start, start + size)
-    assert bits.shape == (size, k) and bits.dtype == np.uint8
-    for j, row in enumerate(bits):
+    messages = codes.message_bytes(k, seed, start, start + size)
+    assert messages.shape == ((k + 7) // 8, size) and messages.dtype == np.uint8
+    for j, column in enumerate(messages.T):
         message = oracles.message_for_index(k, seed, start + j)
         assert codes.message_for_index(k, seed, start + j) == message
-        assert row.tolist() == codes.word_to_bits(message, k).tolist()
+        assert int.from_bytes(column.tobytes(), "little") == message
     # indices of two and three entropy words, which only the scalar path
     # takes, seeds of one to six
     assert codes.message_for_index(k, seed, far) == oracles.message_for_index(k, seed, far)
@@ -447,8 +448,8 @@ PINNED_MESSAGES = [
 def test_message_for_index_pinned(k, seed, index, message):
     assert codes.message_for_index(k, seed, index) == int(message, 16)
     if index < 2**32:
-        row = codes.message_bits(k, seed, index, index + 1)[0]
-        assert row.tolist() == codes.word_to_bits(int(message, 16), k).tolist()
+        column = codes.message_bytes(k, seed, index, index + 1)[:, 0]
+        assert int.from_bytes(column.tobytes(), "little") == int(message, 16)
 
 
 def test_message_for_index_validation():
@@ -460,14 +461,14 @@ def test_message_for_index_validation():
     assert codes.message_for_index(0, 1, 2) == 0
 
 
-def test_message_bits_validation():
-    assert codes.message_bits(8, 1, 2**32, 2**32).shape == (0, 8)
+def test_message_bytes_validation():
+    assert codes.message_bytes(8, 1, 2**32, 2**32).shape == (1, 0)
     with pytest.raises(InvalidInputError):
-        codes.message_bits(8, 1, 2**32 - 1, 2**32 + 1)
+        codes.message_bytes(8, 1, 2**32 - 1, 2**32 + 1)
     with pytest.raises(InvalidInputError):
-        codes.message_bits(8, 1, 5, 4)
+        codes.message_bytes(8, 1, 5, 4)
     with pytest.raises(InvalidInputError):
-        codes.message_bits(8, -1, 0, 4)
+        codes.message_bytes(8, -1, 0, 4)
 
 
 # message widths around whole bytes and whole outputs of 64 bits, and the
@@ -482,23 +483,60 @@ WORD_MAJOR_BLOCKS = [(start, size) for size in (1, 63, 64, 65, 130, 4096)
 def test_message_words_match_message_for_index(start, size):
     # bit j of a message is draw j of one stream, so the message at k is
     # the low k bits of the message at 320; the first and last message of
-    # the block are also drawn at k itself
+    # the block are also drawn at k itself.  Byte j of the first message is
+    # the 8 top bits of numpy's own raw output j, gathered the same way
     seed, widest = 5, max(WORD_MAJOR_KS)
     reference = [codes.message_for_index(widest, seed, start + i) for i in range(size)]
     raw = np.random.default_rng((seed, start)).bit_generator.random_raw(widest // 8)
+    top = (raw & 0x8080808080808080) * 0x0002040810204081 >> 56
     for k in WORD_MAJOR_KS:
-        words = codes.message_words(k, seed, start, start + size)
-        assert words.shape == ((k + 7) // 8, size) and words.dtype == np.dtype("<u8")
-        assert words[:, 0].tolist() == raw[: (k + 7) // 8].tolist()  # row j: output j
-        top = np.ascontiguousarray(words.T).view(np.uint8)[:, :k] >> 7
-        packed = np.packbits(top, axis=1, bitorder="little").tobytes()
         width = (k + 7) // 8
+        block = codes.message_bytes(k, seed, start, start + size)
+        assert block.shape == (width, size) and block.dtype == np.uint8
+        low = (1 << k) - 1
+        assert int.from_bytes(top[:width].astype(np.uint8).tobytes(), "little") & low \
+            == int.from_bytes(block[:, 0].tobytes(), "little")
+        packed = block.T.tobytes()
         messages = [int.from_bytes(packed[i : i + width], "little")
                     for i in range(0, len(packed), width)]
-        assert messages == [m & ((1 << k) - 1) for m in reference]
+        assert messages == [m & low for m in reference]
         for i in (0, size - 1):
             assert messages[i] == codes.message_for_index(k, seed, start + i)
-        assert np.array_equal(codes.message_bits(k, seed, start, start + size), top)
+        if k % 8:  # the bits at and past k are 0
+            assert not (block[-1] >> (k % 8)).any()
+
+
+@pytest.mark.parametrize("block", [2, 3])
+def test_block_messages_draw_the_first_alone(monkeypatch, block):
+    # message `start` from message_for_index, the other n - 1 from
+    # ceil((n - 1) / MESSAGE_BLOCK) calls of message_bytes, each int the
+    # one numpy's default_rng draws, and below 2^k
+    monkeypatch.setattr(codes, "MESSAGE_BLOCK", block)
+    calls = {"message_for_index": 0, "message_bytes": 0}
+
+    def counted(name):
+        fn = getattr(codes, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(codes, name, counted(name))
+    for k, seed, start in ((7, 3, 0), (70, 2**32 + 5, 4094), (9, 0, 2**32 - 8)):
+        for n in range(1, 9):
+            calls.update(dict.fromkeys(calls, 0))
+            messages = list(codes.block_messages(k, seed, start, start + n))
+            assert calls == {"message_for_index": 1,
+                             "message_bytes": math.ceil((n - 1) / block)}
+            assert messages == [oracles.message_for_index(k, seed, start + i)
+                                for i in range(n)]
+            assert all(0 <= message < 1 << k for message in messages)
+    calls.update(dict.fromkeys(calls, 0))
+    assert list(codes.block_messages(7, 3, 5, 5)) == []  # an empty range draws nothing
+    assert calls == dict.fromkeys(calls, 0)
 
 
 def test_sample_codewords_cross_a_block(bch_15_7):

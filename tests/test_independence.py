@@ -219,11 +219,12 @@ def test_bit_slices_match_message_for_index(start, size):
     seed, widest = 5, 320
     reference = [codes.message_for_index(widest, seed, start + i) for i in range(size)]
     for k in (1, 7, 8, 9, 63, 64, 65, 70, 210, 320):
-        sliced = independence._bit_slices(codes.message_words(k, seed, start, start + size))
+        sliced = independence._bit_slices(codes.message_bytes(k, seed, start, start + size))
         assert sliced.shape == ((k + 7) // 8, 8, (size + 63) // 64)
         bits = np.unpackbits(sliced.view(np.uint8), axis=2, bitorder="little")
         bits = bits.reshape(-1, bits.shape[2])
         assert not bits[:, size:].any()  # no padding message has a bit set
+        assert not bits[k:].any()  # nor any row at or past k
         packed = np.packbits(bits[:k, :size].T, axis=1, bitorder="little")
         messages = [int.from_bytes(row.tobytes(), "little") for row in packed]
         assert messages == [m & ((1 << k) - 1) for m in reference]
@@ -233,8 +234,8 @@ def test_bit_slices_match_message_for_index(start, size):
 
 @pytest.mark.parametrize("m, delta", [(4, 5), (6, 5), (10, 7), (10, 15), (14, 31)])
 def test_column_chunks_select_no_row_past_k(m, delta):
-    # rows of the bit slices at and past k hold the stream's surplus bits:
-    # a column byte may never select one
+    # a column byte may never select a row of the bit slices at or past k,
+    # which holds no message bit
     dual = codes.dual_code(codes.bch_generator(m, delta))
     k, column = dual.k_dual, codes.column_reader(dual)
     chunks = independence._column_chunks(column, k, range(dual.n))
@@ -336,15 +337,15 @@ def test_sampled_worker_failure_leaves_no_child(monkeypatch, capfd, no_child_lef
     # drawing messages fails in the two forked children only, or in the
     # calling process only, while the children still count
     monkeypatch.setattr(spectral, "cpu_count", lambda: 3)
-    parent, real = os.getpid(), codes.message_words
+    parent, real = os.getpid(), codes.message_bytes
     error = KeyboardInterrupt if failing == "interrupted parent" else ValueError
 
-    def message_words(k_bits, seed, start, stop):
+    def message_bytes(k_bits, seed, start, stop):
         if (os.getpid() == parent) == (failing != "child"):
             raise error("no messages")
         return real(k_bits, seed, start, stop)
 
-    monkeypatch.setattr(codes, "message_words", message_words)
+    monkeypatch.setattr(codes, "message_bytes", message_bytes)
     dual = codes.dual_code(codes.bch_generator(6, 5))
     match = "exited with status 1" if failing == "child" else "no messages"
     with pytest.raises(RuntimeError if failing == "child" else error, match=match):
